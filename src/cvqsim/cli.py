@@ -193,8 +193,8 @@ def _cmd_gkp(args) -> str:
         "squeezing_db": gkp.squeezing_db_of(args.delta),
         "threshold_db": gkp.THRESHOLD_DB,
         "threshold_margin_db": gkp.threshold_margin(args.delta),
-        "sites": {"zero": len(gkp.lattice_sites(0, params)),
-                  "one": len(gkp.lattice_sites(1, params))},
+        "sites": {"zero": len(gkp.lattice_sites(0, params)[0]),
+                  "one": len(gkp.lattice_sites(1, params)[0])},
         "synthesis_leakage": {"zero": gkp.synthesis_leakage(0, params),
                               "one": gkp.synthesis_leakage(1, params)},
         "logical_overlap": abs(fk.overlap(zero, one)),

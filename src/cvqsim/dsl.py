@@ -19,8 +19,6 @@ import re
 import time
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import fock as fk
 from . import gaussian as g
 from . import loop as lp
@@ -631,19 +629,18 @@ class _ModeMap:
                       key=self.index.get)
 
 
-def _report_entry(kind_args, mean, cov, live, state=None, backend=""):
+def _report_entry(kind_args, moments, live, state=None, backend=""):
     a = kind_args
     if a[0] == "cov":
         return {"type": "cov", "modes": live,
-                "mean": mean.tolist(), "cov": cov.tolist()}
+                "mean": moments.mean.tolist(), "cov": moments.cov.tolist()}
     if a[0] == "form":
-        c = np.asarray(a[1], dtype=float)
-        if c.size != mean.size:
-            raise ValueError(
-                f"form needs {mean.size} coefficients, got {c.size}")
+        if len(a[1]) != moments.mean.size:
+            raise ValueError(f"form needs {moments.mean.size} coefficients, "
+                             f"got {len(a[1])}")
+        mean, variance = g.quad_stats(moments, a[1])
         return {"type": "form", "c": list(a[1]),
-                "mean": float(c @ mean),
-                "variance": float(c @ cov @ c)}
+                "mean": mean, "variance": variance}
     # fidelity targets
     if a[1] == "vacuum":
         if backend == "gaussian":
@@ -670,9 +667,9 @@ def _run_gates_gaussian(program, rng):
 
     A homodyne freezes the measured quadrature inside the joint state
     instead of collapsing it; a later ff is the exact row operation
-    x_t += gx * q, p_t += gp * q.  Reported moments are therefore the
-    channel output, independent of the sampled outcomes (which are
-    logged for reproducibility only).
+    x_t += gx * q, p_t += gp * q, applied with gaussian.apply_local.
+    Reported moments are therefore the channel output, independent of
+    the sampled outcomes (which are logged for reproducibility only).
     """
     outcomes, reports = [], []
     n = len(program.modes)
@@ -680,7 +677,7 @@ def _run_gates_gaussian(program, rng):
         return outcomes, reports
     st = g.vacuum(n)
     idx = _ModeMap(program.modes)
-    rows = {}                           # outcome id -> frozen quadrature row
+    frozen = {}                         # outcome id -> (mode index, angle)
     for ins in program.instructions:
         a = ins.args
         if ins.op == "mode":
@@ -697,37 +694,22 @@ def _run_gates_gaussian(program, rng):
             st = g.loss(st, idx[a[0]], a[1])
         elif ins.op == "hom":
             k = idx[a[0]]
-            c = np.zeros(2 * n)
-            c[2 * k] = math.cos(a[1])
-            c[2 * k + 1] = math.sin(a[1])
-            mu = float(c @ st.mean)
-            var = float(c @ st.cov @ c)
+            mu, var = g.quad_stats(st, g.quadrature_row(n, k, a[1]))
             value = float(rng.normal(mu, math.sqrt(max(var, 0.0))))
-            rows[a[2]] = c
+            frozen[a[2]] = (k, a[1])
             idx.freeze(a[0])
             outcomes.append({"id": a[2], "value": value})
         elif ins.op == "ff":
-            c = rows[a[0]]
-            t = idx[a[1]]
-            op = np.eye(2 * n)
-            op[2 * t] += a[2] * c
-            op[2 * t + 1] += a[3] * c
-            st = g.GaussianState(op @ st.mean,
-                                 _sym(op @ st.cov @ op.T))
+            k, theta = frozen[a[0]]
+            ff = g.feedforward_matrix(2, 1, 0, theta, a[2], a[3])
+            st = g.apply_local(st, (k, idx[a[1]]), ff)
         elif ins.op == "report":
-            keep = [q for m in idx.live() for q in (2 * idx[m], 2 * idx[m] + 1)]
-            mean = st.mean[keep]
-            cov = st.cov[np.ix_(keep, keep)]
-            live_state = g.GaussianState(mean, cov)
-            reports.append(_report_entry(a, mean, cov, idx.live(),
+            live_state = g.remove_modes(st, [idx[m] for m in idx.gone])
+            reports.append(_report_entry(a, live_state, idx.live(),
                                          state=live_state, backend="gaussian"))
         else:
             raise ValueError(f"op {ins.op!r} not runnable on gaussian")
     return outcomes, reports
-
-
-def _sym(m):
-    return 0.5 * (m + m.T)
 
 
 def _run_gates_fock(program, rng, cutoff):
@@ -763,8 +745,8 @@ def _run_gates_fock(program, rng, cutoff):
             v = values[a[0]]
             st = fk.displace_fock(st, idx[a[1]], a[2] * v, a[3] * v)
         elif ins.op == "report":
-            mean, cov = fk.covariance_of(st)
-            reports.append(_report_entry(a, mean, cov, idx.live(),
+            moments = g.GaussianState(*fk.covariance_of(st))
+            reports.append(_report_entry(a, moments, idx.live(),
                                          state=st, backend="fock"))
         else:
             raise ValueError(f"op {ins.op!r} not runnable on fock")
@@ -779,7 +761,7 @@ def _run_network(args):
     else:
         stats = tdm.stream_2d(entries["pulses"], entries["width"], r)
     payload = json.loads(stats.to_json())
-    wall = payload.pop("wall_time_s", 0.0)
+    wall = payload.pop("timings")["stream_s"]
     payload["type"] = "stream"
     return [], [payload], wall
 

@@ -16,20 +16,24 @@ Conventions used throughout the package:
   p -> sin(theta) x + cos(theta) p.
 
 All operations are pure functions: they return a new GaussianState and
-never mutate their argument.  Covariance matrices are re-symmetrized
-after every update so round-off cannot accumulate asymmetry.
+never mutate their argument.  Every linear update of the moments, for
+gates, feedforward and the teleportation gadgets alike, goes through
+apply_local, with feedforward blocks built by feedforward_matrix.
+apply_local rewrites only the touched rows and columns and symmetrizes
+only the touched block, and loss and homodyne conditioning update the
+covariance by symmetric expressions, so covariances are symmetric by
+construction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 # Numerical tolerances for state validation.
 SYMMETRY_TOL = 1e-10
 UNCERTAINTY_TOL = 1e-9
-SYMPLECTIC_TOL = 1e-10
 
 VACUUM_VAR = 0.5
 
@@ -97,50 +101,6 @@ class GaussianState:
                              np.array(d["cov"], dtype=float))
 
 
-@dataclass(frozen=True)
-class SymplecticOp:
-    """A symplectic matrix acting on all modes of a state."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        s = np.asarray(self.matrix, dtype=float)
-        if s.ndim != 2 or s.shape[0] != s.shape[1] or s.shape[0] % 2 != 0:
-            raise ValueError("symplectic matrix must be even-dimensional square")
-        omega = symplectic_form(s.shape[0] // 2)
-        err = np.max(np.abs(s @ omega @ s.T - omega))
-        if err > SYMPLECTIC_TOL:
-            raise ValueError(f"matrix is not symplectic (defect {err:.2e})")
-        object.__setattr__(self, "matrix", s)
-
-    @property
-    def n_modes(self) -> int:
-        return self.matrix.shape[0] // 2
-
-    def __call__(self, state: GaussianState) -> GaussianState:
-        return apply_symplectic(state, self.matrix)
-
-
-@dataclass(frozen=True)
-class LinearForm:
-    """A linear combination of quadratures, c . (x0, p0, x1, p1, ...).
-
-    Used for nullifier certificates and report instructions.
-    """
-
-    coeffs: np.ndarray
-    label: str = ""
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", np.asarray(self.coeffs, dtype=float))
-
-    def mean(self, state: GaussianState) -> float:
-        return float(self.coeffs @ state.mean)
-
-    def variance(self, state: GaussianState) -> float:
-        return float(self.coeffs @ state.cov @ self.coeffs)
-
-
 # ---------------------------------------------------------------------------
 # State constructors
 
@@ -186,51 +146,66 @@ def beamsplitter_matrix(transmissivity: float) -> np.ndarray:
     return s
 
 
-def embed(block: np.ndarray, modes: tuple[int, ...], n_modes: int) -> np.ndarray:
-    """Embed a small symplectic block acting on `modes` into 2n x 2n identity."""
-    s = np.eye(2 * n_modes)
-    idx = []
-    for m in modes:
-        idx.extend([2 * m, 2 * m + 1])
-    s[np.ix_(idx, idx)] = block
-    return s
+def feedforward_matrix(n_local: int, target: int, source: int, theta: float,
+                       gx: float, gp: float) -> np.ndarray:
+    """Feedforward block on n_local modes: x_t += gx q, p_t += gp q.
+
+    q = cos(theta) x_s + sin(theta) p_s is the measured quadrature of
+    the local mode `source`; `target` is the local mode that receives the
+    correction.  The result is the identity plus (gx, gp) (x) (cos, sin)
+    in the target rows, for use as an apply_local block.
+    """
+    m = np.eye(2 * n_local)
+    m[2 * target:2 * target + 2, 2 * source:2 * source + 2] += np.outer(
+        [gx, gp], [np.cos(theta), np.sin(theta)])
+    return m
 
 
 # ---------------------------------------------------------------------------
 # Operations
 
 
-def _symmetrize(v: np.ndarray) -> np.ndarray:
-    return (v + v.T) / 2.0
+def apply_local(state: GaussianState, modes, block: np.ndarray) -> GaussianState:
+    """Apply a 2k x 2k linear map to the quadratures of `modes`.
 
-
-def apply_symplectic(state: GaussianState, s: np.ndarray) -> GaussianState:
-    """Apply a symplectic matrix to all quadratures of the state."""
-    return GaussianState(s @ state.mean, _symmetrize(s @ state.cov @ s.T))
+    `block` acts on (x_m0, p_m0, x_m1, p_m1, ...) in the order of `modes`
+    and need not be symplectic (feedforward blocks are not).  With
+    R = block @ cov[idx, :], R replaces the rows and the columns idx and
+    only the 2k x 2k block idx x idx is symmetrized, so the covariance
+    stays symmetric by construction.  The arithmetic is O(k n); the rest
+    of the cost is one copy of the covariance.
+    """
+    for m in modes:
+        _check_mode(state, m)
+    idx = [q for m in modes for q in (2 * m, 2 * m + 1)]
+    block = np.asarray(block, dtype=float)
+    mean = state.mean.copy()
+    mean[idx] = block @ mean[idx]
+    rows = block @ state.cov[idx, :]
+    cov = state.cov.copy()
+    cov[idx, :] = rows
+    cov[:, idx] = rows.T
+    inner = rows[:, idx] @ block.T
+    cov[np.ix_(idx, idx)] = 0.5 * (inner + inner.T)
+    return GaussianState(mean, cov)
 
 
 def squeeze(state: GaussianState, mode: int, r: float) -> GaussianState:
     """Squeeze one mode: Var(x) -> e^{-2r} Var(x), Var(p) -> e^{+2r} Var(p)."""
-    _check_mode(state, mode)
-    s = embed(squeeze_matrix(r), (mode,), state.n_modes)
-    return apply_symplectic(state, s)
+    return apply_local(state, (mode,), squeeze_matrix(r))
 
 
 def phase_shift(state: GaussianState, mode: int, theta: float) -> GaussianState:
-    _check_mode(state, mode)
-    s = embed(rotation_matrix(theta), (mode,), state.n_modes)
-    return apply_symplectic(state, s)
+    return apply_local(state, (mode,), rotation_matrix(theta))
 
 
 def beam_splitter(state: GaussianState, mode_i: int, mode_j: int,
                   transmissivity: float) -> GaussianState:
     """Mix two modes on a beam splitter of the given transmissivity."""
-    _check_mode(state, mode_i)
-    _check_mode(state, mode_j)
     if mode_i == mode_j:
         raise ValueError("beam splitter needs two distinct modes")
-    s = embed(beamsplitter_matrix(transmissivity), (mode_i, mode_j), state.n_modes)
-    return apply_symplectic(state, s)
+    return apply_local(state, (mode_i, mode_j),
+                       beamsplitter_matrix(transmissivity))
 
 
 def displace(state: GaussianState, mode: int, dx: float, dp: float) -> GaussianState:
@@ -258,7 +233,24 @@ def loss(state: GaussianState, mode: int, eta: float) -> GaussianState:
     cov = state.cov * np.outer(scale, scale)
     cov[2 * mode, 2 * mode] += (1.0 - eta) * VACUUM_VAR
     cov[2 * mode + 1, 2 * mode + 1] += (1.0 - eta) * VACUUM_VAR
-    return GaussianState(mean, _symmetrize(cov))
+    return GaussianState(mean, cov)
+
+
+def quadrature_row(n_modes: int, mode: int, theta: float) -> np.ndarray:
+    """Coefficients of cos(theta) x + sin(theta) p of one mode, full width."""
+    c = np.zeros(2 * n_modes)
+    c[2 * mode] = np.cos(theta)
+    c[2 * mode + 1] = np.sin(theta)
+    return c
+
+
+def _measured_quadrature(state: GaussianState, mode: int, theta: float):
+    _check_mode(state, mode)
+    c = quadrature_row(state.n_modes, mode, theta)
+    mu_q, var_q = quad_stats(state, c)
+    if var_q <= 1e-30:
+        raise ValueError("measured quadrature has (numerically) zero variance")
+    return c, mu_q, var_q
 
 
 def homodyne(state: GaussianState, mode: int, theta: float,
@@ -278,50 +270,24 @@ def homodyne(state: GaussianState, mode: int, theta: float,
     Returns:
         (outcome, conditioned state with the measured mode removed)
     """
-    _check_mode(state, mode)
-    rng = as_rng(rng_seed)
-    n = state.n_modes
-    c = np.zeros(2 * n)
-    c[2 * mode] = np.cos(theta)
-    c[2 * mode + 1] = np.sin(theta)
-    mu_q = float(c @ state.mean)
-    var_q = float(c @ state.cov @ c)
-    if var_q <= 1e-30:
-        raise ValueError("measured quadrature has (numerically) zero variance")
-    outcome = rng.normal(mu_q, np.sqrt(var_q))
-
-    keep = [i for i in range(2 * n) if i // 2 != mode]
-    cross = state.cov @ c  # Cov(R, q) for every quadrature R
-    gain = cross[keep] / var_q
-    mean = state.mean[keep] + gain * (outcome - mu_q)
-    cov = state.cov[np.ix_(keep, keep)] - np.outer(gain, cross[keep])
-    return float(outcome), GaussianState(mean, _symmetrize(cov))
+    _, mu_q, var_q = _measured_quadrature(state, mode, theta)
+    outcome = float(as_rng(rng_seed).normal(mu_q, np.sqrt(var_q)))
+    return outcome, condition_on_outcome(state, mode, theta, outcome)
 
 
 def condition_on_outcome(state: GaussianState, mode: int, theta: float,
                          outcome: float) -> GaussianState:
     """Like homodyne, but condition on a given outcome instead of sampling."""
-    _check_mode(state, mode)
-    n = state.n_modes
-    c = np.zeros(2 * n)
-    c[2 * mode] = np.cos(theta)
-    c[2 * mode + 1] = np.sin(theta)
-    mu_q = float(c @ state.mean)
-    var_q = float(c @ state.cov @ c)
-    if var_q <= 1e-30:
-        raise ValueError("measured quadrature has (numerically) zero variance")
-    keep = [i for i in range(2 * n) if i // 2 != mode]
-    cross = state.cov @ c
-    gain = cross[keep] / var_q
-    mean = state.mean[keep] + gain * (outcome - mu_q)
-    cov = state.cov[np.ix_(keep, keep)] - np.outer(gain, cross[keep])
-    return GaussianState(mean, _symmetrize(cov))
+    c, mu_q, var_q = _measured_quadrature(state, mode, theta)
+    keep = [i for i in range(2 * state.n_modes) if i // 2 != mode]
+    cross = state.cov[keep] @ c  # Cov(R, q) for every kept quadrature R
+    mean = state.mean[keep] + cross * ((outcome - mu_q) / var_q)
+    cov = state.cov[np.ix_(keep, keep)] - np.outer(cross, cross) / var_q
+    return GaussianState(mean, cov)
 
 
 def quad_stats(state: GaussianState, form) -> tuple[float, float]:
     """Mean and variance of a linear combination of quadratures."""
-    if isinstance(form, LinearForm):
-        return form.mean(state), form.variance(state)
     c = np.asarray(form, dtype=float)
     return float(c @ state.mean), float(c @ state.cov @ c)
 

@@ -100,12 +100,6 @@ def _normalize_ff(ff):
     return [tuple(ff)]
 
 
-def _affine(state: g.GaussianState, a: np.ndarray) -> g.GaussianState:
-    mean = a @ state.mean
-    cov = a @ state.cov @ a.T
-    return g.GaussianState(mean, 0.5 * (cov + cov.T))
-
-
 def simulate(config: LoopConfig, program: LoopProgram,
              input_state: g.GaussianState, rng_seed=0):
     """Run a schedule against preloaded pulses.
@@ -145,8 +139,7 @@ def simulate(config: LoopConfig, program: LoopProgram,
     outer = list(range(length))       # pulse id per outer slot, None if gone
     inner = None
     seen = [False] * length
-    measured_row = {}                 # outcome id -> quadrature row
-    measured_pulse = {}
+    measured = {}                     # outcome id -> (pulse, basis)
     consumed = [False] * length
     emitted = [False] * length
     pending = {}                      # target slot -> [(src, gx, gp)]
@@ -169,13 +162,10 @@ def simulate(config: LoopConfig, program: LoopProgram,
                 if config.eta_outer < 1.0:
                     st = g.loss(st, pulse, config.eta_outer)
             seen[pulse] = True
-            if s in pending:
-                a = np.eye(2 * st.n_modes)
-                for src, gx, gp in pending.pop(s):
-                    row = measured_row[src]
-                    a[2 * pulse] += gx * row
-                    a[2 * pulse + 1] += gp * row
-                st = _affine(st, a)
+            for src, gx, gp in pending.pop(s, ()):
+                src_pulse, basis = measured[src]
+                ff = g.feedforward_matrix(2, 1, 0, basis, gx, gp)
+                st = g.apply_local(st, (src_pulse, pulse), ff)
 
         if inner is not None:
             inner_slots[inner] += 1
@@ -207,14 +197,10 @@ def simulate(config: LoopConfig, program: LoopProgram,
                     raise LoopScheduleError(
                         f"slot {t}: homodyne addresses a consumed slot")
                 theta = step.homodyne
-                row = np.zeros(2 * st.n_modes)
-                row[2 * pulse] = math.cos(theta)
-                row[2 * pulse + 1] = math.sin(theta)
-                mu = float(row @ st.mean)
-                var = float(row @ st.cov @ row)
+                mu, var = g.quad_stats(
+                    st, g.quadrature_row(st.n_modes, pulse, theta))
                 value = float(rng.normal(mu, math.sqrt(max(var, 0.0))))
-                measured_row[step.outcome_id] = row
-                measured_pulse[step.outcome_id] = pulse
+                measured[step.outcome_id] = (pulse, theta)
                 consumed[pulse] = True
                 outcomes.append({"id": step.outcome_id, "slot": t,
                                  "pulse": pulse, "basis": theta,
@@ -222,7 +208,7 @@ def simulate(config: LoopConfig, program: LoopProgram,
                 outer[s] = None
                 pulse = None
             for src, gx, gp, target in _normalize_ff(step.ff):
-                if src not in measured_row:
+                if src not in measured:
                     raise LoopScheduleError(
                         f"slot {t}: feedforward from unmeasured {src!r}")
                 if not 0 <= target < length:
@@ -444,14 +430,6 @@ def _assert_gates_match(gates, u):
         raise RuntimeError("gate decomposition failed to reproduce the target")
 
 
-def _interleaved_j(n: int) -> np.ndarray:
-    j = np.zeros((2 * n, 2 * n))
-    for k in range(n):
-        j[2 * k, 2 * k + 1] = 1.0
-        j[2 * k + 1, 2 * k] = -1.0
-    return j
-
-
 def _factor_pure_state(cov: np.ndarray):
     """Split a pure covariance into squeezers plus a passive network.
 
@@ -460,7 +438,7 @@ def _factor_pure_state(cov: np.ndarray):
     """
     n = cov.shape[0] // 2
     s0 = scipy.linalg.sqrtm(2.0 * cov).real
-    jmat = _interleaved_j(n)
+    jmat = g.symplectic_form(n)
     vals, vecs = np.linalg.eigh(s0)
     order = np.argsort(vals)[::-1]
     cols = []
@@ -581,5 +559,5 @@ def certificate_variances(state: g.GaussianState, certificates) -> dict:
         row = np.zeros(2 * state.n_modes)
         for mode, quad, coef in terms:
             row[2 * mode + quad] += coef
-        out[name] = float(row @ state.cov @ row)
+        out[name] = g.quad_stats(state, row)[1]
     return out

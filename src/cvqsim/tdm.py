@@ -25,8 +25,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import gaussian as g
-
 BS_DEFAULT_T = 0.5
 
 
@@ -136,14 +134,6 @@ class NullifierForm:
         return max(t[0] for t in self.terms) + 1
 
 
-@dataclass(frozen=True)
-class NullifierSet:
-    forms: tuple
-
-    def __iter__(self):
-        return iter(self.forms)
-
-
 def _fresh_cov(spec: NetworkSpec) -> np.ndarray:
     diag = []
     for orient, r in spec.squeezers:
@@ -239,7 +229,7 @@ def _unrolled_symplectic(spec: NetworkSpec, n_slots: int) -> np.ndarray:
     return np.array(out_rows)
 
 
-def derive_squeezed_forms(spec: NetworkSpec) -> NullifierSet:
+def derive_squeezed_forms(spec: NetworkSpec) -> tuple:
     """Propagate each squeezed input quadrature to the emitted basis.
 
     If z_out = S z_in, the combination c = S^{-T} e_q of emitted
@@ -274,7 +264,7 @@ def derive_squeezed_forms(spec: NetworkSpec) -> NullifierSet:
             expected_var=math.exp(-2 * r) / 2,
             vacuum_var=norm_sq / 2,
         ))
-    return NullifierSet(tuple(forms))
+    return tuple(forms)
 
 
 class StreamAccumulator:
@@ -318,7 +308,6 @@ class StreamStats:
             "n_slots": self.n_slots,
             "boundary_slots": self.boundary_slots,
             "peak_active_modes": self.peak_active_modes,
-            "wall_time_s": self.wall_time_s,
             "forms": {
                 name: {
                     "count": acc.count,
@@ -330,6 +319,7 @@ class StreamStats:
                 }
                 for name, acc in self.form_stats.items()
             },
+            "timings": {"stream_s": self.wall_time_s},
         }
         return json.dumps(payload, indent=2)
 

@@ -111,15 +111,17 @@ def teleport(state: g.GaussianState, r_anc: float, gain: float = 1.0,
     m_x, work = g.homodyne(work, 1, 0.0, rng)
     m_p, _ = g.homodyne(work, 0, np.pi / 2, rng)
 
-    # complete the measured quadratures with their feedforward terms
-    bell = g.embed(g.beamsplitter_matrix(0.5), [0, 1], 3)
-    total = bell.copy()
-    total[4] -= math.sqrt(2.0) * gain * bell[2]   # x_B picks up -sqrt2 g m_x
-    total[5] += math.sqrt(2.0) * gain * bell[1]   # p_B picks up +sqrt2 g m_p
-    mean = total @ prep.mean
-    cov = total @ prep.cov @ total.T
-    out = g.GaussianState(mean[4:6].copy(),
-                          0.5 * (cov[4:6, 4:6] + cov[4:6, 4:6].T))
+    # complete the measured quadratures with their feedforward terms:
+    # x_B picks up -sqrt2 g m_x, p_B picks up +sqrt2 g m_p.  The map is
+    # composed before it touches the state: applying the Bell splitter
+    # and the feedforward one after the other cancels against the
+    # antisqueezed ancilla variances and loses precision.
+    bell = np.eye(6)
+    bell[:4, :4] = g.beamsplitter_matrix(0.5)
+    root2g = math.sqrt(2.0) * gain
+    total = (g.feedforward_matrix(3, 2, 1, 0.0, -root2g, 0.0)
+             @ g.feedforward_matrix(3, 2, 0, np.pi / 2, 0.0, root2g) @ bell)
+    out = g.remove_modes(g.apply_local(prep, (0, 1, 2), total), (0, 1))
 
     ideal = state if gain == 1.0 else g.GaussianState(
         gain * state.mean, gain * gain * state.cov)
@@ -172,16 +174,12 @@ def tele_squeeze(state: g.GaussianState, y: float, r_anc: float,
     work = g.beam_splitter(prep, 0, 1, transmissivity)
     m, _ = g.homodyne(work, 1, theta, rng)
 
-    split = g.beamsplitter_matrix(transmissivity)
-    total = split.copy()
-    if y < 1.0:
-        total[1] += ff * split[3]     # p_out completed with the p reading
-    else:
-        total[0] += ff * split[2]     # x_out completed with the x reading
-    mean = total @ prep.mean
-    cov = total @ prep.cov @ total.T
-    out = g.GaussianState(mean[0:2].copy(),
-                          0.5 * (cov[0:2, 0:2] + cov[0:2, 0:2].T))
+    # complete the output quadrature of the measured basis with the
+    # reading; compose first, for the same precision reason as in teleport
+    gx, gp = (0.0, ff) if y < 1.0 else (ff, 0.0)
+    total = (g.feedforward_matrix(2, 0, 1, theta, gx, gp)
+             @ g.beamsplitter_matrix(transmissivity))
+    out = g.remove_modes(g.apply_local(prep, (0, 1), total), (1,))
 
     return TeleReport(
         output=out,

@@ -1,9 +1,10 @@
 """Independent reference implementations used as test oracles.
 
 Everything in this file deliberately avoids the production code paths it
-is used to check: conditioning is done with explicit block partitioning
-and pseudoinverses, fidelities with grid quadrature over Wigner
-functions, and network streaming with a dense whole-network state.
+is used to check: linear maps are applied as dense whole-state products,
+conditioning is done with explicit block partitioning and pseudoinverses,
+fidelities with grid quadrature over Wigner functions, and network
+streaming with a dense whole-network state.
 """
 
 from __future__ import annotations
@@ -11,6 +12,20 @@ from __future__ import annotations
 import numpy as np
 
 from cvqsim import gaussian as g
+
+
+def embed(block: np.ndarray, modes, n_modes: int) -> np.ndarray:
+    """Embed a 2k x 2k block acting on `modes` into the 2n x 2n identity."""
+    s = np.eye(2 * n_modes)
+    idx = [q for m in modes for q in (2 * m, 2 * m + 1)]
+    s[np.ix_(idx, idx)] = block
+    return s
+
+
+def apply_dense(state: g.GaussianState, s: np.ndarray) -> g.GaussianState:
+    """Apply a full 2n x 2n linear map with two dense products."""
+    cov = s @ state.cov @ s.T
+    return g.GaussianState(s @ state.mean, (cov + cov.T) / 2.0)
 
 
 def random_pure_state(n_modes: int, rng: np.random.Generator,
@@ -167,3 +182,70 @@ def dense_network_run(stages, n_arms: int, n_slots: int, squeezers,
     rank = {old: new for new, old in enumerate(sorted(keep_set))}
     index_map = {key: rank[old] for key, old in emitted.items()}
     return st, index_map
+
+
+def dsl_gaussian_dense(program, seed):
+    """Dense replay of a gate-list program on the Gaussian backend.
+
+    Every gate is an embedded whole-state matrix applied with
+    apply_dense, loss is a dense contraction plus vacuum noise, a
+    homodyne freezes its full-width quadrature row, and ff applies the
+    whole-state operator I + rows: x_t += gx c, p_t += gp c.  Returns
+    (outcomes, reports) in the runner's format; fidelity reports are
+    left out.
+    """
+    n = len(program.modes)
+    index = {m: i for i, m in enumerate(program.modes)}
+    st = g.vacuum(n)
+    rng = g.as_rng(seed)
+    rows, frozen, outcomes, reports = {}, set(), [], []
+    for ins in program.instructions:
+        a = ins.args
+        if ins.op == "sq":
+            r = a[1] if a[2] == "x" else -a[1]
+            s = embed(np.diag([np.exp(-r), np.exp(r)]), (index[a[0]],), n)
+            st = apply_dense(st, s)
+        elif ins.op == "ps":
+            c, s_ = np.cos(a[1]), np.sin(a[1])
+            s = embed(np.array([[c, -s_], [s_, c]]), (index[a[0]],), n)
+            st = apply_dense(st, s)
+        elif ins.op == "bs":
+            t, rk = np.sqrt(a[2]), np.sqrt(1.0 - a[2])
+            blk = np.kron(np.array([[t, rk], [-rk, t]]), np.eye(2))
+            st = apply_dense(st, embed(blk, (index[a[0]], index[a[1]]), n))
+        elif ins.op == "disp":
+            mean = st.mean.copy()
+            mean[2 * index[a[0]]:2 * index[a[0]] + 2] += (a[1], a[2])
+            st = g.GaussianState(mean, st.cov)
+        elif ins.op == "loss":
+            k = index[a[0]]
+            st = apply_dense(st, embed(np.sqrt(a[1]) * np.eye(2), (k,), n))
+            cov = st.cov.copy()
+            cov[2 * k, 2 * k] += (1.0 - a[1]) / 2
+            cov[2 * k + 1, 2 * k + 1] += (1.0 - a[1]) / 2
+            st = g.GaussianState(st.mean, cov)
+        elif ins.op == "hom":
+            k = index[a[0]]
+            c = np.zeros(2 * n)
+            c[2 * k], c[2 * k + 1] = np.cos(a[1]), np.sin(a[1])
+            var = c @ st.cov @ c
+            value = float(rng.normal(c @ st.mean, np.sqrt(max(var, 0.0))))
+            rows[a[2]] = c
+            frozen.add(k)
+            outcomes.append({"id": a[2], "value": value})
+        elif ins.op == "ff":
+            t = index[a[1]]
+            op = np.eye(2 * n)
+            op[2 * t] += a[2] * rows[a[0]]
+            op[2 * t + 1] += a[3] * rows[a[0]]
+            st = apply_dense(st, op)
+        elif ins.op == "report" and a[0] in ("cov", "form"):
+            keep = [q for q in range(2 * n) if q // 2 not in frozen]
+            mean, cov = st.mean[keep], st.cov[np.ix_(keep, keep)]
+            if a[0] == "cov":
+                reports.append({"type": "cov", "mean": mean, "cov": cov})
+            else:
+                c = np.array(a[1])
+                reports.append({"type": "form", "mean": c @ mean,
+                                "variance": c @ cov @ c})
+    return outcomes, reports

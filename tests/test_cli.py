@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from cvqsim import cli, gaussian as g
+from cvqsim import cli, gaussian as g, gkp
 
 R10 = float(g.squeezing_db_to_r(10.0))
 
@@ -215,6 +215,16 @@ class TestGkpCommand:
         assert payload["synthesis_leakage"]["zero"] < 1e-4
         assert payload["logical_overlap"] < 0.05
 
+    def test_sites_count_lattice_peaks(self, capsys):
+        # at the default cutoff of 100 only the central peak of |0> fits
+        code, out, _ = run_cli(capsys, "gkp", "--delta", "0.2",
+                               "--cutoff", "150")
+        assert code == 0
+        params = gkp.GkpParams(0.2, 150)
+        zero = json.loads(out)["sites"]["zero"]
+        assert zero == len(gkp.lattice_sites(0, params)[0])
+        assert zero > 2
+
     def test_impossible_cutoff_is_runtime_error(self, capsys):
         code, _, err = run_cli(capsys, "gkp", "--delta", "0.2",
                                "--cutoff", "40")
@@ -239,6 +249,31 @@ class TestGkpCommand:
     def test_gkp_needs_some_request(self, capsys):
         code, _, err = run_cli(capsys, "gkp")
         assert code == 1
+
+
+class TestDeterminism:
+
+    def test_same_seed_same_bytes_apart_from_timings(self, tmp_path, capsys):
+        epr = tmp_path / "epr.cvq"
+        epr.write_text(EPR_PROGRAM)
+        sched = tmp_path / "sched.cvq"
+        sched.write_text(SCHEDULE_PROGRAM)
+        commands = [
+            ("stream", "--spec", "1d", "--pulses", "2000",
+             "--squeezing", "10dB"),
+            ("gkp", "--delta", "0.3"),
+            ("run", str(epr), "--seed", "5"),
+            ("run", str(epr), "--seed", "5", "--backend", "fock",
+             "--cutoff", "20"),
+            ("loop", str(sched), "--seed", "5"),
+        ]
+        for argv in commands:
+            outs = []
+            for _ in range(2):
+                code, out, _ = run_cli(capsys, *argv)
+                assert code == 0, argv
+                outs.append(json.dumps(strip_timings(out), sort_keys=True))
+            assert outs[0] == outs[1], argv
 
 
 class TestTopLevel:

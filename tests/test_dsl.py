@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import dslgen
+import oracles
 from cvqsim import dsl, fock as fk, gaussian as g, telegates as tg
 
 R15 = float(g.squeezing_db_to_r(15.0))
@@ -224,6 +225,30 @@ class TestRun:
     def test_empty_program_empty_report(self):
         rep = dsl.run(parse_ok(""), "gaussian", 0)
         assert rep.outcomes == [] and rep.reports == []
+
+    def test_gaussian_runner_matches_dense_oracle(self):
+        rng = np.random.default_rng(5100)
+        checked = 0
+        while checked < 20:
+            p = parse_ok(dslgen.gates_text(rng, n_ops=14,
+                                           allow_nongaussian=False,
+                                           n_modes=int(rng.integers(2, 5))))
+            if not any(ins.op == "ff" for ins in p.instructions):
+                continue
+            rep = dsl.run(p, "gaussian", checked)
+            outcomes, reports = oracles.dsl_gaussian_dense(p, checked)
+            assert [o["id"] for o in rep.outcomes] == [o["id"] for o in outcomes]
+            np.testing.assert_allclose([o["value"] for o in rep.outcomes],
+                                       [o["value"] for o in outcomes],
+                                       rtol=1e-9, atol=1e-9)
+            got = [r for r in rep.reports if r["type"] != "fidelity"]
+            assert [r["type"] for r in got] == [r["type"] for r in reports]
+            for mine, ref in zip(got, reports):
+                for key in ("mean", "cov", "variance"):
+                    if key in ref:
+                        np.testing.assert_allclose(mine[key], ref[key],
+                                                   rtol=1e-9, atol=1e-9)
+            checked += 1
 
     def test_epr_form_variance(self):
         p = parse_ok(f"""

@@ -73,14 +73,6 @@ class TestBeamSplitter:
         assert var_pp == pytest.approx(np.exp(-2 * r), abs=ALG_TOL)
         st.validate()
 
-    def test_symplectic_matrix_is_valid(self):
-        g.SymplecticOp(g.beamsplitter_matrix(0.3))
-        g.SymplecticOp(g.embed(g.squeeze_matrix(0.5), (1,), 3))
-
-    def test_non_symplectic_rejected(self):
-        with pytest.raises(ValueError):
-            g.SymplecticOp(np.diag([2.0, 2.0]))
-
     def test_bad_transmissivity(self):
         with pytest.raises(ValueError):
             g.beam_splitter(g.vacuum(2), 0, 1, 1.5)
@@ -260,21 +252,89 @@ class TestBookkeeping:
             g.GaussianState(np.zeros(2), np.eye(2) * 0.1).validate()
 
 
+def assert_symplectic(s):
+    omega = g.symplectic_form(s.shape[0] // 2)
+    np.testing.assert_allclose(s @ omega @ s.T, omega, atol=1e-10)
+
+
 class TestSymplecticAlgebra:
     def test_random_compositions_stay_symplectic(self):
+        assert_symplectic(g.beamsplitter_matrix(0.3))
+        assert_symplectic(oracles.embed(g.squeeze_matrix(0.5), (1,), 3))
         rng = np.random.default_rng(31)
-        omega = g.symplectic_form(3)
         s = np.eye(6)
         for _ in range(30):
             pick = rng.integers(3)
             if pick == 0:
                 blk = g.squeeze_matrix(rng.uniform(-1, 1))
-                s = g.embed(blk, (int(rng.integers(3)),), 3) @ s
+                s = oracles.embed(blk, (int(rng.integers(3)),), 3) @ s
             elif pick == 1:
                 blk = g.rotation_matrix(rng.uniform(0, 2 * np.pi))
-                s = g.embed(blk, (int(rng.integers(3)),), 3) @ s
+                s = oracles.embed(blk, (int(rng.integers(3)),), 3) @ s
             else:
                 i, j = rng.choice(3, size=2, replace=False)
                 blk = g.beamsplitter_matrix(rng.uniform())
-                s = g.embed(blk, (int(i), int(j)), 3) @ s
-        np.testing.assert_allclose(s @ omega @ s.T, omega, atol=1e-10)
+                s = oracles.embed(blk, (int(i), int(j)), 3) @ s
+        assert_symplectic(s)
+
+
+def dense_feedforward(n, target, source, theta, gx, gp):
+    """I + rows: x_t += gx q, p_t += gp q over all 2n quadratures."""
+    c = np.zeros(2 * n)
+    c[2 * source] = np.cos(theta)
+    c[2 * source + 1] = np.sin(theta)
+    op = np.eye(2 * n)
+    op[2 * target] += gx * c
+    op[2 * target + 1] += gp * c
+    return op
+
+
+class TestApplyLocal:
+    """apply_local against the dense embed + apply_dense oracle."""
+
+    @staticmethod
+    def assert_matches(out, ref):
+        np.testing.assert_allclose(out.mean, ref.mean, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(out.cov, ref.cov, rtol=0, atol=1e-12)
+        assert np.array_equal(out.cov, out.cov.T)
+
+    def test_symplectic_blocks(self):
+        rng = np.random.default_rng(41)
+        for n in range(3, 7):
+            for _ in range(10):
+                st = oracles.random_mixed_state(n, rng)
+                i, j = (int(m) for m in rng.choice(n, size=2, replace=False))
+                bs = g.beamsplitter_matrix(rng.uniform())
+                rot = g.rotation_matrix(rng.uniform(0, 2 * np.pi))
+                two = bs @ np.kron(np.eye(2), g.squeeze_matrix(rng.uniform(-1, 1)))
+                for modes, blk in (((i,), g.squeeze_matrix(rng.uniform(-1, 1))),
+                                   ((j,), rot), ((i, j), bs), ((j, i), two)):
+                    assert_symplectic(blk)
+                    ref = oracles.apply_dense(st, oracles.embed(blk, modes, n))
+                    self.assert_matches(g.apply_local(st, modes, blk), ref)
+
+    def test_feedforward_blocks(self):
+        rng = np.random.default_rng(43)
+        for n in range(3, 7):
+            for _ in range(10):
+                st = oracles.random_mixed_state(n, rng)
+                src, tgt = (int(m) for m in rng.choice(n, size=2, replace=False))
+                theta = rng.uniform(0, 2 * np.pi)
+                gx, gp = rng.normal(0, 1.5, size=2)
+                ref = oracles.apply_dense(
+                    st, dense_feedforward(n, tgt, src, theta, gx, gp))
+                blk = g.feedforward_matrix(2, 1, 0, theta, gx, gp)
+                self.assert_matches(g.apply_local(st, (src, tgt), blk), ref)
+                blk = g.feedforward_matrix(2, 0, 1, theta, gx, gp)
+                self.assert_matches(g.apply_local(st, (tgt, src), blk), ref)
+                # source == target: the mode's own quadrature is fed back
+                ref = oracles.apply_dense(
+                    st, dense_feedforward(n, src, src, theta, gx, gp))
+                blk = g.feedforward_matrix(1, 0, 0, theta, gx, gp)
+                self.assert_matches(g.apply_local(st, (src,), blk), ref)
+
+    def test_input_not_mutated(self):
+        st = oracles.random_mixed_state(3, np.random.default_rng(47))
+        mean, cov = st.mean.copy(), st.cov.copy()
+        g.apply_local(st, (0, 2), g.beamsplitter_matrix(0.4))
+        assert np.array_equal(st.mean, mean) and np.array_equal(st.cov, cov)

@@ -375,7 +375,7 @@ class TestEntangled:
     def test_certificates_state_is_pure(self):
         out, _ = self.run("CLUSTER_LINEAR", 3)
         # symplectic eigenvalues of a pure state are all 1/2
-        jmat = loop._interleaved_j(3)
+        jmat = g.symplectic_form(3)
         eig = np.linalg.eigvals(1j * (out.cov @ jmat))
         assert np.abs(np.sort(np.abs(eig)) - 0.5).max() < 1e-8
 
