@@ -73,6 +73,10 @@ class TestBeamSplitter:
         assert var_pp == pytest.approx(np.exp(-2 * r), abs=ALG_TOL)
         st.validate()
 
+    def test_symplectic_matrix_is_valid(self):
+        assert_symplectic(g.beamsplitter_matrix(0.3))
+        assert_symplectic(oracles.embed(g.squeeze_matrix(0.5), (1,), 3))
+
     def test_bad_transmissivity(self):
         with pytest.raises(ValueError):
             g.beam_splitter(g.vacuum(2), 0, 1, 1.5)
@@ -259,8 +263,6 @@ def assert_symplectic(s):
 
 class TestSymplecticAlgebra:
     def test_random_compositions_stay_symplectic(self):
-        assert_symplectic(g.beamsplitter_matrix(0.3))
-        assert_symplectic(oracles.embed(g.squeeze_matrix(0.5), (1,), 3))
         rng = np.random.default_rng(31)
         s = np.eye(6)
         for _ in range(30):
