@@ -14,6 +14,12 @@ every certificate (nullifier) variance is evaluated analytically by
 splitting the form into its delay-line part and its not-yet-injected
 fresh-pulse part.  Memory is therefore constant in the number of
 pulses, and all reported variances are exact.
+
+After a few slots the delay-line covariance reaches a fixed point and
+every later slot repeats the same variances.  Without a sink and without
+capture those slots are credited to the accumulators in closed form, so
+a run costs O(transient) whatever the number of pulses; with per-slot
+records requested it costs O(n_pulses), one record per slot.
 """
 
 from __future__ import annotations
@@ -284,10 +290,40 @@ class StreamAccumulator:
         if value > self.max:
             self.max = value
 
+    def update_repeated(self, value: float, times: int):
+        """Same state, bit for bit, as `times` calls of update(value).
+
+        Once an increment rounds to zero the mean is a fixed point:
+        value - mean no longer changes, count only grows and rounding is
+        monotone, so every later increment rounds to zero too.  The loop
+        therefore stops at that point and credits the rest to count.
+        """
+        if times < 0:
+            raise ValueError("times must be >= 0")
+        if times == 0:
+            return
+        self.update(value)
+        count, mean = self.count, self.mean
+        for _ in range(times - 1):
+            count += 1
+            new = mean + (value - mean) / count
+            if new == mean:
+                break
+            mean = new
+        self.count += times - 1
+        self.mean = mean
+
 
 @dataclass
 class StreamStats:
-    """Result of a streaming run; variances are exact, not sampled."""
+    """Result of a streaming run; variances are exact, not sampled.
+
+    slots_simulated counts the slots whose variances were computed from
+    the delay-line covariance; steady_at_slot is the first non-boundary
+    slot at which that covariance is a fixed point (None if the run ends
+    first).  Every later slot repeats its values and is credited to the
+    accumulators in closed form.
+    """
 
     form_stats: dict
     vacuum_vars: dict
@@ -295,6 +331,8 @@ class StreamStats:
     n_slots: int
     boundary_slots: int
     peak_active_modes: int
+    slots_simulated: int
+    steady_at_slot: int | None
     wall_time_s: float
     per_slot: list | None = None
 
@@ -308,6 +346,8 @@ class StreamStats:
             "n_slots": self.n_slots,
             "boundary_slots": self.boundary_slots,
             "peak_active_modes": self.peak_active_modes,
+            "slots_simulated": self.slots_simulated,
+            "steady_at_slot": self.steady_at_slot,
             "forms": {
                 name: {
                     "count": acc.count,
@@ -375,40 +415,46 @@ def _stream(spec: NetworkSpec, n_slots: int, sink=None, loss=None,
     captured = [] if capture else None
 
     v_w = 0.5 * np.eye(2 * spec.n_delay_slots)
-    steady = False
-    steady_vals = None
     n_eval = max(0, n_slots - max_support)
     boundary_count = 0
-    for k in range(n_slots):
-        if k < n_eval:
-            if not steady:
-                vals = {}
-                for form, (gw, const) in zip(forms, vectors):
-                    var = float(gw @ v_w @ gw) + const
-                    if loss is not None:
-                        var = eta * var + (1 - eta) * form.vacuum_var
-                    vals[form.name] = var
-            else:
-                vals = steady_vals
-            boundary = k < boundary_limit
-            if boundary:
-                boundary_count += 1
-            else:
-                for name, var in vals.items():
-                    stats[name].update(var)
-            record = {"slot": k, "boundary": boundary, "forms": dict(vals)}
-            if captured is not None:
-                captured.append(record)
-            if sink is not None:
-                sink(record)
-        if not steady:
-            v_next = k_update + ww @ v_w @ ww.T
-            if k >= boundary_limit and np.array_equal(v_next, v_w):
-                steady = True
-                steady_vals = vals if k < n_eval else None
-                if steady_vals is None:
-                    steady = False   # keep updating until forms evaluable
-            v_w = v_next
+    steady_at = None
+
+    def emit(k, boundary, vals):
+        record = {"slot": k, "boundary": boundary, "forms": dict(vals)}
+        if captured is not None:
+            captured.append(record)
+        if sink is not None:
+            sink(record)
+
+    # Transient: step the delay-line covariance until it is a fixed point.
+    for k in range(n_eval):
+        vals = {}
+        for form, (gw, const) in zip(forms, vectors):
+            var = float(gw @ v_w @ gw) + const
+            if loss is not None:
+                var = eta * var + (1 - eta) * form.vacuum_var
+            vals[form.name] = var
+        boundary = k < boundary_limit
+        if boundary:
+            boundary_count += 1
+        else:
+            for name, var in vals.items():
+                stats[name].update(var)
+        emit(k, boundary, vals)
+        v_next = k_update + ww @ v_w @ ww.T
+        if not boundary and np.array_equal(v_next, v_w):
+            steady_at = k
+            break
+        v_w = v_next
+
+    # Steady state: every later slot repeats slot steady_at bit for bit.
+    if steady_at is not None:
+        rest = range(steady_at + 1, n_eval)
+        for name, var in vals.items():
+            stats[name].update_repeated(var, len(rest))
+        if sink is not None or captured is not None:
+            for k in rest:
+                emit(k, False, vals)
 
     return StreamStats(
         form_stats=stats,
@@ -417,6 +463,8 @@ def _stream(spec: NetworkSpec, n_slots: int, sink=None, loss=None,
         n_slots=n_slots,
         boundary_slots=boundary_count,
         peak_active_modes=spec.n_arms + spec.n_delay_slots,
+        slots_simulated=n_eval if steady_at is None else steady_at + 1,
+        steady_at_slot=steady_at,
         wall_time_s=time.perf_counter() - start,
         per_slot=captured,
     )
@@ -466,8 +514,12 @@ def emitted_covariance(spec: NetworkSpec, n_slots: int):
             sj = slice(a2 * j, a2 * (j + 1))
             cov[sj, sl] = block
             cov[sl, sj] = block.T
+        # the delay pipeline is feed-forward (ww nilpotent), so each
+        # correlation dies after a few slots; drop it once exactly zero
         for j in list(cross):
             cross[j] = cross[j] @ ww.T
+            if not cross[j].any():
+                del cross[j]
         cross[k] = of @ v_f @ wf.T + ow @ v_w @ ww.T
         v_w = wf @ v_f @ wf.T + ww @ v_w @ ww.T
     index_map = {(k, arm): a2 * k // 2 + arm

@@ -331,6 +331,8 @@ class TestRun:
         payload = rep.reports[0]
         assert payload["type"] == "stream"
         assert "wall_time_s" not in payload
+        assert payload["slots_simulated"] == 2
+        assert payload["steady_at_slot"] == 1
         for form in payload["forms"].values():
             ratio = form["mean_var"] / form["vacuum_var"]
             assert ratio == pytest.approx(10 ** -1.5, abs=1e-9)

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cvqsim import gaussian as g
 from cvqsim import tdm
@@ -182,6 +184,9 @@ class TestStreamingEqualsDense:
                                  stages=(("bs", 0, 1, 0.3),
                                          ("delay", 1, 2),
                                          ("bs", 0, 1, 0.6))), 2, 7),
+        # more slots than the network's memory: the correlations the
+        # recursion prunes must be zero in the dense oracle too
+        (lambda: tdm.network_2d(0.7, 3), 4, 12),
     ])
     def test_joint_covariance(self, make, n_arms, n_slots):
         spec = make()
@@ -226,3 +231,116 @@ class TestSinkAndStats:
         assert stats.wall_time_s < 10.0
         for ratio in stats.ratios().values():
             assert ratio == pytest.approx(10 ** -1.5, abs=1e-9)
+
+
+def _custom_two_slot_delay():
+    return tdm.NetworkSpec(squeezers=(("x", 1.2), ("p", 0.4)),
+                           stages=(("bs", 0, 1, 0.3),
+                                   ("delay", 1, 2),
+                                   ("bs", 0, 1, 0.6)))
+
+
+def _acc_state(acc):
+    return (acc.count, acc.mean, acc.min, acc.max)
+
+
+class TestClosedFormEqualsPerSlot:
+    """The steady-state shortcut against the per-slot record path."""
+
+    NETWORKS = [
+        pytest.param(lambda: tdm.network_1d(R15), None, id="1d"),
+        pytest.param(lambda: tdm.network_1d(R15), 0.9, id="1d_loss"),
+        pytest.param(lambda: tdm.network_2d(R15, 2), None, id="2d_w2"),
+        pytest.param(lambda: tdm.network_2d(0.8, 5), None, id="2d_w5"),
+        pytest.param(_custom_two_slot_delay, None, id="custom_delay2"),
+        # vacuum through a bare delay: the delay-line covariance is a
+        # fixed point from slot 0, inside the boundary slots
+        pytest.param(lambda: tdm.NetworkSpec(
+            squeezers=(("x", 0.0), ("p", 0.0)),
+            stages=(("delay", 0, 3),)), None, id="vacuum_delay3"),
+    ]
+
+    @staticmethod
+    def _slot_counts(spec):
+        support = max(f.support for f in tdm.derive_squeezed_forms(spec))
+        return sorted({2, spec.max_delay, spec.max_delay + 1,
+                       support, support + 1, 50})
+
+    @pytest.mark.parametrize("make,loss", NETWORKS)
+    def test_exact_equality(self, make, loss):
+        spec = make()
+        for n_slots in self._slot_counts(spec):
+            closed = tdm._stream(spec, n_slots, loss=loss)
+            per = tdm._stream(spec, n_slots, loss=loss, capture=True)
+            sunk = []
+            tdm._stream(spec, n_slots, loss=loss, sink=sunk.append)
+            assert closed.per_slot is None
+            assert sunk == per.per_slot
+            assert closed.boundary_slots == per.boundary_slots == min(
+                spec.max_delay, len(per.per_slot))
+            assert closed.slots_simulated == per.slots_simulated
+            assert closed.steady_at_slot == per.steady_at_slot
+            # replay every captured slot through the one-at-a-time update
+            replay = {f: tdm.StreamAccumulator() for f in per.form_stats}
+            for rec in per.per_slot:
+                if not rec["boundary"]:
+                    for f, var in rec["forms"].items():
+                        replay[f].update(var)
+            for f, acc in closed.form_stats.items():
+                assert _acc_state(acc) == _acc_state(per.form_stats[f])
+                assert _acc_state(acc) == _acc_state(replay[f])
+        # at 50 slots every network reaches its fixed point early
+        assert closed.steady_at_slot is not None
+        assert closed.slots_simulated < len(per.per_slot)
+
+
+class TestUpdateRepeated:
+    @settings(max_examples=200, deadline=None)
+    @given(prefix=st.lists(st.floats(-1e6, 1e6), max_size=8),
+           value=st.floats(-1e6, 1e6),
+           times=st.integers(0, 3000))
+    def test_bit_identical_to_repeated_update(self, prefix, value, times):
+        fast, slow = tdm.StreamAccumulator(), tdm.StreamAccumulator()
+        for v in prefix:
+            fast.update(v)
+            slow.update(v)
+        fast.update_repeated(value, times)
+        for _ in range(times):
+            slow.update(value)
+        assert _acc_state(fast) == _acc_state(slow)
+
+    def test_long_run_after_distant_prefix(self):
+        fast, slow = tdm.StreamAccumulator(), tdm.StreamAccumulator()
+        for v in (0.3, 7.0, -2.5):
+            fast.update(v)
+            slow.update(v)
+        fast.update_repeated(0.1, 200_000)
+        for _ in range(200_000):
+            slow.update(0.1)
+        assert _acc_state(fast) == _acc_state(slow)
+
+    def test_rejects_negative_times(self):
+        with pytest.raises(ValueError):
+            tdm.StreamAccumulator().update_repeated(1.0, -1)
+
+
+class TestCounters:
+    def test_billion_pulses_step_only_the_transient(self):
+        stats = tdm.stream_1d(10 ** 9, R15)
+        for acc in stats.form_stats.values():
+            assert acc.count == 10 ** 9 - 2
+        for ratio in stats.ratios().values():
+            assert ratio == pytest.approx(10 ** -1.5, abs=1e-9)
+        assert stats.slots_simulated < 10
+        assert stats.steady_at_slot == stats.slots_simulated - 1
+
+    def test_short_run_never_reaches_steady_state(self):
+        stats = tdm.stream_1d(2, R15)
+        assert stats.steady_at_slot is None
+        assert stats.slots_simulated == 1
+
+    def test_counters_in_json_outside_timings(self):
+        import json
+        payload = json.loads(tdm.stream_2d(500, 5, R15).to_json())
+        assert payload["slots_simulated"] == payload["steady_at_slot"] + 1
+        assert set(payload["timings"]) == {"stream_s"}
