@@ -694,8 +694,7 @@ def _run_gates_gaussian(program, rng):
             st = g.loss(st, idx[a[0]], a[1])
         elif ins.op == "hom":
             k = idx[a[0]]
-            mu, var = g.quad_stats(st, g.quadrature_row(n, k, a[1]))
-            value = float(rng.normal(mu, math.sqrt(max(var, 0.0))))
+            value = g.sample_quadrature(st, k, a[1], rng)
             frozen[a[2]] = (k, a[1])
             idx.freeze(a[0])
             outcomes.append({"id": a[2], "value": value})

@@ -24,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.linalg import expm
 
-from .gaussian import GaussianState, as_rng
+from .gaussian import as_rng
 
 DEFAULT_CUTOFF = 60
 DEFAULT_LEAKAGE_BUDGET = 1e-4
@@ -400,12 +400,6 @@ def fidelity_fock(a: FockState, b: FockState) -> float:
     return float(np.abs(overlap(a, b)) ** 2)
 
 
-def mean_photon(state: FockState, mode: int) -> float:
-    prob = np.abs(state.amps) ** 2
-    marg = np.sum(prob, axis=tuple(i for i in range(state.n_modes) if i != mode))
-    return float(np.sum(np.arange(state.cutoff) * marg))
-
-
 def covariance_of(state: FockState) -> tuple[np.ndarray, np.ndarray]:
     """Quadrature mean vector and covariance matrix of a Fock state.
 
@@ -431,12 +425,6 @@ def covariance_of(state: FockState) -> tuple[np.ndarray, np.ndarray]:
             sym = np.real(np.vdot(branches[i], branches[j]))
             cov[i, j] = cov[j, i] = sym - mean[i] * mean[j]
     return mean, cov
-
-
-def to_gaussian_moments(state: FockState) -> GaussianState:
-    """Package covariance_of into a GaussianState (moments only)."""
-    mean, cov = covariance_of(state)
-    return GaussianState(mean, cov)
 
 
 def wigner_grid(state: FockState, xs, ps) -> np.ndarray:

@@ -22,7 +22,9 @@ apply_local, with feedforward blocks built by feedforward_matrix.
 apply_local rewrites only the touched rows and columns and symmetrizes
 only the touched block, and loss and homodyne conditioning update the
 covariance by symmetric expressions, so covariances are symmetric by
-construction.
+construction.  Every homodyne outcome, in this module, the loop and the
+DSL, is drawn by sample_quadrature, which rejects a zero-variance
+quadrature.
 """
 
 from __future__ import annotations
@@ -270,9 +272,20 @@ def homodyne(state: GaussianState, mode: int, theta: float,
     Returns:
         (outcome, conditioned state with the measured mode removed)
     """
-    _, mu_q, var_q = _measured_quadrature(state, mode, theta)
-    outcome = float(as_rng(rng_seed).normal(mu_q, np.sqrt(var_q)))
+    outcome = sample_quadrature(state, mode, theta, rng_seed)
     return outcome, condition_on_outcome(state, mode, theta, outcome)
+
+
+def sample_quadrature(state: GaussianState, mode: int, theta: float,
+                      rng) -> float:
+    """Draw one homodyne outcome of cos(theta) x + sin(theta) p of a mode.
+
+    One normal draw from the exact marginal; the state is left as it is.
+    A (numerically) zero-variance quadrature raises ValueError, since a
+    draw would only return its mean.
+    """
+    _, mu_q, var_q = _measured_quadrature(state, mode, theta)
+    return float(as_rng(rng).normal(mu_q, np.sqrt(var_q)))
 
 
 def condition_on_outcome(state: GaussianState, mode: int, theta: float,

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -62,7 +62,6 @@ class ScheduleStep:
     """Control settings for one slot; unset fields mean pass-through."""
 
     slot: int
-    switch_in: bool = False
     switch_out: bool = False
     vbs_T: float = 1.0
     vps_theta: float = 0.0
@@ -197,9 +196,7 @@ def simulate(config: LoopConfig, program: LoopProgram,
                     raise LoopScheduleError(
                         f"slot {t}: homodyne addresses a consumed slot")
                 theta = step.homodyne
-                mu, var = g.quad_stats(
-                    st, g.quadrature_row(st.n_modes, pulse, theta))
-                value = float(rng.normal(mu, math.sqrt(max(var, 0.0))))
+                value = g.sample_quadrature(st, pulse, theta, rng)
                 measured[step.outcome_id] = (pulse, theta)
                 consumed[pulse] = True
                 outcomes.append({"id": step.outcome_id, "slot": t,
@@ -370,7 +367,6 @@ def teleport_program(config: LoopConfig) -> LoopProgram:
 
 
 def _passive_to_unitary(q: np.ndarray) -> np.ndarray:
-    n = q.shape[0] // 2
     u = q[0::2, 0::2] + 1j * q[1::2, 0::2]
     if not (np.allclose(q[0::2, 1::2], -q[1::2, 0::2], atol=1e-9)
             and np.allclose(q[1::2, 1::2], q[0::2, 0::2], atol=1e-9)):

@@ -8,6 +8,13 @@ slots later, meeting pulses from a different time bin at the splitters
 behind it.  Running the same pipeline every slot entangles neighbouring
 time bins into 1D or 2D cluster states of unbounded length.
 
+The pipeline has one model: the slot map, built by _run_slot, which
+pushes a row stack [arm quadratures; delay contents] through the stages
+with gaussian.beamsplitter_matrix for every splitter and a roll of the
+queue rows for every delay.  The one-slot matrix that drives streaming
+and emitted_covariance, and the unrolled map that derive_squeezed_forms
+solves against, are both made by it.
+
 The engine never stores emitted pulses.  The delay-line contents are
 the only quantum memory; their covariance is updated slot by slot, and
 every certificate (nullifier) variance is evaluated analytically by
@@ -27,9 +34,11 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+
+from . import gaussian as g
 
 BS_DEFAULT_T = 0.5
 
@@ -76,10 +85,6 @@ class NetworkSpec:
     @property
     def n_arms(self) -> int:
         return len(self.squeezers)
-
-    @property
-    def beam_splitters(self):
-        return [s for s in self.stages if s[0] == "bs"]
 
     @property
     def delays(self):
@@ -148,91 +153,50 @@ def _fresh_cov(spec: NetworkSpec) -> np.ndarray:
     return np.diag(diag)
 
 
-class _Registers:
-    """Symbolic per-arm rows while unrolling the pipeline.
+def _run_slot(spec: NetworkSpec, z: np.ndarray) -> np.ndarray:
+    """Push the row stack z = [arm quadratures; delay contents] through
+    one slot, in place, and return it.
 
-    Each register holds a 2 x dim array: the x and p rows of that arm's
-    current pulse expressed over some fixed input basis.
+    Delay contents are ordered by stage, each queue oldest pulse first.
+    A delay stage rolls the arm's two rows and its queue's rows by one
+    pulse: the oldest pulse leaves on the arm, the arm's pulse joins the
+    back of the queue.
     """
-
-    def __init__(self, spec: NetworkSpec, dim: int):
-        self.spec = spec
-        self.dim = dim
-        self.current = [None] * spec.n_arms
-        self.queues = {}
-
-    def seed_delays(self, basis_start: int):
-        """Fill delay queues with basis rows starting at quad column index."""
-        col = basis_start
-        for sid, s in enumerate(self.spec.stages):
-            if s[0] == "delay":
-                q = []
-                for _ in range(s[2]):
-                    rows = np.zeros((2, self.dim))
-                    rows[0, col] = 1.0
-                    rows[1, col + 1] = 1.0
-                    q.append(rows)
-                    col += 2
-                self.queues[sid] = q
-
-    def inject(self, arm: int, col: int):
-        rows = np.zeros((2, self.dim))
-        rows[0, col] = 1.0
-        rows[1, col + 1] = 1.0
-        self.current[arm] = rows
-
-    def run_slot(self):
-        for sid, s in enumerate(self.spec.stages):
-            if s[0] == "bs":
-                _, i, j, t = s
-                a, b = math.sqrt(t), math.sqrt(1 - t)
-                ri, rj = self.current[i], self.current[j]
-                self.current[i] = a * ri + b * rj
-                self.current[j] = a * rj - b * ri
-            else:
-                _, arm, _ = s
-                q = self.queues[sid]
-                q.append(self.current[arm])
-                self.current[arm] = q.pop(0)
-
-    def delay_rows(self) -> list:
-        rows = []
-        for sid, s in enumerate(self.spec.stages):
-            if s[0] == "delay":
-                rows.extend(self.queues[sid])
-        return rows
+    offset = 2 * spec.n_arms
+    for s in spec.stages:
+        if s[0] == "bs":
+            _, i, j, t = s
+            idx = [2 * i, 2 * i + 1, 2 * j, 2 * j + 1]
+            z[idx] = g.beamsplitter_matrix(t) @ z[idx]
+        else:
+            _, arm, d = s
+            idx = [2 * arm, 2 * arm + 1, *range(offset, offset + 2 * d)]
+            z[idx] = np.roll(z[idx], -2, axis=0)
+            offset += 2 * d
+    return z
 
 
 def _slot_matrix(spec: NetworkSpec) -> np.ndarray:
     """One-slot map M: [fresh arms; delay contents] -> [emitted; delay']."""
-    a2 = 2 * spec.n_arms
-    d2 = 2 * spec.n_delay_slots
-    regs = _Registers(spec, a2 + d2)
-    regs.seed_delays(a2)
-    for arm in range(spec.n_arms):
-        regs.inject(arm, 2 * arm)
-    regs.run_slot()
-    rows = [r for arm in range(spec.n_arms) for r in regs.current[arm]]
-    rows += [r for pair in regs.delay_rows() for r in pair]
-    return np.array(rows)
+    return _run_slot(spec, np.eye(2 * (spec.n_arms + spec.n_delay_slots)))
 
 
 def _unrolled_symplectic(spec: NetworkSpec, n_slots: int) -> np.ndarray:
     """Dense map for n_slots: inputs [fresh slot-major; initial delay],
     outputs [emitted slot-major; final delay]."""
     a2 = 2 * spec.n_arms
-    dim = a2 * n_slots + 2 * spec.n_delay_slots
-    regs = _Registers(spec, dim)
-    regs.seed_delays(a2 * n_slots)
-    out_rows = []
+    d2 = 2 * spec.n_delay_slots
+    dim = a2 * n_slots + d2
+    z = np.zeros((a2 + d2, dim))
+    z[a2:, a2 * n_slots:] = np.eye(d2)
+    out = np.empty((dim, dim))
     for k in range(n_slots):
-        for arm in range(spec.n_arms):
-            regs.inject(arm, a2 * k + 2 * arm)
-        regs.run_slot()
-        for arm in range(spec.n_arms):
-            out_rows.extend(regs.current[arm])
-    out_rows += [r for pair in regs.delay_rows() for r in pair]
-    return np.array(out_rows)
+        z[:a2] = 0.0
+        z[:a2, a2 * k:a2 * (k + 1)] = np.eye(a2)
+        _run_slot(spec, z)
+        out[a2 * k:a2 * (k + 1)] = z[:a2]
+    out[a2 * n_slots:] = z[a2:]
+    return out
 
 
 def derive_squeezed_forms(spec: NetworkSpec) -> tuple:

@@ -115,6 +115,16 @@ class TestRunCommand:
         assert "non-Gaussian op on Gaussian backend" in \
             json.loads(err)["error"]["message"]
 
+    def test_zero_variance_homodyne_diagnostic(self, tmp_path, capsys):
+        prog = tmp_path / "zero_var.cvq"
+        prog.write_text("mode q0 q1; sq q0 400dB x; bs q0 q1 t=1.0;"
+                        " hom q0 theta=0 -> m0; report cov;\n")
+        code, out, err = run_cli(capsys, "run", str(prog), "--seed", "1")
+        assert code == 2 and out == ""
+        entry = json.loads(err)["error"]
+        assert entry["type"] == "ValueError"
+        assert "zero variance" in entry["message"]
+
     def test_fock_backend(self, tmp_path, capsys):
         prog = tmp_path / "kerrish.cvq"
         prog.write_text("mode q0; sq q0 0.4r x; cubic q0 gamma=0.05;"

@@ -156,6 +156,20 @@ class TestHomodyne:
         o2, _ = g.homodyne(st, 0, 0.3, 99)
         assert o1 == o2
 
+    def test_homodyne_outcome_is_sample_quadrature(self):
+        st = oracles.random_pure_state(2, np.random.default_rng(5))
+        outcome, _ = g.homodyne(st, 1, 0.4, 17)
+        assert outcome == g.sample_quadrature(st, 1, 0.4, 17)
+        mu, var = g.quad_stats(st, g.quadrature_row(2, 1, 0.4))
+        assert outcome == np.random.default_rng(17).normal(mu, np.sqrt(var))
+
+    def test_zero_variance_quadrature_rejected(self):
+        st = g.squeeze(g.vacuum(1), 0, g.squeezing_db_to_r(400.0))
+        with pytest.raises(ValueError, match="zero variance"):
+            g.sample_quadrature(st, 0, 0.0, 1)
+        with pytest.raises(ValueError, match="zero variance"):
+            g.homodyne(st, 0, 0.0, 1)
+
     def test_condition_on_outcome_agrees(self):
         rng = np.random.default_rng(13)
         st = oracles.random_pure_state(2, rng)

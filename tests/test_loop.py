@@ -104,6 +104,15 @@ class TestValidation:
         with pytest.raises(LoopScheduleError, match="unmeasured"):
             loop.simulate(cfg, prog, g.vacuum(2))
 
+    def test_zero_variance_homodyne_rejected(self):
+        cfg = LoopConfig(n_data=1)
+        prog = LoopProgram(
+            steps=(ScheduleStep(slot=0, homodyne=0.0, outcome_id="m"),),
+            outcome_ids=("m",))
+        state = g.squeeze(g.vacuum(1), 0, g.squeezing_db_to_r(400.0))
+        with pytest.raises(ValueError, match="zero variance"):
+            loop.simulate(cfg, prog, state)
+
     def test_homodyne_on_consumed_slot(self):
         cfg = LoopConfig(n_data=1)
         prog = LoopProgram(

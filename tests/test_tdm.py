@@ -187,6 +187,12 @@ class TestStreamingEqualsDense:
         # more slots than the network's memory: the correlations the
         # recursion prunes must be zero in the dense oracle too
         (lambda: tdm.network_2d(0.7, 3), 4, 12),
+        # delays on both arms, the longer one first in stage order
+        (lambda: tdm.NetworkSpec(squeezers=(("x", 1.2), ("p", 0.4)),
+                                 stages=(("bs", 0, 1, 0.3),
+                                         ("delay", 1, 3),
+                                         ("delay", 0, 1),
+                                         ("bs", 1, 0, 0.6))), 2, 9),
     ])
     def test_joint_covariance(self, make, n_arms, n_slots):
         spec = make()
