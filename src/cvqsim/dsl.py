@@ -745,8 +745,10 @@ def _run_gates_fock(program, rng, cutoff):
             st = fk.displace_fock(st, idx[a[1]], a[2] * v, a[3] * v)
         elif ins.op == "report":
             moments = g.GaussianState(*fk.covariance_of(st))
-            reports.append(_report_entry(a, moments, idx.live(),
-                                         state=st, backend="fock"))
+            entry = _report_entry(a, moments, idx.live(),
+                                  state=st, backend="fock")
+            entry["leakage"] = st.leakage()
+            reports.append(entry)
         else:
             raise ValueError(f"op {ins.op!r} not runnable on fock")
     return outcomes, reports

@@ -9,11 +9,14 @@ Non-Gaussian gates (cubic phase, controlled phase) live here.  Gaussian
 gates are also provided so that circuits can be cross-checked against
 the symplectic backend via `covariance_of`.
 
-Truncation policy: all unitaries are built as exact unitaries of the
-truncated space (matrix exponentials of truncated anti-Hermitian
-generators, or spectral functions of the truncated x operator), so
-norms are preserved to machine precision and truncation error shows up
-as state distortion, tracked by `leakage`.
+Truncation policy: every unitary is a spectral function of a truncated
+Hermitian generator (x for displacements and phase gates,
+i(a^2 - a^dag^2)/2 for squeezing, one block per photon number for the
+beam splitter), eigendecomposed once per cutoff and cached; a gate is
+then a diagonal of phases between two cached eigenvector matrices.  The
+result is an exact unitary of the truncated space, so norms are
+preserved to machine precision and truncation error shows up as state
+distortion, tracked by `leakage`.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import expm
 
 from .gaussian import as_rng
 
@@ -155,6 +157,14 @@ def _position_eigh(cutoff: int):
     return lam, vec
 
 
+@lru_cache(maxsize=32)
+def _squeeze_eigh(cutoff: int):
+    # Spectral decomposition of H = i(a^2 - a^dag^2)/2, so that the
+    # squeezer exp(r (a^2 - a^dag^2)/2) is exp(-i r H).
+    a = annihilation(cutoff)
+    return np.linalg.eigh(0.5j * (a @ a - a.T @ a.T))
+
+
 def apply_single_mode(state: FockState, mode: int, u: np.ndarray) -> FockState:
     """Apply a cutoff x cutoff matrix to one mode of the state."""
     _check_mode(state, mode)
@@ -168,16 +178,23 @@ def apply_single_mode(state: FockState, mode: int, u: np.ndarray) -> FockState:
 
 
 def displace_fock(state: FockState, mode: int, dx: float, dp: float) -> FockState:
-    alpha = (dx + 1j * dp) / np.sqrt(2.0)
-    a = annihilation(state.cutoff)
-    u = expm(alpha * a.T - np.conj(alpha) * a)
+    """D(alpha) = exp(i (dp x - dx p)) with alpha = (dx + i dp)/sqrt(2).
+
+    dp x - dx p = s R x R^dag with s = |(dx, dp)|, R = exp(i phi n) and
+    phi = atan2(-dx, dp), also between truncated operators, so
+    D = R exp(i s x) R^dag is built on the cached spectrum of x.
+    """
+    lam, vec = _position_eigh(state.cutoff)
+    s = np.hypot(dx, dp)
+    rot = np.exp(1j * np.arctan2(-dx, dp) * np.arange(state.cutoff))
+    u = ((vec * np.exp(1j * s * lam)) @ vec.T) * np.outer(rot, rot.conj())
     return apply_single_mode(state, mode, u)
 
 
 def squeeze_fock(state: FockState, mode: int, r: float) -> FockState:
     """r > 0: x variance shrinks by e^{-2r}, matching the Gaussian backend."""
-    a = annihilation(state.cutoff)
-    u = expm((r / 2.0) * (a @ a - a.T @ a.T))
+    mu, w = _squeeze_eigh(state.cutoff)
+    u = (w * np.exp(-1j * r * mu)) @ w.conj().T
     return apply_single_mode(state, mode, u)
 
 
@@ -194,27 +211,31 @@ def _apply_diag_single(state: FockState, mode: int, diag: np.ndarray) -> FockSta
     return FockState(state.amps * diag.reshape(shape))
 
 
+@lru_cache(maxsize=8)  # each entry holds O(cutoff^3) complex numbers
+def _bs_block_eighs(cutoff: int):
+    """Spectral decompositions of i K_N, one per total photon number N.
+
+    The beam-splitter generator theta (a1^dag a2 - a1 a2^dag) conserves
+    n1 + n2, so it restricts to theta K_N on the block {|k, N-k>}, with
+    K_N real antisymmetric and independent of theta.
+    """
+    eighs = []
+    for total in range(2 * cutoff - 1):
+        k1 = np.arange(max(0, total - cutoff + 1), min(total, cutoff - 1))
+        amp = np.sqrt((k1 + 1) * (total - k1))
+        eighs.append(np.linalg.eigh(1j * (np.diag(amp, -1) - np.diag(amp, 1))))
+    return eighs
+
+
 @lru_cache(maxsize=256)
 def _bs_blocks(cutoff: int, theta: float):
-    """Beam-splitter unitaries per total-photon-number block.
+    """Beam-splitter unitaries exp(theta K_N) per total-photon-number block.
 
-    The generator theta (a1^dag a2 - a1 a2^dag) conserves n1 + n2, so the
-    unitary factors into blocks over {|k, N-k>}.  Each restricted
-    generator is antisymmetric, so every block is exactly orthogonal.
+    exp(theta K_N) = exp(-i theta (i K_N)) is real orthogonal, so the
+    imaginary rounding residue of the spectral form is dropped.
     """
-    blocks = []
-    for total in range(2 * cutoff - 1):
-        lo = max(0, total - cutoff + 1)
-        hi = min(total, cutoff - 1)
-        size = hi - lo + 1
-        gen = np.zeros((size, size))
-        for m in range(size - 1):
-            k1 = lo + m
-            amp = theta * np.sqrt((k1 + 1) * (total - k1))
-            gen[m + 1, m] = amp
-            gen[m, m + 1] = -amp
-        blocks.append(expm(gen))
-    return blocks
+    return [((w * np.exp(-1j * theta * mu)) @ w.conj().T).real
+            for mu, w in _bs_block_eighs(cutoff)]
 
 
 def beam_splitter_fock(state: FockState, mode_i: int, mode_j: int,

@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import gaussian as g
 from .gaussian import as_rng
@@ -433,9 +432,10 @@ def _factor_pure_state(cov: np.ndarray):
     squeeze(r_k) per mode to vacuum followed by q reproduces cov.
     """
     n = cov.shape[0] // 2
-    s0 = scipy.linalg.sqrtm(2.0 * cov).real
+    # eigenvalues of the symmetric square root of 2 cov, on its eigenvectors
+    vals, vecs = np.linalg.eigh(2.0 * cov)
+    vals = np.sqrt(vals)
     jmat = g.symplectic_form(n)
-    vals, vecs = np.linalg.eigh(s0)
     order = np.argsort(vals)[::-1]
     cols = []
     lambdas = []

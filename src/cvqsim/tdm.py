@@ -11,7 +11,8 @@ time bins into 1D or 2D cluster states of unbounded length.
 The pipeline has one model: the slot map, built by _run_slot, which
 pushes a row stack [arm quadratures; delay contents] through the stages
 with gaussian.beamsplitter_matrix for every splitter and a roll of the
-queue rows for every delay.  The one-slot matrix that drives streaming
+queue rows for every delay; _stage_plan builds those row indices and
+matrices once per network.  The one-slot matrix that drives streaming
 and emitted_covariance, and the unrolled map that derive_squeezed_forms
 solves against, are both made by it.
 
@@ -153,37 +154,51 @@ def _fresh_cov(spec: NetworkSpec) -> np.ndarray:
     return np.diag(diag)
 
 
-def _run_slot(spec: NetworkSpec, z: np.ndarray) -> np.ndarray:
-    """Push the row stack z = [arm quadratures; delay contents] through
-    one slot, in place, and return it.
+def _stage_plan(spec: NetworkSpec) -> tuple:
+    """Row indices and actions of every stage, for _run_slot.
 
-    Delay contents are ordered by stage, each queue oldest pulse first.
-    A delay stage rolls the arm's two rows and its queue's rows by one
-    pulse: the oldest pulse leaves on the arm, the arm's pulse joins the
-    back of the queue.
+    A bs stage is ("bs", rows, B): its two arms' four rows and
+    gaussian.beamsplitter_matrix(T).  A delay stage is ("delay", rows,
+    src): the arm's two rows and its queue's rows (queues in stage order,
+    each oldest pulse first), and the same rows rolled by one pulse, so
+    the oldest pulse leaves on the arm and the arm's pulse joins the back.
     """
+    plan = []
     offset = 2 * spec.n_arms
     for s in spec.stages:
         if s[0] == "bs":
             _, i, j, t = s
-            idx = [2 * i, 2 * i + 1, 2 * j, 2 * j + 1]
-            z[idx] = g.beamsplitter_matrix(t) @ z[idx]
+            rows = np.array([2 * i, 2 * i + 1, 2 * j, 2 * j + 1])
+            plan.append(("bs", rows, g.beamsplitter_matrix(t)))
         else:
             _, arm, d = s
-            idx = [2 * arm, 2 * arm + 1, *range(offset, offset + 2 * d)]
-            z[idx] = np.roll(z[idx], -2, axis=0)
+            rows = np.array([2 * arm, 2 * arm + 1, *range(offset, offset + 2 * d)])
+            plan.append(("delay", rows, np.roll(rows, -2)))
             offset += 2 * d
+    return tuple(plan)
+
+
+def _run_slot(plan: tuple, z: np.ndarray) -> np.ndarray:
+    """Push the row stack z = [arm quadratures; delay contents] through
+    one slot of a _stage_plan, in place, and return it."""
+    for kind, rows, action in plan:
+        if kind == "bs":
+            z[rows] = action @ z[rows]
+        else:
+            z[rows] = z[action]
     return z
 
 
 def _slot_matrix(spec: NetworkSpec) -> np.ndarray:
     """One-slot map M: [fresh arms; delay contents] -> [emitted; delay']."""
-    return _run_slot(spec, np.eye(2 * (spec.n_arms + spec.n_delay_slots)))
+    return _run_slot(_stage_plan(spec),
+                     np.eye(2 * (spec.n_arms + spec.n_delay_slots)))
 
 
 def _unrolled_symplectic(spec: NetworkSpec, n_slots: int) -> np.ndarray:
     """Dense map for n_slots: inputs [fresh slot-major; initial delay],
     outputs [emitted slot-major; final delay]."""
+    plan = _stage_plan(spec)
     a2 = 2 * spec.n_arms
     d2 = 2 * spec.n_delay_slots
     dim = a2 * n_slots + d2
@@ -193,7 +208,7 @@ def _unrolled_symplectic(spec: NetworkSpec, n_slots: int) -> np.ndarray:
     for k in range(n_slots):
         z[:a2] = 0.0
         z[:a2, a2 * k:a2 * (k + 1)] = np.eye(a2)
-        _run_slot(spec, z)
+        _run_slot(plan, z)
         out[a2 * k:a2 * (k + 1)] = z[:a2]
     out[a2 * n_slots:] = z[a2:]
     return out

@@ -9,7 +9,10 @@ streaming with a dense whole-network state.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+import scipy.linalg
 
 from cvqsim import gaussian as g
 
@@ -110,6 +113,45 @@ def quadrature_matrices(cutoff: int):
     x = (lower + lower.T) / np.sqrt(2)
     p = 1j * (lower.T - lower) / np.sqrt(2)
     return x, p
+
+
+def expm_unitary(gen: np.ndarray) -> np.ndarray:
+    """exp(gen) of an anti-Hermitian generator by Pade scaling and squaring."""
+    return scipy.linalg.expm(gen)
+
+
+def sqrtm_real(m: np.ndarray) -> np.ndarray:
+    """Principal square root of a real positive-definite matrix."""
+    return scipy.linalg.sqrtm(m).real
+
+
+def bs_block_generator(cutoff: int, total: int, theta: float) -> np.ndarray:
+    """theta (a1^dag a2 - a1 a2^dag) on the block {|k, total-k>}.
+
+    Each element <k', total-k'| . |k, total-k> is taken from the dense
+    truncated ladder matrices, mode by mode.
+    """
+    lower = np.diag(np.sqrt(np.arange(1, cutoff)), 1)
+    ks = np.arange(max(0, total - cutoff + 1), min(total, cutoff - 1) + 1)
+    one, two = np.ix_(ks, ks), np.ix_(total - ks, total - ks)
+    return theta * (lower.T[one] * lower[two] - lower[one] * lower.T[two])
+
+
+def displacement_element(m: int, n: int, alpha: complex) -> complex:
+    """<m|D(alpha)|n> of the untruncated displacement (Cahill & Glauber,
+    Phys. Rev. 177, 1857 (1969)): for m >= n,
+    sqrt(n!/m!) alpha^(m-n) e^(-|alpha|^2/2) L_n^(m-n)(|alpha|^2), and
+    <m|D(alpha)|n> = conj(<n|D(-alpha)|m>) otherwise.
+    """
+    if m < n:
+        return np.conj(displacement_element(n, m, -alpha))
+    x, k = abs(alpha) ** 2, m - n
+    # generalized Laguerre L_n^(k)(x) by its three-term recurrence
+    prev, cur = 0.0, 1.0
+    for j in range(n):
+        prev, cur = cur, ((2 * j + 1 + k - x) * cur - (j + k) * prev) / (j + 1)
+    ratio = math.exp(0.5 * (math.lgamma(n + 1) - math.lgamma(m + 1)))
+    return ratio * alpha ** k * math.exp(-x / 2) * cur
 
 
 def central_moment(amps: np.ndarray, op: np.ndarray, k: int) -> float:

@@ -320,6 +320,15 @@ class TestRun:
         assert np.max(np.abs(np.array(ga["cov"]) - np.array(fo["cov"]))) < 1e-4
         assert np.max(np.abs(np.array(ga["mean"]) - np.array(fo["mean"]))) < 1e-4
 
+    def test_fock_reports_carry_leakage(self):
+        p = parse_ok("mode a b; sq a 3dB x; disp b dx=0.4 dp=-0.2;"
+                     " bs a b t=0.5; report cov; cubic a gamma=0.01;"
+                     " report form c=[1,0,0,0]; report fidelity vacuum;")
+        reports = dsl.run(p, "fock", 0, cutoff=40).reports
+        assert len(reports) == 3
+        for rep in reports:
+            assert 0.0 <= rep["leakage"] < 1e-4
+
     def test_fock_run_cubic_and_cphase(self):
         p = parse_ok("mode a b; cphase a b; cubic a gamma=0.05; report cov;")
         rep = dsl.run(p, "fock", 0, cutoff=30)

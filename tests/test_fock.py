@@ -6,6 +6,8 @@ import pytest
 from cvqsim import fock as fk
 from cvqsim import gaussian as g
 
+import oracles
+
 
 class TestConstructors:
     def test_fock_basis(self):
@@ -262,3 +264,61 @@ class TestLeakage:
     def test_leakage_reports_top_levels(self):
         st = fk.fock_basis(19, cutoff=20)
         assert st.leakage() == pytest.approx(1.0)
+
+
+class TestSpectralGates:
+    """Spectral-form gates against matrix exponentials of the generators.
+
+    The Pade oracle's own error grows with the generator norm; the
+    parameter ranges keep it under the 1e-12 tolerance.  (Squeezing at
+    cutoff 220 near r = 1.27 is the worst case: 9e-13 from the spectral
+    form, where expm is unitary only to 2e-12 and the spectral form to
+    2e-15.)
+    """
+
+    @staticmethod
+    def _matrix(gate, cutoff, *args):
+        # the gate applied to every basis vector, as columns
+        basis = fk.FockState(np.eye(cutoff, dtype=complex))
+        return gate(basis, 0, *args).amps
+
+    @pytest.mark.parametrize("cutoff", [20, 60, 100, 220])
+    def test_displacement_and_squeezing_match_expm(self, cutoff):
+        rng = np.random.default_rng(cutoff)
+        a = fk.annihilation(cutoff)
+        for _ in range(2):
+            dx, dp = rng.uniform(-2.0, 2.0, size=2)
+            alpha = (dx + 1j * dp) / math.sqrt(2.0)
+            want = oracles.expm_unitary(alpha * a.T - np.conj(alpha) * a)
+            got = self._matrix(fk.displace_fock, cutoff, dx, dp)
+            assert np.abs(got - want).max() < 1e-12
+            r = rng.uniform(-1.5, 1.5)
+            want = oracles.expm_unitary((r / 2.0) * (a @ a - a.T @ a.T))
+            got = self._matrix(fk.squeeze_fock, cutoff, r)
+            assert np.abs(got - want).max() < 1e-12
+
+    @pytest.mark.parametrize("cutoff", [20, 60, 100, 220])
+    def test_bs_blocks_match_expm(self, cutoff):
+        rng = np.random.default_rng(cutoff + 1)
+        t = rng.uniform(0.2, 0.8)
+        theta = float(np.arctan2(np.sqrt(1.0 - t), np.sqrt(t)))
+        blocks = fk._bs_blocks(cutoff, theta)
+        assert len(blocks) == 2 * cutoff - 1
+        # every block up to cutoff 60; above, a stride that keeps the
+        # largest block (total = cutoff - 1)
+        stride = 1 if cutoff <= 60 else 9
+        for total in range(cutoff - 1, -1, -stride):
+            for tot in {total, 2 * cutoff - 2 - total}:
+                gen = oracles.bs_block_generator(cutoff, tot, theta)
+                want = oracles.expm_unitary(gen)
+                assert np.abs(blocks[tot] - want).max() < 1e-12
+
+    def test_displacement_matches_cahill_glauber(self):
+        rng = np.random.default_rng(7)
+        for _ in range(4):
+            alpha = rng.uniform(0.0, 1.0) * np.exp(1j * rng.uniform(0, 2 * np.pi))
+            dx, dp = math.sqrt(2.0) * alpha.real, math.sqrt(2.0) * alpha.imag
+            got = self._matrix(fk.displace_fock, 60, dx, dp)[:20, :20]
+            want = np.array([[oracles.displacement_element(m, n, alpha)
+                              for n in range(20)] for m in range(20)])
+            assert np.abs(got - want).max() < 1e-12

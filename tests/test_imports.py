@@ -1,6 +1,10 @@
-"""Every module-level import in the package is used (stdlib ast, no linter)."""
+"""Every module-level import in the package is used (stdlib ast, no
+linter), and importing the package never loads scipy."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -38,3 +42,17 @@ def test_guard_flags_an_unused_import():
               "@dataclass\nclass A:\n    x: int = 0\n"
               "y = np.zeros(os.sep)\n")
     assert _unused_imports(source) == [(1, "field")]
+
+
+def test_package_does_not_import_scipy():
+    # cli and telegates first: that is what `cvq` loads before a job runs
+    names = ["cli", "telegates"] + [p.stem for p in MODULES
+                                    if p.stem != "__init__"]
+    code = ("import importlib, sys\n"
+            f"for name in {names!r}:\n"
+            "    importlib.import_module('cvqsim.' + name)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(cvqsim.__file__).parent.parent))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"

@@ -10,6 +10,8 @@ from cvqsim import gaussian as g
 from cvqsim import loop, telegates
 from cvqsim.loop import LoopConfig, LoopProgram, LoopScheduleError, ScheduleStep
 
+import oracles
+
 R15 = g.squeezing_db_to_r(15.0)
 
 
@@ -374,6 +376,19 @@ class TestEntangled:
         target = math.exp(-2 * R15) / 2
         assert abs(got["x0-x1"] - target) < 1e-9
         assert abs(got["p0+p1"] - target) < 1e-9
+
+    @pytest.mark.parametrize("r", [0.3, R15])
+    def test_pure_state_factor_matches_sqrtm(self, r):
+        cov = loop._cluster_target(64, r)
+        rs, q = loop._factor_pure_state(cov)
+        s0 = oracles.sqrtm_real(2.0 * cov)
+        d = np.diag([x for rk in rs for x in (math.exp(-rk), math.exp(rk))])
+        assert np.abs(q @ d @ q.T - s0).max() < 1e-10
+        top = np.sort(np.linalg.eigvalsh(s0))[64:]
+        assert np.abs(np.sort(rs) - np.sort(-np.log(top))).max() < 1e-10
+        jmat = g.symplectic_form(64)
+        assert np.abs(q.T @ q - np.eye(128)).max() < 1e-10
+        assert np.abs(q @ jmat @ q.T - jmat).max() < 1e-10
 
     def test_zero_squeezing_gives_vacuum_certificates(self):
         out, prog = self.run("GHZ", 3, r=0.0)
