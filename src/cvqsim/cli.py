@@ -216,6 +216,8 @@ _COMMANDS = {"run": _cmd_run, "loop": _cmd_loop, "stream": _cmd_stream,
 
 def _diagnostic(exc) -> str:
     entry = {"type": type(exc).__name__, "message": str(exc)}
+    if hasattr(exc, "line"):        # positioned by dsl.run
+        entry.update({"line": exc.line, "column": exc.column})
     if isinstance(exc, _ProgramError):
         entry.update({"type": "ParseError", "message": exc.err.message,
                       "line": exc.err.line, "column": exc.err.column,

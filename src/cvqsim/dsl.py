@@ -9,6 +9,12 @@ parse() is total: malformed input comes back as a ParseError value with
 a 1-based line/column, never as a raised exception.  Squeezing amounts
 accept a dB or r suffix and are converted to r at parse time; angles are
 radians, always.
+
+The op table `_OPS` is the one place an op is defined: its argument
+grammar, the backends it runs on, its range checks and its Gaussian and
+Fock actions.  parse, pretty_print, validate and run all read it, and
+the `network` and `schedule` entries carry the tables of their block
+entries.
 """
 
 from __future__ import annotations
@@ -19,6 +25,8 @@ import re
 import time
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import fock as fk
 from . import gaussian as g
 from . import loop as lp
@@ -28,10 +36,6 @@ FILE_EXTENSION = ".cvq"
 
 # ancilla / input squeezing for blocks that do not set `squeeze ...;`
 DEFAULT_BLOCK_SQUEEZE_DB = 15.0
-
-_GATE_OPS = ("mode", "sq", "ps", "bs", "disp", "loss", "hom", "ff",
-             "cubic", "cphase", "report")
-_BLOCK_OPS = ("network", "schedule")
 
 
 @dataclass(frozen=True)
@@ -276,171 +280,459 @@ class _Parser:
         t = self.advance()
         if t.kind != "id":
             self.fail(t, "expected op name")
-        handler = getattr(self, "op_" + t.text, None)
-        if t.text not in _GATE_OPS + _BLOCK_OPS or handler is None:
+        op = _OPS.get(t.text)
+        if op is None:
             self.fail(t, f"unknown op {t.text!r}")
-        args = handler()
-        if t.text not in _BLOCK_OPS:
+        if op.entries is None:
+            args = self.fields(op, ())
             self.expect_punct(";")
-        elif self.peek().kind == "punct" and self.peek().text == ";":
-            self.advance()              # optional after a block
+        else:
+            args = self.block(t.text, op.entries)
+            if self.peek().kind == "punct" and self.peek().text == ";":
+                self.advance()          # optional after a block
         return Instruction(t.text, args, t.line, t.column)
 
-    def op_mode(self) -> tuple:
-        names = []
-        while self.peek().kind == "id":
-            t = self.advance()
-            if t.text in self.modes:
-                self.fail(t, f"mode {t.text} already declared")
-            self.modes.append(t.text)
-            names.append(t.text)
-        if not names:
-            self.fail(self.peek(), "expected mode name")
-        return tuple(names)
+    def fields(self, op, built: tuple) -> tuple:
+        """Read op's arguments, in grammar order, onto `built`."""
+        for arg in op.args:
+            value = arg.read(self, built)
+            built += value if arg.rest else (value,)
+        return built
 
-    def op_sq(self) -> tuple:
-        m = self.mode_ref()
-        r = self.expect_squeeze()
-        t = self.expect_id("x or p")
-        if t.text not in ("x", "p"):
-            self.fail(t, "expected x or p")
-        return (m, r, t.text)
-
-    def op_ps(self) -> tuple:
-        m = self.mode_ref()
-        theta = self.expect_num("angle").value
-        return (m, theta)
-
-    def op_bs(self) -> tuple:
-        m1 = self.mode_ref()
-        t2 = self.expect_id("mode name")
-        if t2.text == m1:
-            self.fail(t2, "beam splitter needs two distinct modes")
-        self.pos -= 1
-        m2 = self.mode_ref()
-        return (m1, m2, self.kwarg("t"))
-
-    def op_disp(self) -> tuple:
-        m = self.mode_ref()
-        return (m, self.kwarg("dx"), self.kwarg("dp"))
-
-    def op_loss(self) -> tuple:
-        m = self.mode_ref()
-        eta = self.expect_num("transmission").value
-        return (m, eta)
-
-    def op_hom(self) -> tuple:
-        m = self.mode_ref()
-        theta = self.kwarg("theta")
-        self.expect_punct("->")
-        t = self.expect_id("outcome name")
-        if t.text in self.outcomes:
-            self.fail(t, f"outcome {t.text} already declared")
-        self.outcomes.append(t.text)
-        self.consumed.add(m)
-        return (m, theta, t.text)
-
-    def op_ff(self) -> tuple:
-        t = self.expect_id("outcome name")
-        if t.text not in self.outcomes:
-            self.fail(t, f"undeclared outcome {t.text}")
-        m = self.mode_ref()
-        return (t.text, m, self.kwarg("gx"), self.kwarg("gp"))
-
-    def op_cubic(self) -> tuple:
-        m = self.mode_ref()
-        return (m, self.kwarg("gamma"))
-
-    def op_cphase(self) -> tuple:
-        m1 = self.mode_ref()
-        t2 = self.expect_id("mode name")
-        if t2.text == m1:
-            self.fail(t2, "controlled phase needs two distinct modes")
-        self.pos -= 1
-        return (m1, self.mode_ref())
-
-    def op_report(self) -> tuple:
-        t = self.expect_id("report kind")
-        if t.text == "cov":
-            return ("cov",)
-        if t.text == "form":
-            key = self.expect_id("c=[...]")
-            if key.text != "c":
-                self.fail(key, "expected c=[...]")
-            self.expect_punct("=")
-            self.expect_punct("[")
-            coeffs = [self.expect_num("coefficient").value]
-            while self.peek().text == ",":
-                self.advance()
-                coeffs.append(self.expect_num("coefficient").value)
-            self.expect_punct("]")
-            return ("form", tuple(coeffs))
-        if t.text == "fidelity":
-            target = self.expect_id("fidelity target")
-            if target.text == "vacuum":
-                return ("fidelity", "vacuum")
-            if target.text == "coherent":
-                return ("fidelity", "coherent",
-                        self.kwarg("dx"), self.kwarg("dp"))
-            self.fail(target, f"unknown fidelity target {target.text!r}")
-        self.fail(t, f"unknown report kind {t.text!r}")
-
-    def _block_entries(self, name, int_keys, gate_parsers=()) -> tuple:
+    def block(self, name, entries) -> tuple:
         self.expect_punct("{")
-        entries = []
-        seen = set()
+        built, seen = [], set()
         while True:
             t = self.peek()
             if t.kind == "punct" and t.text == "}":
                 self.advance()
-                return tuple(entries)
+                return tuple(built)
             if t.kind == "eof":
                 self.fail(t, "expected '}'")
             t = self.advance()
             if t.kind != "id":
                 self.fail(t, f"expected {name} entry")
-            if t.text in int_keys:
+            entry = entries.get(t.text)
+            if entry is None:
+                self.fail(t, f"unknown {name} entry {t.text!r}")
+            if entry.loop is None:      # a setting, not a gate
                 if t.text in seen:
                     self.fail(t, f"duplicate {name} entry {t.text}")
                 seen.add(t.text)
-                entries.append((t.text, self.expect_int(f"{t.text} value")))
-            elif t.text == "squeeze":
-                if "squeeze" in seen:
-                    self.fail(t, f"duplicate {name} entry squeeze")
-                seen.add("squeeze")
-                entries.append(("squeeze", self.expect_squeeze()))
-            elif t.text in gate_parsers:
-                entries.append(getattr(self, "gate_" + t.text)())
-            else:
-                self.fail(t, f"unknown {name} entry {t.text!r}")
+            built.append(self.fields(entry, (t.text,)))
             self.expect_punct(";")
 
-    def op_network(self) -> tuple:
-        return self._block_entries("network", ("dim", "width", "pulses"))
 
-    def op_schedule(self) -> tuple:
-        return self._block_entries("schedule", ("data", "anc"),
-                                   ("ps", "bs", "sqz", "disp"))
+# ---------------------------------------------------------------------------
+# argument kinds
 
-    # schedule gates address loop slots by integer index
+def _fmt(v) -> str:
+    if isinstance(v, float):
+        return repr(float(v))    # plain repr round-trips exactly
+    return str(v)
 
-    def gate_ps(self) -> tuple:
-        slot = self.expect_int("slot index")
-        return ("ps", slot, self.expect_num("angle").value)
 
-    def gate_bs(self) -> tuple:
-        i = self.expect_int("slot index")
-        j = self.expect_int("slot index")
-        return ("bs", i, j, self.kwarg("t"))
+@dataclass(frozen=True)
+class _Arg:
+    """How one argument reads and prints.  read(parser, built) gets the
+    arguments read so far (in a block, after the entry name); a `rest`
+    kind reads and prints all the remaining arguments as one tuple."""
 
-    def gate_sqz(self) -> tuple:
-        slot = self.expect_int("slot index")
-        return ("sqz", slot, self.expect_num("scale factor").value)
+    read: object
+    show: object = _fmt
+    rest: bool = False
 
-    def gate_disp(self) -> tuple:
-        slot = self.expect_int("slot index")
-        return ("disp", slot, self.kwarg("dx"), self.kwarg("dp"))
 
+def _read_declared(p, built) -> tuple:
+    names = []
+    while p.peek().kind == "id":
+        t = p.advance()
+        if t.text in p.modes:
+            p.fail(t, f"mode {t.text} already declared")
+        p.modes.append(t.text)
+        names.append(t.text)
+    if not names:
+        p.fail(p.peek(), "expected mode name")
+    return tuple(names)
+
+
+def _read_quadrature(p, built) -> str:
+    t = p.expect_id("x or p")
+    if t.text not in ("x", "p"):
+        p.fail(t, "expected x or p")
+    return t.text
+
+
+def _read_measured(p, built) -> str:
+    """`-> name`: declares an outcome and consumes the measured mode."""
+    p.expect_punct("->")
+    t = p.expect_id("outcome name")
+    if t.text in p.outcomes:
+        p.fail(t, f"outcome {t.text} already declared")
+    p.outcomes.append(t.text)
+    p.consumed.add(built[0])
+    return t.text
+
+
+def _read_outcome(p, built) -> str:
+    t = p.expect_id("outcome name")
+    if t.text not in p.outcomes:
+        p.fail(t, f"undeclared outcome {t.text}")
+    return t.text
+
+
+def _read_report(p, built) -> tuple:
+    t = p.expect_id("report kind")
+    if t.text == "cov":
+        return ("cov",)
+    if t.text == "form":
+        key = p.expect_id("c=[...]")
+        if key.text != "c":
+            p.fail(key, "expected c=[...]")
+        p.expect_punct("=")
+        p.expect_punct("[")
+        coeffs = [p.expect_num("coefficient").value]
+        while p.peek().text == ",":
+            p.advance()
+            coeffs.append(p.expect_num("coefficient").value)
+        p.expect_punct("]")
+        return ("form", tuple(coeffs))
+    if t.text == "fidelity":
+        target = p.expect_id("fidelity target")
+        if target.text == "vacuum":
+            return ("fidelity", "vacuum")
+        if target.text == "coherent":
+            return ("fidelity", "coherent", p.kwarg("dx"), p.kwarg("dp"))
+        p.fail(target, f"unknown fidelity target {target.text!r}")
+    p.fail(t, f"unknown report kind {t.text!r}")
+
+
+def _show_report(a) -> str:
+    if a[0] == "form":
+        return "form c=[" + ", ".join(_fmt(c) for c in a[1]) + "]"
+    if a[0] == "fidelity" and a[1] == "coherent":
+        return f"fidelity coherent dx={_fmt(a[2])} dp={_fmt(a[3])}"
+    return " ".join(a)
+
+
+def _other_mode(what) -> _Arg:
+    """A second mode, distinct from the first."""
+    def read(p, built):
+        t = p.peek()
+        if p.mode_ref() == built[0]:
+            p.fail(t, f"{what} needs two distinct modes")
+        return t.text
+    return _Arg(read)
+
+
+def _num(what) -> _Arg:
+    return _Arg(lambda p, built: p.expect_num(what).value)
+
+
+def _key(key) -> _Arg:
+    """`key=number`."""
+    return _Arg(lambda p, built: p.kwarg(key), lambda v: f"{key}={_fmt(v)}")
+
+
+_MODE = _Arg(lambda p, built: p.mode_ref())
+_SQUEEZE = _Arg(lambda p, built: p.expect_squeeze(), lambda v: _fmt(v) + "r")
+_SLOT = _Arg(lambda p, built: p.expect_int("slot index"))
+_COUNT = _Arg(lambda p, built: p.expect_int(f"{built[0]} value"))
+_DECLARED = _Arg(_read_declared, " ".join, rest=True)
+_REPORT = _Arg(_read_report, _show_report, rest=True)
+_QUADRATURE = _Arg(_read_quadrature)
+_MEASURED = _Arg(_read_measured, lambda v: "-> " + v)
+_OUTCOME = _Arg(_read_outcome)
+
+
+# ---------------------------------------------------------------------------
+# checks: each yields the messages of the range checks an op fails
+
+def _unit(i, what):
+    """Argument i lies in [0, 1]."""
+    return lambda a, *_: () if 0 <= a[i] <= 1 else (f"{what} out of [0, 1]",)
+
+
+def _check_declared(a, backend, modes):
+    if backend == "fock" and modes.index(a[-1]) >= fk.MAX_MODES:
+        yield f"fock backend is limited to {fk.MAX_MODES} modes"
+
+
+def _settings(entries, args) -> dict:
+    """A block's settings, the entries that are not gates, by name."""
+    return {e[0]: e[1] for e in args if entries[e[0]].loop is None}
+
+
+def _check_network(args, *_):
+    s = _settings(_NETWORK, args)
+    dim = s.get("dim")
+    if dim not in (1, 2):
+        yield "network needs dim 1 or dim 2"
+    if "pulses" not in s:
+        yield "network needs pulses"
+    elif s["pulses"] < 2:
+        yield "network needs at least 2 pulses"
+    if dim == 2 and s.get("width", 0) < 2:
+        yield "dim 2 network needs width >= 2"
+    if dim == 1 and "width" in s:
+        yield "width only applies to dim 2"
+
+
+def _check_schedule(args, *rest):
+    s = _settings(_SCHEDULE, args)
+    n_data = s.get("data", 0)
+    if n_data < 1:
+        yield "schedule needs data >= 1"
+    if s.get("anc", 0) < 0:
+        yield "anc must be >= 0"
+    n_anc = 0
+    for e in args:
+        entry = _SCHEDULE[e[0]]
+        for kind, v in zip(entry.args, e[1:]):
+            if kind is _SLOT and not 0 <= v < max(n_data, 1):
+                yield f"slot {v} out of range"
+        yield from entry.check(e[1:], *rest)
+        n_anc += entry.ancilla
+    if n_anc > s.get("anc", 0):
+        yield f"{n_anc} sqz gates need anc >= {n_anc}"
+
+
+# ---------------------------------------------------------------------------
+# actions: each maps (run, args) to the backend's next state
+
+_VACUUM = {"gaussian": lambda n, cutoff: g.vacuum(n),
+           "fock": lambda n, cutoff: fk.vacuum_fock(n, cutoff)}
+
+
+class _Run:
+    """One execution: backend state, mode indices, outcomes and reports.
+
+    run[name] is a mode's index in the state; measured modes leave live().
+    """
+
+    def __init__(self, program, backend, seed, cutoff):
+        n = len(program.modes)
+        self.state = _VACUUM[backend](n, cutoff) if n else None
+        self.index = {m: i for i, m in enumerate(program.modes)}
+        self.gone = set()
+        self.seed, self.rng = seed, g.as_rng(seed)
+        self.outcomes, self.reports = [], []
+        self.measured = {}      # outcome id -> what a later ff needs
+        self.wall = None        # a block's own time, when it keeps one
+
+    def __getitem__(self, name):
+        return self.index[name]
+
+    def remove(self, name):
+        self.gone.add(name)
+        # fock collapse really deletes the mode; shift the survivors
+        dropped = self.index.pop(name)
+        for k in self.index:
+            if self.index[k] > dropped:
+                self.index[k] -= 1
+
+    def live(self):
+        return sorted((m for m in self.index if m not in self.gone),
+                      key=self.index.get)
+
+
+def _keep(r, a):
+    return r.state
+
+
+def _signed(a) -> float:
+    return a[1] if a[2] == "x" else -a[1]
+
+
+def _hom_gaussian(r, a):
+    """Gaussian runs use affine measurement semantics.
+
+    A homodyne freezes the measured quadrature inside the joint state
+    instead of collapsing it; a later ff is the exact row operation
+    x_t += gx * q, p_t += gp * q, applied with gaussian.apply_local.
+    Reported moments are therefore the channel output, independent of
+    the sampled outcomes (which are logged for reproducibility only).
+    """
+    k = r[a[0]]
+    value = g.sample_quadrature(r.state, k, a[1], r.rng)
+    r.measured[a[2]] = (k, a[1])
+    r.gone.add(a[0])
+    r.outcomes.append({"id": a[2], "value": value})
+    return r.state
+
+
+def _ff_gaussian(r, a):
+    k, theta = r.measured[a[0]]
+    ff = g.feedforward_matrix(2, 1, 0, theta, a[2], a[3])
+    return g.apply_local(r.state, (k, r[a[1]]), ff)
+
+
+def _hom_fock(r, a):
+    value, state = fk.homodyne_fock(r.state, r[a[0]], a[1], r.rng)
+    r.remove(a[0])
+    r.measured[a[2]] = value
+    r.outcomes.append({"id": a[2], "value": value})
+    return state
+
+
+def _ff_fock(r, a):
+    v = r.measured[a[0]]
+    return fk.displace_fock(r.state, r[a[1]], a[2] * v, a[3] * v)
+
+
+def _report(r, a, backend):
+    live = r.live()
+    if backend == "gaussian":
+        state = moments = g.remove_modes(r.state, [r[m] for m in r.gone])
+    else:
+        state = r.state
+        moments = g.GaussianState(*fk.covariance_of(state))
+    if not all(np.isfinite(m).all() for m in (moments.mean, moments.cov)):
+        raise ValueError("reported moments are not finite")
+    if a[0] == "cov":
+        entry = {"type": "cov", "modes": live,
+                 "mean": moments.mean.tolist(), "cov": moments.cov.tolist()}
+    elif a[0] == "form":
+        if len(a[1]) != moments.mean.size:
+            raise ValueError(f"form needs {moments.mean.size} coefficients, "
+                             f"got {len(a[1])}")
+        mean, variance = g.quad_stats(moments, a[1])
+        entry = {"type": "form", "c": list(a[1]),
+                 "mean": mean, "variance": variance}
+    elif a[1] == "vacuum":
+        entry = {"type": "fidelity", "target": "vacuum"}
+        target = (g.vacuum(len(live)) if backend == "gaussian"
+                  else fk.vacuum_fock(state.n_modes, state.cutoff))
+    else:
+        if len(live) != 1:
+            raise ValueError("fidelity coherent needs exactly one live mode")
+        dx, dp = a[2], a[3]
+        entry = {"type": "fidelity", "target": "coherent", "dx": dx, "dp": dp}
+        target = (g.coherent(dx, dp) if backend == "gaussian" else
+                  fk.coherent_fock((dx + 1j * dp) / math.sqrt(2.0),
+                                   state.cutoff))
+    if a[0] == "fidelity":
+        fidelity = g.fidelity if backend == "gaussian" else fk.fidelity_fock
+        entry["value"] = float(fidelity(state, target))
+    if backend == "fock":
+        entry["leakage"] = state.leakage()
+    r.reports.append(entry)
+    return r.state
+
+
+def _run_network(r, args):
+    s = _settings(_NETWORK, args)
+    sq = s.get("squeeze", g.squeezing_db_to_r(DEFAULT_BLOCK_SQUEEZE_DB))
+    if s["dim"] == 1:
+        stats = tdm.stream_1d(s["pulses"], sq)
+    else:
+        stats = tdm.stream_2d(s["pulses"], s["width"], sq)
+    payload = json.loads(stats.to_json())
+    r.wall = payload.pop("timings")["stream_s"]
+    payload["type"] = "stream"
+    r.reports.append(payload)
+
+
+def _run_schedule(r, args):
+    s = _settings(_SCHEDULE, args)
+    sq = s.get("squeeze", g.squeezing_db_to_r(DEFAULT_BLOCK_SQUEEZE_DB))
+    config = lp.LoopConfig(n_data=s["data"], m_anc=s.get("anc", 0))
+    gates = [_SCHEDULE[e[0]].loop(e[1:], sq) for e in args
+             if _SCHEDULE[e[0]].loop is not None]
+    prog = lp.compile_gates(config, gates)
+    state = g.vacuum(config.length)
+    for slot, orientation in prog.ancilla_prep:
+        state = g.squeeze(state, slot, sq if orientation == "x" else -sq)
+    final, log = lp.simulate(config, prog, state, rng_seed=r.seed)
+    r.outcomes += [{"id": e["id"], "value": e["outcome"], "slot": e["slot"],
+                    "pulse": e["pulse"], "basis": e["basis"]}
+                   for e in log.outcomes]
+    r.reports.append({"type": "loop", "survivors": log.survivors,
+                      "mean": final.mean.tolist(),
+                      "cov": final.cov.tolist()})
+
+
+# ---------------------------------------------------------------------------
+# the op table
+
+@dataclass(frozen=True)
+class _Op:
+    """One op or block entry.  `args` are its argument kinds in order;
+    `gaussian` and `fock` its actions, None where validate reports
+    `unsupported`; check(args, backend, modes) yields range errors.  A
+    block op has its `entries`.  A schedule gate has loop(args, r), its
+    loop gate for ancilla squeezing r (`ancilla` if it uses one); an
+    entry without `loop` is a setting, allowed once per block."""
+
+    args: tuple = ()
+    gaussian: object = None
+    fock: object = None
+    check: object = lambda *_: ()
+    unsupported: str = ""
+    entries: dict | None = None
+    loop: object = None
+    ancilla: bool = False
+
+
+_NETWORK = {"dim": _Op((_COUNT,)), "width": _Op((_COUNT,)),
+            "pulses": _Op((_COUNT,)), "squeeze": _Op((_SQUEEZE,))}
+
+_SCHEDULE = {
+    "data": _Op((_COUNT,)), "anc": _Op((_COUNT,)), "squeeze": _Op((_SQUEEZE,)),
+    "ps": _Op((_SLOT, _num("angle")), loop=lambda a, r: ("phase",) + a),
+    "bs": _Op((_SLOT, _SLOT, _key("t")), check=_unit(2, "transmissivity"),
+              loop=lambda a, r: ("bs",) + a),
+    "sqz": _Op((_SLOT, _num("scale factor")),
+               check=lambda a, *_: () if a[1] > 0 else
+               ("scale factor must be positive",),
+               loop=lambda a, r: ("squeeze_tele",) + a + (r,), ancilla=True),
+    "disp": _Op((_SLOT, _key("dx"), _key("dp")),
+                loop=lambda a, r: ("displace",) + a),
+}
+
+_NON_GAUSSIAN = "non-Gaussian op on Gaussian backend"
+
+_OPS = {
+    "mode": _Op((_DECLARED,), _keep, _keep, check=_check_declared),
+    "sq": _Op((_MODE, _SQUEEZE, _QUADRATURE),
+              lambda r, a: g.squeeze(r.state, r[a[0]], _signed(a)),
+              lambda r, a: fk.squeeze_fock(r.state, r[a[0]], _signed(a))),
+    "ps": _Op((_MODE, _num("angle")),
+              lambda r, a: g.phase_shift(r.state, r[a[0]], a[1]),
+              lambda r, a: fk.phase_fock(r.state, r[a[0]], a[1])),
+    "bs": _Op((_MODE, _other_mode("beam splitter"), _key("t")),
+              lambda r, a: g.beam_splitter(r.state, r[a[0]], r[a[1]], a[2]),
+              lambda r, a: fk.beam_splitter_fock(r.state, r[a[0]], r[a[1]],
+                                                 a[2]),
+              check=_unit(2, "transmissivity")),
+    "disp": _Op((_MODE, _key("dx"), _key("dp")),
+                lambda r, a: g.displace(r.state, r[a[0]], a[1], a[2]),
+                lambda r, a: fk.displace_fock(r.state, r[a[0]], a[1], a[2])),
+    "loss": _Op((_MODE, _num("transmission")),
+                lambda r, a: g.loss(r.state, r[a[0]], a[1]),
+                check=_unit(1, "transmission"),
+                unsupported="loss channel not supported on fock backend"),
+    "hom": _Op((_MODE, _key("theta"), _MEASURED), _hom_gaussian, _hom_fock),
+    "ff": _Op((_OUTCOME, _MODE, _key("gx"), _key("gp")),
+              _ff_gaussian, _ff_fock),
+    "cubic": _Op((_MODE, _key("gamma")),
+                 fock=lambda r, a: fk.apply_cubic(r.state, r[a[0]], a[1]),
+                 unsupported=_NON_GAUSSIAN),
+    "cphase": _Op((_MODE, _other_mode("controlled phase")),
+                  fock=lambda r, a: fk.controlled_phase(r.state, r[a[0]],
+                                                        r[a[1]]),
+                  unsupported=_NON_GAUSSIAN),
+    "report": _Op((_REPORT,), lambda r, a: _report(r, a, "gaussian"),
+                  lambda r, a: _report(r, a, "fock")),
+    "network": _Op(gaussian=_run_network, fock=_run_network,
+                   check=_check_network, entries=_NETWORK),
+    "schedule": _Op(gaussian=_run_schedule, fock=_run_schedule,
+                    check=_check_schedule, entries=_SCHEDULE),
+}
+
+
+# ---------------------------------------------------------------------------
+# parse, print, validate, run: all read the table
 
 def parse(text: str):
     """Parse program text; returns CircuitProgram or ParseError."""
@@ -454,364 +746,66 @@ def parse(text: str):
         return ParseError(1, 1, "input too deeply nested")
 
 
-# ---------------------------------------------------------------------------
-# printing
-
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return repr(float(v))    # plain repr round-trips exactly
-    return str(v)
+def _show(name, op, args) -> str:
+    return " ".join([name] + [arg.show(args[i:] if arg.rest else args[i])
+                              for i, arg in enumerate(op.args)]) + ";"
 
 
 def pretty_print(program: CircuitProgram) -> str:
     """Canonical text form; parse(pretty_print(p)) == p."""
     lines = []
     for ins in program.instructions:
-        a = ins.args
-        if ins.op == "mode":
-            lines.append("mode " + " ".join(a) + ";")
-        elif ins.op == "sq":
-            lines.append(f"sq {a[0]} {_fmt(a[1])}r {a[2]};")
-        elif ins.op == "ps":
-            lines.append(f"ps {a[0]} {_fmt(a[1])};")
-        elif ins.op == "bs":
-            lines.append(f"bs {a[0]} {a[1]} t={_fmt(a[2])};")
-        elif ins.op == "disp":
-            lines.append(f"disp {a[0]} dx={_fmt(a[1])} dp={_fmt(a[2])};")
-        elif ins.op == "loss":
-            lines.append(f"loss {a[0]} {_fmt(a[1])};")
-        elif ins.op == "hom":
-            lines.append(f"hom {a[0]} theta={_fmt(a[1])} -> {a[2]};")
-        elif ins.op == "ff":
-            lines.append(f"ff {a[0]} {a[1]} gx={_fmt(a[2])} gp={_fmt(a[3])};")
-        elif ins.op == "cubic":
-            lines.append(f"cubic {a[0]} gamma={_fmt(a[1])};")
-        elif ins.op == "cphase":
-            lines.append(f"cphase {a[0]} {a[1]};")
-        elif ins.op == "report":
-            if a[0] == "cov":
-                lines.append("report cov;")
-            elif a[0] == "form":
-                body = ", ".join(_fmt(c) for c in a[1])
-                lines.append(f"report form c=[{body}];")
-            elif a[1] == "vacuum":
-                lines.append("report fidelity vacuum;")
-            else:
-                lines.append(f"report fidelity coherent "
-                             f"dx={_fmt(a[2])} dp={_fmt(a[3])};")
-        elif ins.op in _BLOCK_OPS:
-            lines.append(ins.op + " {")
-            for entry in a:
-                if entry[0] in ("dim", "width", "pulses", "data", "anc",
-                                "squeeze"):
-                    tail = (_fmt(entry[1]) + "r"
-                            if entry[0] == "squeeze" else _fmt(entry[1]))
-                    lines.append(f"  {entry[0]} {tail};")
-                elif entry[0] == "ps":
-                    lines.append(f"  ps {entry[1]} {_fmt(entry[2])};")
-                elif entry[0] == "bs":
-                    lines.append(f"  bs {entry[1]} {entry[2]} "
-                                 f"t={_fmt(entry[3])};")
-                elif entry[0] == "sqz":
-                    lines.append(f"  sqz {entry[1]} {_fmt(entry[2])};")
-                else:
-                    lines.append(f"  disp {entry[1]} dx={_fmt(entry[2])} "
-                                 f"dp={_fmt(entry[3])};")
-            lines.append("}")
-        else:
-            raise ValueError(f"unknown op {ins.op!r}")
+        op = _OPS[ins.op]
+        if op.entries is None:
+            lines.append(_show(ins.op, op, ins.args))
+            continue
+        lines.append(ins.op + " {")
+        lines += ["  " + _show(e[0], op.entries[e[0]], e[1:])
+                  for e in ins.args]
+        lines.append("}")
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-# ---------------------------------------------------------------------------
-# validation
-
-def _block_dict(args) -> dict:
-    return {k: v for k, v, *_ in (e + (None,) for e in args)
-            if k in ("dim", "width", "pulses", "data", "anc", "squeeze")}
 
 
 def validate(program: CircuitProgram, backend: str) -> list:
     """Backend-capability and range checks; empty list means ok."""
-    errors = []
-
-    def err(ins, message):
-        errors.append(ValidationError(ins.line, ins.column, message))
-
-    if backend not in ("gaussian", "fock"):
+    if backend not in _VACUUM:
         return [ValidationError(0, 0, f"unknown backend {backend!r}")]
-
-    blocks = [i for i in program.instructions if i.op in _BLOCK_OPS]
+    blocks = [i for i in program.instructions if _OPS[i.op].entries]
     if blocks and len(program.instructions) != 1:
-        err(blocks[0], f"{blocks[0].op} block must be the whole program")
-        return errors
-
-    n_declared = 0
+        return [ValidationError(blocks[0].line, blocks[0].column,
+                                f"{blocks[0].op} block must be the whole "
+                                "program")]
+    errors = []
     for ins in program.instructions:
-        a = ins.args
-        if ins.op == "mode":
-            n_declared += len(a)
-            if backend == "fock" and n_declared > fk.MAX_MODES:
-                err(ins, f"fock backend is limited to {fk.MAX_MODES} modes")
-        elif ins.op in ("cubic", "cphase") and backend == "gaussian":
-            err(ins, "non-Gaussian op on Gaussian backend")
-        elif ins.op == "loss":
-            if backend == "fock":
-                err(ins, "loss channel not supported on fock backend")
-            elif not 0.0 <= a[1] <= 1.0:
-                err(ins, "transmission out of [0, 1]")
-        elif ins.op == "bs" and not 0.0 <= a[2] <= 1.0:
-            err(ins, "transmissivity out of [0, 1]")
-        elif ins.op == "network":
-            entries = _block_dict(a)
-            dim = entries.get("dim")
-            if dim not in (1, 2):
-                err(ins, "network needs dim 1 or dim 2")
-            if "pulses" not in entries:
-                err(ins, "network needs pulses")
-            elif entries["pulses"] < 2:
-                err(ins, "network needs at least 2 pulses")
-            if dim == 2 and entries.get("width", 0) < 2:
-                err(ins, "dim 2 network needs width >= 2")
-            if dim == 1 and "width" in entries:
-                err(ins, "width only applies to dim 2")
-        elif ins.op == "schedule":
-            entries = _block_dict(a)
-            n_data = entries.get("data", 0)
-            if n_data < 1:
-                err(ins, "schedule needs data >= 1")
-            if entries.get("anc", 0) < 0:
-                err(ins, "anc must be >= 0")
-            n_sqz = 0
-            for entry in a:
-                if entry[0] in ("ps", "bs", "sqz", "disp"):
-                    slots = entry[1:2] if entry[0] != "bs" else entry[1:3]
-                    for s in slots:
-                        if not 0 <= s < max(n_data, 1):
-                            err(ins, f"slot {s} out of range")
-                if entry[0] == "bs" and not 0.0 <= entry[3] <= 1.0:
-                    err(ins, "transmissivity out of [0, 1]")
-                if entry[0] == "sqz":
-                    n_sqz += 1
-                    if entry[2] <= 0:
-                        err(ins, "scale factor must be positive")
-            if n_sqz > entries.get("anc", 0):
-                err(ins, f"{n_sqz} sqz gates need anc >= {n_sqz}")
+        op = _OPS[ins.op]
+        messages = (op.check(ins.args, backend, program.modes)
+                    if getattr(op, backend) else [op.unsupported])
+        errors += [ValidationError(ins.line, ins.column, m) for m in messages]
     return errors
-
-
-# ---------------------------------------------------------------------------
-# execution
-
-class _ModeMap:
-    """Mode name -> state index; measured modes drop out of live()."""
-
-    def __init__(self, names):
-        self.index = {m: i for i, m in enumerate(names)}
-        self.gone = set()
-
-    def __getitem__(self, name):
-        return self.index[name]
-
-    def remove(self, name):
-        self.gone.add(name)
-        # fock collapse really deletes the mode; shift the survivors
-        dropped = self.index.pop(name)
-        for k in self.index:
-            if self.index[k] > dropped:
-                self.index[k] -= 1
-
-    def freeze(self, name):
-        self.gone.add(name)
-
-    def live(self):
-        return sorted((m for m in self.index if m not in self.gone),
-                      key=self.index.get)
-
-
-def _report_entry(kind_args, moments, live, state=None, backend=""):
-    a = kind_args
-    if a[0] == "cov":
-        return {"type": "cov", "modes": live,
-                "mean": moments.mean.tolist(), "cov": moments.cov.tolist()}
-    if a[0] == "form":
-        if len(a[1]) != moments.mean.size:
-            raise ValueError(f"form needs {moments.mean.size} coefficients, "
-                             f"got {len(a[1])}")
-        mean, variance = g.quad_stats(moments, a[1])
-        return {"type": "form", "c": list(a[1]),
-                "mean": mean, "variance": variance}
-    # fidelity targets
-    if a[1] == "vacuum":
-        if backend == "gaussian":
-            value = g.fidelity(state, g.vacuum(len(live)))
-        else:
-            value = fk.fidelity_fock(state,
-                                     fk.vacuum_fock(state.n_modes,
-                                                    state.cutoff))
-        return {"type": "fidelity", "target": "vacuum", "value": float(value)}
-    if len(live) != 1:
-        raise ValueError("fidelity coherent needs exactly one live mode")
-    dx, dp = a[2], a[3]
-    if backend == "gaussian":
-        value = g.fidelity(state, g.coherent(dx, dp))
-    else:
-        alpha = (dx + 1j * dp) / math.sqrt(2.0)
-        value = fk.fidelity_fock(state, fk.coherent_fock(alpha, state.cutoff))
-    return {"type": "fidelity", "target": "coherent", "dx": dx, "dp": dp,
-            "value": float(value)}
-
-
-def _run_gates_gaussian(program, rng):
-    """Run on Gaussian moments with affine measurement semantics.
-
-    A homodyne freezes the measured quadrature inside the joint state
-    instead of collapsing it; a later ff is the exact row operation
-    x_t += gx * q, p_t += gp * q, applied with gaussian.apply_local.
-    Reported moments are therefore the channel output, independent of
-    the sampled outcomes (which are logged for reproducibility only).
-    """
-    outcomes, reports = [], []
-    n = len(program.modes)
-    if n == 0:
-        return outcomes, reports
-    st = g.vacuum(n)
-    idx = _ModeMap(program.modes)
-    frozen = {}                         # outcome id -> (mode index, angle)
-    for ins in program.instructions:
-        a = ins.args
-        if ins.op == "mode":
-            pass
-        elif ins.op == "sq":
-            st = g.squeeze(st, idx[a[0]], a[1] if a[2] == "x" else -a[1])
-        elif ins.op == "ps":
-            st = g.phase_shift(st, idx[a[0]], a[1])
-        elif ins.op == "bs":
-            st = g.beam_splitter(st, idx[a[0]], idx[a[1]], a[2])
-        elif ins.op == "disp":
-            st = g.displace(st, idx[a[0]], a[1], a[2])
-        elif ins.op == "loss":
-            st = g.loss(st, idx[a[0]], a[1])
-        elif ins.op == "hom":
-            k = idx[a[0]]
-            value = g.sample_quadrature(st, k, a[1], rng)
-            frozen[a[2]] = (k, a[1])
-            idx.freeze(a[0])
-            outcomes.append({"id": a[2], "value": value})
-        elif ins.op == "ff":
-            k, theta = frozen[a[0]]
-            ff = g.feedforward_matrix(2, 1, 0, theta, a[2], a[3])
-            st = g.apply_local(st, (k, idx[a[1]]), ff)
-        elif ins.op == "report":
-            live_state = g.remove_modes(st, [idx[m] for m in idx.gone])
-            reports.append(_report_entry(a, live_state, idx.live(),
-                                         state=live_state, backend="gaussian"))
-        else:
-            raise ValueError(f"op {ins.op!r} not runnable on gaussian")
-    return outcomes, reports
-
-
-def _run_gates_fock(program, rng, cutoff):
-    outcomes, reports = [], []
-    n = len(program.modes)
-    if n == 0:
-        return outcomes, reports
-    st = fk.vacuum_fock(n, cutoff)
-    idx = _ModeMap(program.modes)
-    values = {}
-    for ins in program.instructions:
-        a = ins.args
-        if ins.op == "mode":
-            pass
-        elif ins.op == "sq":
-            st = fk.squeeze_fock(st, idx[a[0]], a[1] if a[2] == "x" else -a[1])
-        elif ins.op == "ps":
-            st = fk.phase_fock(st, idx[a[0]], a[1])
-        elif ins.op == "bs":
-            st = fk.beam_splitter_fock(st, idx[a[0]], idx[a[1]], a[2])
-        elif ins.op == "disp":
-            st = fk.displace_fock(st, idx[a[0]], a[1], a[2])
-        elif ins.op == "cubic":
-            st = fk.apply_cubic(st, idx[a[0]], a[1])
-        elif ins.op == "cphase":
-            st = fk.controlled_phase(st, idx[a[0]], idx[a[1]])
-        elif ins.op == "hom":
-            value, st = fk.homodyne_fock(st, idx[a[0]], a[1], rng)
-            idx.remove(a[0])
-            values[a[2]] = value
-            outcomes.append({"id": a[2], "value": value})
-        elif ins.op == "ff":
-            v = values[a[0]]
-            st = fk.displace_fock(st, idx[a[1]], a[2] * v, a[3] * v)
-        elif ins.op == "report":
-            moments = g.GaussianState(*fk.covariance_of(st))
-            entry = _report_entry(a, moments, idx.live(),
-                                  state=st, backend="fock")
-            entry["leakage"] = st.leakage()
-            reports.append(entry)
-        else:
-            raise ValueError(f"op {ins.op!r} not runnable on fock")
-    return outcomes, reports
-
-
-def _run_network(args):
-    entries = _block_dict(args)
-    r = entries.get("squeeze", g.squeezing_db_to_r(DEFAULT_BLOCK_SQUEEZE_DB))
-    if entries["dim"] == 1:
-        stats = tdm.stream_1d(entries["pulses"], r)
-    else:
-        stats = tdm.stream_2d(entries["pulses"], entries["width"], r)
-    payload = json.loads(stats.to_json())
-    wall = payload.pop("timings")["stream_s"]
-    payload["type"] = "stream"
-    return [], [payload], wall
-
-
-def _run_schedule(args, seed):
-    entries = _block_dict(args)
-    r = entries.get("squeeze", g.squeezing_db_to_r(DEFAULT_BLOCK_SQUEEZE_DB))
-    config = lp.LoopConfig(n_data=entries["data"],
-                           m_anc=entries.get("anc", 0))
-    gates = []
-    for entry in args:
-        if entry[0] == "ps":
-            gates.append(("phase", entry[1], entry[2]))
-        elif entry[0] == "bs":
-            gates.append(("bs", entry[1], entry[2], entry[3]))
-        elif entry[0] == "sqz":
-            gates.append(("squeeze_tele", entry[1], entry[2], r))
-        elif entry[0] == "disp":
-            gates.append(("displace", entry[1], entry[2], entry[3]))
-    prog = lp.compile_gates(config, gates)
-    state = g.vacuum(config.length)
-    for slot, orientation in prog.ancilla_prep:
-        state = g.squeeze(state, slot, r if orientation == "x" else -r)
-    final, log = lp.simulate(config, prog, state, rng_seed=seed)
-    outcomes = [{"id": e["id"], "value": e["outcome"], "slot": e["slot"],
-                 "pulse": e["pulse"], "basis": e["basis"]}
-                for e in log.outcomes]
-    report = {"type": "loop", "survivors": log.survivors,
-              "mean": final.mean.tolist(), "cov": final.cov.tolist()}
-    return outcomes, [report]
 
 
 def run(program: CircuitProgram, backend: str, seed: int,
         cutoff: int = fk.DEFAULT_CUTOFF) -> RunReport:
-    """Validate and execute; raises ValueError on an invalid program."""
+    """Validate and execute; raises ValueError on an invalid program.
+
+    A ValueError raised while an instruction runs carries the
+    instruction's position in its `line` and `column` attributes.
+    """
     errors = validate(program, backend)
     if errors:
         raise ValueError("invalid program: "
                          + "; ".join(str(e) for e in errors))
     start = time.perf_counter()
-    wall = None
-    if program.instructions and program.instructions[0].op == "network":
-        outcomes, reports, wall = _run_network(program.instructions[0].args)
-    elif program.instructions and program.instructions[0].op == "schedule":
-        outcomes, reports = _run_schedule(program.instructions[0].args, seed)
-    elif backend == "gaussian":
-        outcomes, reports = _run_gates_gaussian(program, g.as_rng(seed))
-    else:
-        outcomes, reports = _run_gates_fock(program, g.as_rng(seed), cutoff)
-    elapsed = time.perf_counter() - start if wall is None else wall
-    return RunReport(backend=backend, seed=int(seed), outcomes=outcomes,
-                     reports=reports, timings={"run_s": elapsed})
+    r = _Run(program, backend, seed, cutoff)
+    for ins in program.instructions:
+        op = _OPS[ins.op]
+        if r.state is None and op.entries is None:
+            break                   # no mode declared: nothing to act on
+        try:
+            r.state = getattr(op, backend)(r, ins.args)
+        except ValueError as exc:
+            exc.line, exc.column = ins.line, ins.column
+            raise
+    elapsed = time.perf_counter() - start if r.wall is None else r.wall
+    return RunReport(backend=backend, seed=int(seed), outcomes=r.outcomes,
+                     reports=r.reports, timings={"run_s": elapsed})

@@ -348,6 +348,18 @@ def quadrature_wavefunction(state: FockState, xs: np.ndarray) -> np.ndarray:
     return state.amps @ psi
 
 
+def _quadrature_pdf(amps: np.ndarray, mode: int, psi: np.ndarray) -> np.ndarray:
+    """x-quadrature density of one mode on the grid of psi (cutoff, grid).
+
+    Reads the mode's reduced density matrix rho, so memory is
+    cutoff x grid, not grid x cutoff**(modes - 1).  psi is real and the
+    imaginary part of rho antisymmetric, so only Re(rho) contributes.
+    """
+    moved = np.moveaxis(amps, mode, 0).reshape(amps.shape[mode], -1)
+    rho = moved @ moved.conj().T
+    return np.sum(psi * (rho.real @ psi), axis=0)
+
+
 def homodyne_fock(state: FockState, mode: int, theta: float, rng_seed,
                   grid_points: int = HOMODYNE_GRID_POINTS,
                   grid_sigmas: float = HOMODYNE_GRID_SIGMAS
@@ -374,9 +386,7 @@ def homodyne_fock(state: FockState, mode: int, theta: float, rng_seed,
     dx = xs[1] - xs[0]
 
     psi = hermite_functions(xs, work.cutoff)  # (cutoff, grid)
-    moved = np.moveaxis(work.amps, mode, 0).reshape(work.cutoff, -1)
-    values = psi.T @ moved  # (grid, rest)
-    pdf = np.sum(np.abs(values) ** 2, axis=1)
+    pdf = _quadrature_pdf(work.amps, mode, psi)
     mass = float(np.sum(pdf) * dx)
     if mass < 1.0 - HOMODYNE_MASS_TOL:
         raise ValueError(

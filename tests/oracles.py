@@ -14,6 +14,7 @@ import math
 import numpy as np
 import scipy.linalg
 
+from cvqsim import fock as fk
 from cvqsim import gaussian as g
 
 
@@ -152,6 +153,33 @@ def displacement_element(m: int, n: int, alpha: complex) -> complex:
         prev, cur = cur, ((2 * j + 1 + k - x) * cur - (j + k) * prev) / (j + 1)
     ratio = math.exp(0.5 * (math.lgamma(n + 1) - math.lgamma(m + 1)))
     return ratio * alpha ** k * math.exp(-x / 2) * cur
+
+
+def homodyne_fock_full_pdf(state, mode: int, theta: float, rng_seed):
+    """fock.homodyne_fock with the density formed from all amplitudes.
+
+    pdf(x) = sum over the other modes of |sum_n psi_n(x) amps[n, ...]|^2,
+    built as the (grid, cutoff**(modes - 1)) matrix psi.T @ amps.  The
+    grid, the draw and the projection are those of homodyne_fock.
+    Returns (outcome, post-state amplitudes, pdf, grid).
+    """
+    rng = g.as_rng(rng_seed)
+    work = fk.phase_fock(state, mode, -theta) if theta != 0.0 else state
+    mean, cov = fk.covariance_of(work)
+    mu = mean[2 * mode]
+    sigma = np.sqrt(cov[2 * mode, 2 * mode])
+    span = fk.HOMODYNE_GRID_SIGMAS
+    xs = np.linspace(mu - span * sigma, mu + span * sigma,
+                     fk.HOMODYNE_GRID_POINTS)
+    psi = fk.hermite_functions(xs, work.cutoff)
+    moved = np.moveaxis(work.amps, mode, 0).reshape(work.cutoff, -1)
+    pdf = np.sum(np.abs(psi.T @ moved) ** 2, axis=1)
+    cdf = np.cumsum(pdf)
+    cdf /= cdf[-1]
+    idx = int(np.argmin(np.abs(xs - np.interp(rng.uniform(), cdf, xs))))
+    post = np.tensordot(psi[:, idx], np.moveaxis(work.amps, mode, 0),
+                        axes=([0], [0]))
+    return float(xs[idx]), post / np.linalg.norm(post), pdf, xs
 
 
 def central_moment(amps: np.ndarray, op: np.ndarray, k: int) -> float:

@@ -125,6 +125,33 @@ class TestRunCommand:
         assert entry["type"] == "ValueError"
         assert "zero variance" in entry["message"]
 
+    def test_runtime_diagnostic_names_the_instruction(self, tmp_path, capsys):
+        prog = tmp_path / "zero_var.cvq"
+        prog.write_text("mode q0 q1; sq q0 400dB x; bs q0 q1 t=1.0;\n"
+                        "  hom q0 theta=0 -> m0; report cov;\n")
+        code, out, err = run_cli(capsys, "run", str(prog), "--seed", "1")
+        assert code == 2 and out == ""
+        entry = json.loads(err)["error"]
+        assert entry["type"] == "ValueError"
+        assert "zero variance" in entry["message"]
+        assert (entry["line"], entry["column"]) == (2, 3)
+
+    @pytest.mark.parametrize("text, column", [
+        ("mode q0; sq q0 400r x; report cov;\n", 24),
+        ("mode q0; sq q0 200r x; sq q0 200r x; report form c=[1.0, 0.0];\n",
+         38),
+    ])
+    def test_non_finite_moments_are_runtime_errors(self, tmp_path, capsys,
+                                                   text, column):
+        prog = tmp_path / "overflow.cvq"
+        prog.write_text(text)
+        code, out, err = run_cli(capsys, "run", str(prog), "--seed", "1")
+        assert code == 2 and out == ""
+        entry = json.loads(err)["error"]
+        assert entry["type"] == "ValueError"
+        assert entry["message"] == "reported moments are not finite"
+        assert (entry["line"], entry["column"]) == (1, column)
+
     def test_fock_backend(self, tmp_path, capsys):
         prog = tmp_path / "kerrish.cvq"
         prog.write_text("mode q0; sq q0 0.4r x; cubic q0 gamma=0.05;"

@@ -150,6 +150,84 @@ class TestRoundTrip:
             assert dsl.pretty_print(dsl.parse(printed)) == printed
 
 
+# One canonical program per op-table entry and report kind, named
+# "<op>[-<kind>]", each statement on its own line as pretty_print lays
+# it out; the entry under test comes last.
+TABLE_CASES = [
+    ("mode", ["mode a b;"]),
+    ("sq", ["mode a;", "sq a 0.5r p;"]),
+    ("ps", ["mode a;", "ps a 0.25;"]),
+    ("bs", ["mode a b;", "bs a b t=0.5;"]),
+    ("disp", ["mode a;", "disp a dx=0.5 dp=-0.25;"]),
+    ("loss", ["mode a;", "loss a 0.75;"]),
+    ("hom", ["mode a b;", "hom a theta=0.5 -> m0;"]),
+    ("ff", ["mode a b;", "hom a theta=0.5 -> m0;",
+            "ff m0 b gx=0.5 gp=-0.25;"]),
+    ("cubic", ["mode a;", "cubic a gamma=0.125;"]),
+    ("cphase", ["mode a b;", "cphase a b;"]),
+    ("report-cov", ["mode a;", "report cov;"]),
+    ("report-form", ["mode a;", "report form c=[1.0, -0.5];"]),
+    ("report-fidelity-vacuum", ["mode a;", "report fidelity vacuum;"]),
+    ("report-fidelity-coherent", [
+        "mode a;", "disp a dx=0.5 dp=-0.25;",
+        "report fidelity coherent dx=0.5 dp=-0.25;"]),
+    ("network", ["network {", "  dim 2;", "  width 3;", "  pulses 4;",
+                 "  squeeze 0.5r;", "}"]),
+    ("schedule", ["schedule {", "  data 2;", "  anc 1;", "  squeeze 0.5r;",
+                  "  ps 0 0.25;", "  bs 0 1 t=0.5;", "  sqz 1 0.75;",
+                  "  disp 0 dx=0.5 dp=-0.25;", "}"]),
+]
+
+UNSUPPORTED = {
+    ("loss", "fock"): "loss channel not supported on fock backend",
+    ("cubic", "gaussian"): "non-Gaussian op on Gaussian backend",
+    ("cphase", "gaussian"): "non-Gaussian op on Gaussian backend",
+}
+
+
+class TestOpTable:
+
+    def test_cases_cover_every_entry(self):
+        assert {case.split("-")[0] for case, _ in TABLE_CASES} == set(dsl._OPS)
+        reports = [parse_ok("\n".join(lines)).instructions[-1].args
+                   for case, lines in TABLE_CASES
+                   if case.startswith("report")]
+        assert [a[:2] if a[0] == "fidelity" else a[0] for a in reports] == [
+            "cov", "form", ("fidelity", "vacuum"), ("fidelity", "coherent")]
+        for case, lines in TABLE_CASES:
+            entries = dsl._OPS[case.split("-")[0]].entries
+            if entries is not None:
+                written = {line.split()[0] for line in lines[1:-1]}
+                assert written == set(entries), case
+        missing = {(op, b) for op, entry in dsl._OPS.items()
+                   for b in ("gaussian", "fock") if getattr(entry, b) is None}
+        assert missing == set(UNSUPPORTED)
+
+    @pytest.mark.parametrize("case, lines", TABLE_CASES,
+                             ids=[case for case, _ in TABLE_CASES])
+    def test_entry_round_trips_and_runs_where_listed(self, case, lines):
+        op = case.split("-")[0]
+        text = "\n".join(lines) + "\n"
+        p = parse_ok(text)
+        assert dsl.pretty_print(p) == text
+        again = dsl.parse(dsl.pretty_print(p))
+        assert again == p
+        # Instruction equality ignores positions, so compare them as well
+        starts = [(k + 1, 1) for k, line in enumerate(lines)
+                  if not line.startswith((" ", "}"))]
+        assert [(i.line, i.column) for i in p.instructions] == starts
+        assert [(i.line, i.column) for i in again.instructions] == starts
+        last = p.instructions[-1]
+        for backend in ("gaussian", "fock"):
+            errors = dsl.validate(p, backend)
+            if (op, backend) in UNSUPPORTED:
+                assert errors == [dsl.ValidationError(
+                    last.line, last.column, UNSUPPORTED[op, backend])]
+            else:
+                assert errors == []
+                dsl.run(p, backend, 0, cutoff=12)
+
+
 class TestFuzz:
 
     def test_parser_total_on_hostile_input(self):

@@ -216,6 +216,29 @@ class TestMeasurements:
         o2, _ = fk.homodyne_fock(st, 0, 0.2, 77)
         assert o1 == o2
 
+    @pytest.mark.parametrize("n_modes", [2, 3])
+    def test_homodyne_pdf_from_reduced_density_matrix(self, n_modes):
+        st = fk.vacuum_fock(n_modes, cutoff=24 if n_modes == 2 else 14)
+        for m in range(n_modes):
+            st = fk.squeeze_fock(st, m, 0.3 * (-1) ** m)
+            st = fk.displace_fock(st, m, 0.4, -0.2 * m)
+        for m in range(n_modes - 1):
+            st = fk.beam_splitter_fock(st, m, m + 1, 0.4)
+        st = fk.apply_cubic(st, 0, 0.05)
+        for mode in range(n_modes):
+            for seed in (3, 4):
+                theta = 0.3 * mode
+                out, post, pdf, xs = oracles.homodyne_fock_full_pdf(
+                    st, mode, theta, seed)
+                work = fk.phase_fock(st, mode, -theta) if theta else st
+                psi = fk.hermite_functions(xs, st.cutoff)
+                np.testing.assert_allclose(
+                    fk._quadrature_pdf(work.amps, mode, psi), pdf,
+                    rtol=0, atol=1e-12)
+                got, got_post = fk.homodyne_fock(st, mode, theta, seed)
+                assert got == out
+                np.testing.assert_allclose(got_post.amps, post, atol=1e-12)
+
     def test_photon_count_poisson(self):
         rng = np.random.default_rng(37)
         st = fk.coherent_fock(1.0, cutoff=30)
