@@ -517,7 +517,7 @@ class _Run:
         self.gone = set()
         self.seed, self.rng = seed, g.as_rng(seed)
         self.outcomes, self.reports = [], []
-        self.measured = {}      # outcome id -> what a later ff needs
+        self.measured = {}      # outcome id -> (mode, theta, value); fock: value
         self.wall = None        # a block's own time, when it keeps one
 
     def __getitem__(self, name):
@@ -552,17 +552,20 @@ def _hom_gaussian(r, a):
     x_t += gx * q, p_t += gp * q, applied with gaussian.apply_local.
     Reported moments are therefore the channel output, independent of
     the sampled outcomes (which are logged for reproducibility only).
+    Each outcome is drawn conditioned on the earlier ones, whose frozen
+    quadratures are still in the state, so outcomes follow their joint
+    distribution.
     """
     k = r[a[0]]
-    value = g.sample_quadrature(r.state, k, a[1], r.rng)
-    r.measured[a[2]] = (k, a[1])
+    value = g.sample_quadrature(r.state, k, a[1], r.rng, r.measured.values())
+    r.measured[a[2]] = (k, a[1], value)
     r.gone.add(a[0])
     r.outcomes.append({"id": a[2], "value": value})
     return r.state
 
 
 def _ff_gaussian(r, a):
-    k, theta = r.measured[a[0]]
+    k, theta, _ = r.measured[a[0]]
     ff = g.feedforward_matrix(2, 1, 0, theta, a[2], a[3])
     return g.apply_local(r.state, (k, r[a[1]]), ff)
 
@@ -778,8 +781,12 @@ def validate(program: CircuitProgram, backend: str) -> list:
     errors = []
     for ins in program.instructions:
         op = _OPS[ins.op]
-        messages = (op.check(ins.args, backend, program.modes)
-                    if getattr(op, backend) else [op.unsupported])
+        if not program.modes and op.entries is None:
+            messages = ["no mode declared"]
+        elif getattr(op, backend):
+            messages = op.check(ins.args, backend, program.modes)
+        else:
+            messages = [op.unsupported]
         errors += [ValidationError(ins.line, ins.column, m) for m in messages]
     return errors
 
@@ -799,8 +806,6 @@ def run(program: CircuitProgram, backend: str, seed: int,
     r = _Run(program, backend, seed, cutoff)
     for ins in program.instructions:
         op = _OPS[ins.op]
-        if r.state is None and op.entries is None:
-            break                   # no mode declared: nothing to act on
         try:
             r.state = getattr(op, backend)(r, ins.args)
         except ValueError as exc:

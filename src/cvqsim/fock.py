@@ -404,18 +404,6 @@ def homodyne_fock(state: FockState, mode: int, theta: float, rng_seed,
     return outcome, FockState(_renormalized(projected))
 
 
-def photon_count(state: FockState, mode: int, rng_seed) -> tuple[int, FockState]:
-    """Photon-number measurement of one mode (destructive: mode removed)."""
-    _check_mode(state, mode)
-    rng = as_rng(rng_seed)
-    prob = np.abs(state.amps) ** 2
-    marg = np.sum(prob, axis=tuple(i for i in range(state.n_modes) if i != mode))
-    marg = marg / marg.sum()
-    n = int(rng.choice(state.cutoff, p=marg))
-    projected = np.take(state.amps, n, axis=mode)
-    return n, FockState(_renormalized(projected))
-
-
 # ---------------------------------------------------------------------------
 # Observables
 

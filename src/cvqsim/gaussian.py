@@ -17,13 +17,15 @@ Conventions used throughout the package:
 
 All operations are pure functions: they return a new GaussianState and
 never mutate their argument.  Every linear update of the moments, for
-gates, feedforward and the teleportation gadgets alike, goes through
-apply_local, with feedforward blocks built by feedforward_matrix.
-apply_local rewrites only the touched rows and columns and symmetrizes
-only the touched block, and loss and homodyne conditioning update the
-covariance by symmetric expressions, so covariances are symmetric by
-construction.  Every homodyne outcome, in this module, the loop and the
-DSL, is drawn by sample_quadrature, which rejects a zero-variance
+gates, loss, feedforward and the teleportation gadgets alike, goes
+through apply_local, with feedforward blocks built by
+feedforward_matrix; loss then adds its vacuum noise to the mode's two
+variances.  apply_local rewrites only the touched rows and columns and
+symmetrizes only the touched block, and homodyne conditioning updates
+the covariance by a symmetric expression, so covariances are symmetric
+by construction.  Every homodyne outcome, in this module, telegates,
+the loop and the DSL, is drawn by sample_quadrature, conditioned on the
+run's earlier outcomes; it rejects a zero-variance or non-finite
 quadrature.
 """
 
@@ -221,21 +223,15 @@ def displace(state: GaussianState, mode: int, dx: float, dp: float) -> GaussianS
 def loss(state: GaussianState, mode: int, eta: float) -> GaussianState:
     """Pure-loss channel of transmission eta on one mode.
 
-    Mean scales by sqrt(eta); the mode's covariance block contracts
-    toward the vacuum: V -> eta V + (1 - eta)/2 I, with cross blocks
-    scaled by sqrt(eta).
+    The mode's quadratures scale by sqrt(eta) (apply_local), then the
+    vacuum noise (1 - eta)/2 is added to its two variances.
     """
-    _check_mode(state, mode)
     if not 0.0 <= eta <= 1.0:
         raise ValueError("transmission must lie in [0, 1]")
-    n = state.n_modes
-    scale = np.ones(2 * n)
-    scale[2 * mode] = scale[2 * mode + 1] = np.sqrt(eta)
-    mean = state.mean * np.where(np.arange(2 * n) // 2 == mode, np.sqrt(eta), 1.0)
-    cov = state.cov * np.outer(scale, scale)
-    cov[2 * mode, 2 * mode] += (1.0 - eta) * VACUUM_VAR
-    cov[2 * mode + 1, 2 * mode + 1] += (1.0 - eta) * VACUUM_VAR
-    return GaussianState(mean, cov)
+    out = apply_local(state, (mode,), np.sqrt(eta) * np.eye(2))
+    q = [2 * mode, 2 * mode + 1]
+    out.cov[q, q] += (1.0 - eta) * VACUUM_VAR
+    return out
 
 
 def quadrature_row(n_modes: int, mode: int, theta: float) -> np.ndarray:
@@ -246,13 +242,34 @@ def quadrature_row(n_modes: int, mode: int, theta: float) -> np.ndarray:
     return c
 
 
-def _measured_quadrature(state: GaussianState, mode: int, theta: float):
+def _quadrature_moments(state: GaussianState, mode: int, theta: float,
+                        given=()) -> tuple[float, float]:
+    """Mean and variance of cos(theta) x + sin(theta) p of one mode,
+    conditioned on the earlier outcomes `given` (see sample_quadrature).
+
+    The marginal is quad_stats of the full-width row; the conditioning
+    reads only the measured modes' 2 x 2 blocks.  A non-finite or
+    (numerically) zero variance raises ValueError.
+    """
     _check_mode(state, mode)
-    c = quadrature_row(state.n_modes, mode, theta)
-    mu_q, var_q = quad_stats(state, c)
-    if var_q <= 1e-30:
+    mu, var = quad_stats(state, quadrature_row(state.n_modes, mode, theta))
+    if given:
+        given = list(given)
+        modes = [m for m, _, _ in given] + [mode]
+        idx = [q for m in modes for q in (2 * m, 2 * m + 1)]
+        rows = np.zeros((len(modes), len(idx)))
+        for k, t in enumerate([t for _, t, _ in given] + [theta]):
+            rows[k, 2 * k:2 * k + 2] = np.cos(t), np.sin(t)
+        cov = rows @ state.cov[np.ix_(idx, idx)] @ rows.T
+        gain = np.linalg.solve(cov[:-1, :-1], cov[:-1, -1])
+        seen = np.array([v for _, _, v in given]) - rows[:-1] @ state.mean[idx]
+        mu += float(gain @ seen)
+        var -= float(gain @ cov[:-1, -1])
+    if not (np.isfinite(mu) and np.isfinite(var)):
+        raise ValueError("measured quadrature has a non-finite mean or variance")
+    if var <= 1e-30:
         raise ValueError("measured quadrature has (numerically) zero variance")
-    return c, mu_q, var_q
+    return mu, var
 
 
 def homodyne(state: GaussianState, mode: int, theta: float,
@@ -277,21 +294,27 @@ def homodyne(state: GaussianState, mode: int, theta: float,
 
 
 def sample_quadrature(state: GaussianState, mode: int, theta: float,
-                      rng) -> float:
+                      rng, given=()) -> float:
     """Draw one homodyne outcome of cos(theta) x + sin(theta) p of a mode.
 
-    One normal draw from the exact marginal; the state is left as it is.
-    A (numerically) zero-variance quadrature raises ValueError, since a
-    draw would only return its mean.
+    `given` lists a run's earlier outcomes as (mode, theta, value) whose
+    quadratures are still in the state, unchanged: a homodyne that
+    freezes its quadrature instead of collapsing the state.  The draw is
+    conditioned on them, so a run's outcomes follow their joint normal
+    distribution; with nothing given it is one draw from the marginal.
+    The state is left as it is.  A non-finite or (numerically) zero
+    variance raises ValueError, since a draw would be meaningless or
+    only return the mean.
     """
-    _, mu_q, var_q = _measured_quadrature(state, mode, theta)
-    return float(as_rng(rng).normal(mu_q, np.sqrt(var_q)))
+    mu, var = _quadrature_moments(state, mode, theta, given)
+    return float(as_rng(rng).normal(mu, np.sqrt(var)))
 
 
 def condition_on_outcome(state: GaussianState, mode: int, theta: float,
                          outcome: float) -> GaussianState:
     """Like homodyne, but condition on a given outcome instead of sampling."""
-    c, mu_q, var_q = _measured_quadrature(state, mode, theta)
+    mu_q, var_q = _quadrature_moments(state, mode, theta)
+    c = quadrature_row(state.n_modes, mode, theta)
     keep = [i for i in range(2 * state.n_modes) if i // 2 != mode]
     cross = state.cov[keep] @ c  # Cov(R, q) for every kept quadrature R
     mean = state.mean[keep] + cross * ((outcome - mu_q) / var_q)
@@ -310,15 +333,6 @@ def purity(state: GaussianState) -> float:
     n = state.n_modes
     det = np.linalg.det(state.cov)
     return float(1.0 / (2.0 ** n * np.sqrt(det)))
-
-
-def symplectic_eigenvalues(state: GaussianState) -> np.ndarray:
-    """Williamson eigenvalues of the covariance, each >= 1/2 for physical states."""
-    omega = symplectic_form(state.n_modes)
-    eigs = np.linalg.eigvals(1j * omega @ state.cov)
-    nu = np.sort(np.abs(eigs.real + 1j * eigs.imag))
-    # eigenvalues come in +/- pairs; keep one of each
-    return nu[::2] if state.n_modes else nu
 
 
 def is_pure(state: GaussianState, tol: float = 1e-9) -> bool:
@@ -380,19 +394,6 @@ def remove_modes(state: GaussianState, modes) -> GaussianState:
     return GaussianState(state.mean[keep], state.cov[np.ix_(keep, keep)])
 
 
-def append_vacuum(state: GaussianState, n_new: int) -> GaussianState:
-    """Append n_new vacuum modes after the existing ones."""
-    if n_new < 0:
-        raise ValueError("n_new must be >= 0")
-    if n_new == 0:
-        return state
-    n = state.n_modes
-    mean = np.concatenate([state.mean, np.zeros(2 * n_new)])
-    cov = np.eye(2 * (n + n_new)) * VACUUM_VAR
-    cov[: 2 * n, : 2 * n] = state.cov
-    return GaussianState(mean, cov)
-
-
 def tensor(a: GaussianState, b: GaussianState) -> GaussianState:
     """Product state of two uncorrelated states, modes of `a` first."""
     na, nb = 2 * a.n_modes, 2 * b.n_modes
@@ -413,10 +414,6 @@ def squeezing_db_to_r(db: float) -> float:
     dB = 10 log10(Var_vac / Var_squeezed) = (20 / ln 10) r.
     """
     return db * np.log(10.0) / 20.0
-
-
-def r_to_squeezing_db(r: float) -> float:
-    return r * 20.0 / np.log(10.0)
 
 
 def as_rng(rng_seed) -> np.random.Generator:

@@ -4,9 +4,9 @@ A logical |j> lives on the x-lattice sqrt(pi)*(2s+j).  The finite-energy
 approximation used here is the standard peak-sum form: x-squeezed peaks
 of width delta at the lattice sites, weighted by a Gaussian envelope
 exp(-delta^2 mu^2 / 2).  Logical X and Z are quadrature displacements by
-sqrt(pi); error correction is a classical rounding decision on a
-homodyne record, with ties at half-spacing resolved toward the even
-sublattice so results are deterministic.
+sqrt(pi).  Error correction is a classical rounding decision on a
+homodyne record (monte_carlo_error_prob), with ties at half-spacing
+resolved toward the even sublattice so results are deterministic.
 """
 
 from __future__ import annotations
@@ -39,14 +39,6 @@ class GkpParams:
             raise ValueError("delta must be positive")
         if self.cutoff < 8:
             raise ValueError("cutoff too small for a lattice state")
-
-
-@dataclass(frozen=True)
-class CorrectionOutcome:
-    measured: float
-    correction: float
-    residual: float
-    logical_flip: bool
 
 
 @lru_cache(maxsize=64)
@@ -136,14 +128,6 @@ def synthesis_leakage(j: int, params: GkpParams) -> float:
     return float(np.sum(np.abs(amps[params.cutoff:]) ** 2))
 
 
-def logical_pauli(state: FockState, which: str) -> FockState:
-    if which == "X":
-        return fock.displace_fock(state, 0, ROOT_PI, 0.0)
-    if which == "Z":
-        return fock.displace_fock(state, 0, 0.0, ROOT_PI)
-    raise ValueError("which must be 'X' or 'Z'")
-
-
 def x_density(state: FockState, xs: np.ndarray) -> np.ndarray:
     return np.abs(fock.quadrature_wavefunction(state, xs)) ** 2
 
@@ -159,21 +143,6 @@ def lattice_mass(state: FockState, window: float = ROOT_PI / 4.0,
     total = np.trapezoid(dens, xs)
     near = np.trapezoid(np.where(dist <= window, dens, 0.0), xs)
     return float(near / total)
-
-
-def correct_shift(measured: float) -> CorrectionOutcome:
-    """Classical rounding decision for modular-x error correction.
-
-    Ties at half-spacing round toward the even sublattice (banker's
-    rounding on the lattice index), so the decision is deterministic.
-    """
-    k = round(measured / ROOT_PI)
-    correction = -k * ROOT_PI
-    residual = measured + correction
-    return CorrectionOutcome(measured=float(measured),
-                             correction=float(correction),
-                             residual=float(residual),
-                             logical_flip=bool(k % 2))
 
 
 def logical_error_prob(sigma: float) -> float:
@@ -215,10 +184,6 @@ def squeezing_db_of(delta: float) -> float:
     if delta <= 0:
         raise ValueError("delta must be positive")
     return -20.0 * math.log10(delta)
-
-
-def delta_of_squeezing_db(db: float) -> float:
-    return 10.0 ** (-db / 20.0)
 
 
 def threshold_margin(delta: float) -> float:

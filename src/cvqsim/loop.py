@@ -14,13 +14,16 @@ measurement-induced gates.
 Measurement semantics match the teleportation gates module: a homodyne
 plus its declared feedforward gains defines a deterministic affine
 channel, so the engine freezes the measured quadrature as a classical
-record, applies feedforward as an exact row operation, and traces the
-measured pulse out at the end.  Outcomes are still sampled for the log.
+record, applies feedforward as an exact row operation
+(gaussian.feedforward_matrix through apply_local), and traces the
+measured pulse out at the end.  Outcomes are still sampled for the log,
+each conditioned on the earlier ones (gaussian.sample_quadrature), so a
+run's outcomes follow their joint distribution.  The squeeze_tele gate
+takes its settings from telegates.squeeze_gadget.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -28,6 +31,7 @@ import numpy as np
 
 from . import gaussian as g
 from .gaussian import as_rng
+from .telegates import squeeze_gadget
 
 
 class LoopScheduleError(RuntimeError):
@@ -86,17 +90,6 @@ class LoopRunLog:
     inner_slots: dict
     survivors: list
 
-    def outcomes_jsonl(self) -> str:
-        return "\n".join(json.dumps(entry) for entry in self.outcomes)
-
-
-def _normalize_ff(ff):
-    if ff is None:
-        return []
-    if isinstance(ff, (list, tuple)) and ff and isinstance(ff[0], (list, tuple)):
-        return [tuple(entry) for entry in ff]
-    return [tuple(ff)]
-
 
 def simulate(config: LoopConfig, program: LoopProgram,
              input_state: g.GaussianState, rng_seed=0):
@@ -128,9 +121,8 @@ def simulate(config: LoopConfig, program: LoopProgram,
             raise ValueError(f"homodyne at slot {step.slot} needs an outcome id")
         if step.outcome_id is not None and step.outcome_id not in declared:
             raise ValueError(f"undeclared outcome id {step.outcome_id!r}")
-        for src, _, _, _ in _normalize_ff(step.ff):
-            if src not in declared:
-                raise ValueError(f"feedforward references unknown id {src!r}")
+        if step.ff is not None and step.ff[0] not in declared:
+            raise ValueError(f"feedforward references unknown id {step.ff[0]!r}")
 
     rng = as_rng(rng_seed)
     st = input_state
@@ -138,6 +130,7 @@ def simulate(config: LoopConfig, program: LoopProgram,
     inner = None
     seen = [False] * length
     measured = {}                     # outcome id -> (pulse, basis)
+    given = []                        # (pulse, basis, value) per homodyne
     consumed = [False] * length
     emitted = [False] * length
     pending = {}                      # target slot -> [(src, gx, gp)]
@@ -195,15 +188,17 @@ def simulate(config: LoopConfig, program: LoopProgram,
                     raise LoopScheduleError(
                         f"slot {t}: homodyne addresses a consumed slot")
                 theta = step.homodyne
-                value = g.sample_quadrature(st, pulse, theta, rng)
+                value = g.sample_quadrature(st, pulse, theta, rng, given)
                 measured[step.outcome_id] = (pulse, theta)
+                given.append((pulse, theta, value))
                 consumed[pulse] = True
                 outcomes.append({"id": step.outcome_id, "slot": t,
                                  "pulse": pulse, "basis": theta,
                                  "outcome": value})
                 outer[s] = None
                 pulse = None
-            for src, gx, gp, target in _normalize_ff(step.ff):
+            if step.ff is not None:
+                src, gx, gp, target = step.ff
                 if src not in measured:
                     raise LoopScheduleError(
                         f"slot {t}: feedforward from unmeasured {src!r}")
@@ -291,20 +286,11 @@ def compile_gates(config: LoopConfig, gates) -> LoopProgram:
         elif kind == "squeeze_tele":
             _, i, y, r_anc = gate
             _check_slot(i, length)
-            if y <= 0:
-                raise ValueError("squeeze factor must be positive")
+            t_bs, orientation, theta, gains = squeeze_gadget(y)
             if next_anc >= length:
                 raise LoopScheduleError("out of ancilla slots")
             anc = next_anc
             next_anc += 1
-            if y < 1.0:
-                t_bs = y * y
-                orientation, theta = "x", math.pi / 2
-                gains = (0.0, -math.sqrt((1 - t_bs) / t_bs))
-            else:
-                t_bs = 1.0 / (y * y)
-                orientation, theta = "p", 0.0
-                gains = (-math.sqrt((1 - t_bs) / t_bs), 0.0)
             ancilla_prep.append((anc, orientation))
             if y == 1.0:
                 continue
@@ -330,35 +316,6 @@ def compile_gates(config: LoopConfig, gates) -> LoopProgram:
 def _check_slot(i: int, length: int):
     if not 0 <= i < length:
         raise ValueError(f"slot {i} out of range for loop of length {length}")
-
-
-def teleport_program(config: LoopConfig) -> LoopProgram:
-    """Teleport the pulse in slot 0 through EPR-entangled slots 1 and 2.
-
-    Expects slot 1 x-squeezed and slot 2 p-squeezed in the input state.
-    The output appears in slot 2 with the standard unit-gain noise.
-    """
-    if config.length < 3:
-        raise ValueError("teleportation needs three slots")
-    length = config.length
-    root2 = math.sqrt(2.0)
-    steps = []
-    t1 = 1                                      # EPR: bs(1, 2, 0.5)
-    steps.append(ScheduleStep(slot=t1, vbs_T=0.0))
-    steps.append(ScheduleStep(slot=t1 + 1, vbs_T=0.5))
-    steps.append(ScheduleStep(slot=t1 + length, vbs_T=0.0))
-    t2 = _next_arrival(0, t1 + length + 1, length)   # Bell: bs(0, 1, 0.5)
-    steps.append(ScheduleStep(slot=t2, vbs_T=0.0))
-    steps.append(ScheduleStep(slot=t2 + 1, vbs_T=0.5))
-    steps.append(ScheduleStep(slot=t2 + length, vbs_T=0.0))
-    t3 = _next_arrival(1, t2 + length + 1, length)
-    steps.append(ScheduleStep(slot=t3, homodyne=0.0, outcome_id="mx"))
-    t4 = _next_arrival(0, t3 + 1, length)
-    steps.append(ScheduleStep(slot=t4, homodyne=math.pi / 2, outcome_id="mp",
-                              ff=((("mx", -root2, 0.0, 2),
-                                   ("mp", 0.0, root2, 2)))))
-    return LoopProgram(steps=tuple(steps), outcome_ids=("mx", "mp"),
-                       ancilla_prep=((1, "x"), (2, "p")))
 
 
 # ---------------------------------------------------------------------------

@@ -24,10 +24,10 @@ fresh-pulse part.  Memory is therefore constant in the number of
 pulses, and all reported variances are exact.
 
 After a few slots the delay-line covariance reaches a fixed point and
-every later slot repeats the same variances.  Without a sink and without
-capture those slots are credited to the accumulators in closed form, so
-a run costs O(transient) whatever the number of pulses; with per-slot
-records requested it costs O(n_pulses), one record per slot.
+every later slot repeats the same variances.  Those slots are credited
+to the accumulators in closed form, so a run costs O(transient)
+whatever the number of pulses; with a sink, which receives one record
+per slot, it costs O(n_pulses).
 """
 
 from __future__ import annotations
@@ -313,7 +313,6 @@ class StreamStats:
     slots_simulated: int
     steady_at_slot: int | None
     wall_time_s: float
-    per_slot: list | None = None
 
     def ratios(self) -> dict:
         """Steady-state variance normalized by the vacuum value per form."""
@@ -371,8 +370,12 @@ def _form_vectors(spec, forms, m):
     return out
 
 
-def _stream(spec: NetworkSpec, n_slots: int, sink=None, loss=None,
-            capture: bool = False) -> StreamStats:
+def _stream(spec: NetworkSpec, n_slots: int, sink=None,
+            loss=None) -> StreamStats:
+    """Stream n_slots slots of spec.  A sink, when given, receives one
+    record {"slot", "boundary", "forms"} per slot; loss is a transmission
+    applied to every form (a form of vacuum variance v becomes
+    eta var + (1 - eta) v)."""
     if loss is not None and not 0.0 < loss <= 1.0:
         raise ValueError("loss transmission must be in (0, 1]")
     start = time.perf_counter()
@@ -391,7 +394,6 @@ def _stream(spec: NetworkSpec, n_slots: int, sink=None, loss=None,
     vacuum = {f.name: f.vacuum_var for f in forms}
     expected = {f.name: f.expected_var for f in forms}
     eta = 1.0 if loss is None else loss
-    captured = [] if capture else None
 
     v_w = 0.5 * np.eye(2 * spec.n_delay_slots)
     n_eval = max(0, n_slots - max_support)
@@ -399,11 +401,8 @@ def _stream(spec: NetworkSpec, n_slots: int, sink=None, loss=None,
     steady_at = None
 
     def emit(k, boundary, vals):
-        record = {"slot": k, "boundary": boundary, "forms": dict(vals)}
-        if captured is not None:
-            captured.append(record)
         if sink is not None:
-            sink(record)
+            sink({"slot": k, "boundary": boundary, "forms": dict(vals)})
 
     # Transient: step the delay-line covariance until it is a fixed point.
     for k in range(n_eval):
@@ -431,7 +430,7 @@ def _stream(spec: NetworkSpec, n_slots: int, sink=None, loss=None,
         rest = range(steady_at + 1, n_eval)
         for name, var in vals.items():
             stats[name].update_repeated(var, len(rest))
-        if sink is not None or captured is not None:
+        if sink is not None:
             for k in rest:
                 emit(k, False, vals)
 
@@ -445,26 +444,22 @@ def _stream(spec: NetworkSpec, n_slots: int, sink=None, loss=None,
         slots_simulated=n_eval if steady_at is None else steady_at + 1,
         steady_at_slot=steady_at,
         wall_time_s=time.perf_counter() - start,
-        per_slot=captured,
     )
 
 
-def stream_1d(n_pulses: int, r: float, sink=None, loss=None,
-              capture: bool = False) -> StreamStats:
+def stream_1d(n_pulses: int, r: float, sink=None, loss=None) -> StreamStats:
     """Stream the 1D chain for n_pulses slots; see _stream for semantics."""
     if n_pulses < 2:
         raise ValueError("need at least 2 pulses")
-    return _stream(network_1d(r), n_pulses, sink=sink, loss=loss,
-                   capture=capture)
+    return _stream(network_1d(r), n_pulses, sink=sink, loss=loss)
 
 
-def stream_2d(n_steps: int, width: int, r: float, sink=None, loss=None,
-              capture: bool = False) -> StreamStats:
+def stream_2d(n_steps: int, width: int, r: float, sink=None,
+              loss=None) -> StreamStats:
     """Stream the 2D lattice: n_steps rows of `width` sites."""
     if n_steps < 2:
         raise ValueError("need at least 2 steps")
-    return _stream(network_2d(r, width), n_steps, sink=sink, loss=loss,
-                   capture=capture)
+    return _stream(network_2d(r, width), n_steps, sink=sink, loss=loss)
 
 
 def emitted_covariance(spec: NetworkSpec, n_slots: int):

@@ -5,9 +5,11 @@ Three gadgets are provided:
 * `teleport`: the two-ancilla EPR teleporter with homodyne Bell
   measurement and displacement feedforward, on the Gaussian backend.
 * `tele_squeeze`: single-ancilla measurement-induced squeezing, one
-  beam splitter + one homodyne + one feedforward displacement.
-* `tele_cubic` / `teleport_fock`: gate teleportation of the cubic phase
-  gate (and its gamma = 0 identity case) on the Fock backend.
+  beam splitter + one homodyne + one feedforward displacement.  Its
+  settings come from `squeeze_gadget`, which the loop compiler uses for
+  its squeeze_tele gate too.
+* `tele_cubic`: gate teleportation of the cubic phase gate on the Fock
+  backend; gamma = 0 is identity teleportation.
 
 Semantics. A homodyne-plus-feedforward gadget defines a deterministic
 channel: completing each measured quadrature with its feedforward term
@@ -16,8 +18,9 @@ the output state is obtained by propagating moments through that map
 and discarding the measured modes.  The Gaussian gadgets here return
 exactly that channel output, which is why the unit-gain teleporter adds
 exactly exp(-2 r) of variance per quadrature with no dependence on the
-measurement record.  Homodyne outcomes are still sampled (from the true
-pre-feedforward joint) and reported for traceability.
+measurement record.  Homodyne outcomes are still sampled, each by
+gaussian.sample_quadrature conditioned on the readings before it (the
+true pre-feedforward joint), and reported for traceability.
 
 On the Fock backend the same completion is applied algebraically before
 any state is built: at unit gain the teleporter's output operators are
@@ -100,7 +103,7 @@ def teleport(state: g.GaussianState, r_anc: float, gain: float = 1.0,
         raise ValueError("gain must lie in [0, 2]")
     rng = as_rng(rng_seed)
 
-    prep = g.append_vacuum(state, 2)
+    prep = g.tensor(state, g.vacuum(2))
     prep = g.squeeze(prep, 1, r_anc)
     prep = g.squeeze(prep, 2, -r_anc)
     prep = g.beam_splitter(prep, 1, 2, 0.5)
@@ -108,8 +111,8 @@ def teleport(state: g.GaussianState, r_anc: float, gain: float = 1.0,
     # sampled Bell readings (for the report only; the channel output is
     # outcome-independent at any fixed gain)
     work = g.beam_splitter(prep, 0, 1, 0.5)
-    m_x, work = g.homodyne(work, 1, 0.0, rng)
-    m_p, _ = g.homodyne(work, 0, np.pi / 2, rng)
+    m_x = g.sample_quadrature(work, 1, 0.0, rng)
+    m_p = g.sample_quadrature(work, 0, np.pi / 2, rng, [(1, 0.0, m_x)])
 
     # complete the measured quadratures with their feedforward terms:
     # x_B picks up -sqrt2 g m_x, p_B picks up +sqrt2 g m_p.  The map is
@@ -135,48 +138,53 @@ def teleport(state: g.GaussianState, r_anc: float, gain: float = 1.0,
     )
 
 
+def squeeze_gadget(y: float) -> tuple:
+    """Settings of the measurement-induced squeezing gate S(y).
+
+    Returns (transmissivity T, ancilla orientation, measured angle,
+    (gx, gp)).  For y < 1 the input meets an x-squeezed ancilla on a
+    beam splitter of transmissivity y^2 and the reflected arm is
+    measured in p; otherwise the ancilla is p-squeezed, T = 1/y^2 and
+    the measurement is in x.  The feedforward gain -sqrt((1-T)/T)
+    cancels the input contribution in the measured quadrature exactly,
+    leaving exp(-2 r_anc)-suppressed ancilla noise in the conjugate one
+    only.
+    """
+    if y <= 0:
+        raise ValueError("squeeze factor y must be positive")
+    if y < 1.0:
+        transmissivity = y * y
+        ff = -math.sqrt((1.0 - transmissivity) / transmissivity)
+        return transmissivity, "x", math.pi / 2, (0.0, ff)
+    transmissivity = 1.0 / (y * y)
+    ff = -math.sqrt((1.0 - transmissivity) / transmissivity)
+    return transmissivity, "p", 0.0, (ff, 0.0)
+
+
 def tele_squeeze(state: g.GaussianState, y: float, r_anc: float,
                  rng_seed=0) -> TeleReport:
     """Measurement-induced squeezing gate S(y): x -> y x, p -> p / y.
 
-    For y < 1 the input meets an x-squeezed ancilla on a beam splitter
-    of transmissivity y^2 and the reflected arm is measured in p; for
-    y > 1 the ancilla is p-squeezed, the transmissivity is 1/y^2 and the
-    measurement is in x.  The feedforward gain -sqrt((1-T)/T) cancels
-    the input contribution in the measured quadrature exactly, leaving
-    exp(-2 r_anc)-suppressed ancilla noise in the conjugate one only.
-    y = 1 bypasses the gadget.
+    One ancilla, one beam splitter, one homodyne and one feedforward
+    displacement, set by squeeze_gadget(y).  y = 1 bypasses the gadget.
     """
     if state.n_modes != 1:
         raise ValueError("tele_squeeze expects a single-mode input")
-    if y <= 0:
-        raise ValueError("squeeze factor y must be positive")
+    transmissivity, orientation, theta, (gx, gp) = squeeze_gadget(y)
     if y == 1.0:
         return TeleReport(output=state, outcomes=[], gain=0.0,
                           added_noise_x=0.0, added_noise_p=0.0,
                           fidelity_vs_ideal=1.0)
     ideal = g.squeeze(state, 0, -math.log(y))
-    rng = as_rng(rng_seed)
 
-    if y < 1.0:
-        transmissivity = y * y
-        anc_r = r_anc          # x-squeezed ancilla
-        theta = np.pi / 2      # measure p
-    else:
-        transmissivity = 1.0 / (y * y)
-        anc_r = -r_anc         # p-squeezed ancilla
-        theta = 0.0            # measure x
-    ff = -math.sqrt((1.0 - transmissivity) / transmissivity)
-
-    prep = g.append_vacuum(state, 1)
-    prep = g.squeeze(prep, 1, anc_r)
+    prep = g.tensor(state, g.vacuum(1))
+    prep = g.squeeze(prep, 1, r_anc if orientation == "x" else -r_anc)
 
     work = g.beam_splitter(prep, 0, 1, transmissivity)
-    m, _ = g.homodyne(work, 1, theta, rng)
+    m = g.sample_quadrature(work, 1, theta, rng_seed)
 
     # complete the output quadrature of the measured basis with the
     # reading; compose first, for the same precision reason as in teleport
-    gx, gp = (0.0, ff) if y < 1.0 else (ff, 0.0)
     total = (g.feedforward_matrix(2, 0, 1, theta, gx, gp)
              @ g.beamsplitter_matrix(transmissivity))
     out = g.remove_modes(g.apply_local(prep, (0, 1), total), (1,))
@@ -184,7 +192,7 @@ def tele_squeeze(state: g.GaussianState, y: float, r_anc: float,
     return TeleReport(
         output=out,
         outcomes=[m],
-        gain=ff,
+        gain=gx + gp,          # the one nonzero gain
         added_noise_x=float(out.cov[0, 0] - ideal.cov[0, 0]),
         added_noise_p=float(out.cov[1, 1] - ideal.cov[1, 1]),
         fidelity_vs_ideal=g.fidelity(ideal, out),
@@ -193,34 +201,6 @@ def tele_squeeze(state: g.GaussianState, y: float, r_anc: float,
 
 # ---------------------------------------------------------------------------
 # Fock backend
-
-
-def cubic_ancilla(gamma: float, r_env: float,
-                  cutoff: int = fk.DEFAULT_CUTOFF,
-                  leakage_budget: float | None = fk.DEFAULT_LEAKAGE_BUDGET
-                  ) -> fk.FockState:
-    """Resource state exp(i gamma x^3) |x-antisqueezed vacuum, r_env>.
-
-    Approximates exp(i gamma x^3)|p=0> as r_env grows.  The phase
-    profile multiplies the position wavefunction, so x-moments are those
-    of the envelope while the p distribution skews with gamma.
-
-    Raises:
-        LeakageError: the combination of envelope width and cubic
-            strength does not fit in the cutoff (pass leakage_budget=None
-            to build the clipped state anyway and inspect .leakage()).
-    """
-    if r_env <= 0:
-        raise ValueError("r_env must be positive")
-    if abs(gamma) > MAX_CUBIC_GAMMA:
-        raise ValueError(f"|gamma| must be <= {MAX_CUBIC_GAMMA}")
-    anc = fk.squeezed_vacuum_fock(-r_env, cutoff)  # Var(x) = e^{+2 r}/2
-    if gamma != 0.0:
-        anc = fk.apply_cubic(anc, 0, gamma, leakage_budget=leakage_budget)
-    elif leakage_budget is not None and anc.leakage() > leakage_budget:
-        raise fk.LeakageError(
-            f"ancilla leakage {anc.leakage():.3e} exceeds {leakage_budget:.1e}")
-    return anc
 
 
 def _bell_reading_stats(state: fk.FockState, r_env: float):
@@ -253,7 +233,7 @@ def tele_cubic(state: fk.FockState, gamma: float, r_env: float,
     so the cutoff requirement is set by the input, not the resource.
 
     As r_env grows the output converges to apply_cubic of the input;
-    gamma = 0 is identity teleportation (see teleport_fock).
+    gamma = 0 is identity teleportation.
 
     Raises:
         FeedforwardRangeError: the outcome-dependent shear coefficient
@@ -303,11 +283,6 @@ def tele_cubic(state: fk.FockState, gamma: float, r_env: float,
         fidelity_vs_ideal=fk.fidelity_fock(ideal, out),
         leakage=leak,
     )
-
-
-def teleport_fock(state: fk.FockState, r_env: float, rng_seed=0) -> TeleReport:
-    """Identity gate teleportation on the Fock backend (gamma = 0 case)."""
-    return tele_cubic(state, 0.0, r_env, rng_seed)
 
 
 def channel_fidelity(state: fk.FockState, gamma: float, r_env: float,

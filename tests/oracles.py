@@ -108,14 +108,6 @@ def overlap_wigner_grid(a: g.GaussianState, b: g.GaussianState,
     return float(2 * np.pi * np.sum(wig(a) * wig(b)) * dx * dx)
 
 
-def quadrature_matrices(cutoff: int):
-    """Dense x and p operators in the number basis, vacuum variance 1/2."""
-    lower = np.diag(np.sqrt(np.arange(1, cutoff)), 1)
-    x = (lower + lower.T) / np.sqrt(2)
-    p = 1j * (lower.T - lower) / np.sqrt(2)
-    return x, p
-
-
 def expm_unitary(gen: np.ndarray) -> np.ndarray:
     """exp(gen) of an anti-Hermitian generator by Pade scaling and squaring."""
     return scipy.linalg.expm(gen)
@@ -180,17 +172,6 @@ def homodyne_fock_full_pdf(state, mode: int, theta: float, rng_seed):
     post = np.tensordot(psi[:, idx], np.moveaxis(work.amps, mode, 0),
                         axes=([0], [0]))
     return float(xs[idx]), post / np.linalg.norm(post), pdf, xs
-
-
-def central_moment(amps: np.ndarray, op: np.ndarray, k: int) -> float:
-    """k-th central moment of a single-mode operator for a pure state."""
-    vec = np.asarray(amps).ravel()
-    mu = np.real(vec.conj() @ op @ vec)
-    shifted = op - mu * np.eye(op.shape[0])
-    acc = vec.copy()
-    for _ in range(k):
-        acc = shifted @ acc
-    return float(np.real(vec.conj() @ acc))
 
 
 def dense_network_run(stages, n_arms: int, n_slots: int, squeezers,
@@ -260,7 +241,10 @@ def dsl_gaussian_dense(program, seed):
     Every gate is an embedded whole-state matrix applied with
     apply_dense, loss is a dense contraction plus vacuum noise, a
     homodyne freezes its full-width quadrature row, and ff applies the
-    whole-state operator I + rows: x_t += gx c, p_t += gp c.  Returns
+    whole-state operator I + rows: x_t += gx c, p_t += gp c.  Each
+    homodyne outcome is drawn from the normal law of its row given the
+    earlier frozen rows at their recorded values (dense Gaussian
+    conditioning), so outcomes follow their joint distribution.  Returns
     (outcomes, reports) in the runner's format; fidelity reports are
     left out.
     """
@@ -298,8 +282,15 @@ def dsl_gaussian_dense(program, seed):
             k = index[a[0]]
             c = np.zeros(2 * n)
             c[2 * k], c[2 * k + 1] = np.cos(a[1]), np.sin(a[1])
-            var = c @ st.cov @ c
-            value = float(rng.normal(c @ st.mean, np.sqrt(max(var, 0.0))))
+            mu, var = c @ st.mean, c @ st.cov @ c
+            if rows:
+                f = np.array(list(rows.values()))
+                seen = np.array([o["value"] for o in outcomes])
+                cross = f @ st.cov @ c
+                gain = np.linalg.solve(f @ st.cov @ f.T, cross)
+                mu += gain @ (seen - f @ st.mean)
+                var -= gain @ cross
+            value = float(rng.normal(mu, np.sqrt(max(var, 0.0))))
             rows[a[2]] = c
             frozen.add(k)
             outcomes.append({"id": a[2], "value": value})

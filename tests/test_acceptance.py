@@ -214,7 +214,7 @@ def test_c09_gkp_code():
     assert overlap <= 1e-3
 
     assert gkp.THRESHOLD_DB == 20.5
-    margin = gkp.threshold_margin(gkp.delta_of_squeezing_db(15.0))
+    margin = gkp.threshold_margin(10.0 ** (-15.0 / 20.0))
     assert margin == pytest.approx(15.0 - gkp.THRESHOLD_DB, abs=1e-12)
     _announce(9, f"closed-form error rate within 3 SE of 1e6-sample MC for "
                  f"sigma 0.1..0.6; |<0|1>| = {overlap:.1e} <= 1e-3 at "

@@ -136,6 +136,23 @@ class TestRunCommand:
         assert "zero variance" in entry["message"]
         assert (entry["line"], entry["column"]) == (2, 3)
 
+    def test_non_finite_homodyne_is_runtime_error(self, tmp_path, capsys):
+        prog = tmp_path / "overflow_hom.cvq"
+        prog.write_text("mode q0; sq q0 400r p;\n  hom q0 theta=0 -> m0;\n")
+        code, out, err = run_cli(capsys, "run", str(prog), "--seed", "1")
+        assert code == 2 and out == ""
+        entry = json.loads(err)["error"]
+        assert entry["type"] == "ValueError"
+        assert "non-finite" in entry["message"]
+        assert (entry["line"], entry["column"]) == (2, 3)
+
+    def test_statement_without_modes_is_rejected(self, tmp_path, capsys):
+        prog = tmp_path / "no_modes.cvq"
+        prog.write_text("report cov;\n")
+        code, out, err = run_cli(capsys, "run", str(prog), "--seed", "1")
+        assert code == 2 and out == ""
+        assert "no mode declared" in json.loads(err)["error"]["message"]
+
     @pytest.mark.parametrize("text, column", [
         ("mode q0; sq q0 400r x; report cov;\n", 24),
         ("mode q0; sq q0 200r x; sq q0 200r x; report form c=[1.0, 0.0];\n",

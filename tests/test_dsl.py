@@ -289,6 +289,15 @@ class TestValidate:
         assert any("whole program" in e.message
                    for e in dsl.validate(p, "gaussian"))
 
+    @pytest.mark.parametrize("backend", ["gaussian", "fock"])
+    def test_statement_without_modes_rejected(self, backend):
+        p = parse_ok("\n  report cov;")
+        errors = dsl.validate(p, backend)
+        assert [(e.line, e.column, e.message) for e in errors] == [
+            (2, 3, "no mode declared")]
+        with pytest.raises(ValueError, match="no mode declared"):
+            dsl.run(p, backend, 0)
+
     def test_unknown_backend(self):
         assert "unknown backend" in dsl.validate(parse_ok(""), "qubit")[0].message
 
@@ -327,6 +336,18 @@ class TestRun:
                         np.testing.assert_allclose(mine[key], ref[key],
                                                    rtol=1e-9, atol=1e-9)
             checked += 1
+
+    def test_epr_outcomes_follow_joint_distribution(self):
+        # x of both arms of an EPR pair: the second reading must be drawn
+        # given the first (the Fock backend collapses, so it already was)
+        r = g.squeezing_db_to_r(4.0)
+        p = parse_ok("mode a b; sq a 4dB x; sq b 4dB p; bs a b t=0.5;"
+                     " hom a theta=0 -> m0; hom b theta=0 -> m1;")
+        values = [[o["value"] for o in dsl.run(p, "gaussian", seed).outcomes]
+                  for seed in range(1000)]
+        exact = 0.5 * np.array([[math.cosh(2 * r), math.sinh(2 * r)],
+                                [math.sinh(2 * r), math.cosh(2 * r)]])
+        assert np.abs(np.cov(np.array(values).T) - exact).max() < 0.1
 
     def test_epr_form_variance(self):
         p = parse_ok(f"""

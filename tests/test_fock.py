@@ -239,20 +239,6 @@ class TestMeasurements:
                 assert got == out
                 np.testing.assert_allclose(got_post.amps, post, atol=1e-12)
 
-    def test_photon_count_poisson(self):
-        rng = np.random.default_rng(37)
-        st = fk.coherent_fock(1.0, cutoff=30)
-        ns = np.array([fk.photon_count(st, 0, rng)[0] for _ in range(3000)])
-        assert ns.mean() == pytest.approx(1.0, rel=0.1)
-        assert ns.var() == pytest.approx(1.0, rel=0.15)
-
-    def test_photon_count_projects(self):
-        st = fk.beam_splitter_fock(fk.fock_basis((2, 0), 12), 0, 1, 0.5)
-        n, post = fk.photon_count(st, 0, 3)
-        assert post.n_modes == 1
-        # remaining mode holds the other 2 - n photons
-        assert abs(post.amps[2 - n]) == pytest.approx(1.0, abs=1e-10)
-
 
 class TestWigner:
     def test_vacuum_peak(self):

@@ -39,9 +39,6 @@ class TestSqueeze:
         st = g.squeeze(g.vacuum(1), 0, r)
         assert st.cov[0, 0] == pytest.approx(0.5 * 10 ** -1.5, abs=1e-12)
 
-    def test_db_round_trip(self):
-        assert g.r_to_squeezing_db(g.squeezing_db_to_r(10.0)) == pytest.approx(10.0)
-
     def test_phase_shift_rotates_squeezing(self):
         st = g.squeeze(g.vacuum(1), 0, 1.0)
         st = g.phase_shift(st, 0, np.pi / 2)
@@ -116,7 +113,6 @@ class TestLoss:
             st = oracles.random_pure_state(3, rng)
             st = g.loss(st, int(rng.integers(3)), float(rng.uniform()))
             st.validate()
-            assert g.symplectic_eigenvalues(st).min() >= 0.5 - 1e-9
 
 
 class TestHomodyne:
@@ -169,6 +165,33 @@ class TestHomodyne:
             g.sample_quadrature(st, 0, 0.0, 1)
         with pytest.raises(ValueError, match="zero variance"):
             g.homodyne(st, 0, 0.0, 1)
+
+    def test_non_finite_quadrature_rejected(self):
+        with np.errstate(over="ignore", invalid="ignore"):
+            st = g.squeeze(g.vacuum(1), 0, -400.0)
+        with pytest.raises(ValueError, match="non-finite"):
+            g.sample_quadrature(st, 0, 0.0, 1)
+
+    def test_draw_given_earlier_outcomes_is_the_conditioned_draw(self):
+        # sampling mode b given frozen readings of a (and c) equals sampling
+        # the marginal of b in the state conditioned on those readings
+        rng = np.random.default_rng(29)
+        for n in (2, 3, 4):
+            for _ in range(10):
+                st = oracles.random_mixed_state(n, rng)
+                a, b, c = (list(rng.permutation(n)) + [None])[:3]
+                ta, tb, tc = rng.uniform(0, 2 * np.pi, size=3)
+                given = [(int(a), ta, float(rng.normal()))]
+                post = g.condition_on_outcome(st, int(a), ta, given[0][2])
+                left = [m for m in range(n) if m != a]
+                if c is not None:
+                    given.append((int(c), tc, float(rng.normal())))
+                    post = g.condition_on_outcome(post, left.index(c), tc,
+                                                  given[1][2])
+                    left.remove(c)
+                got = g.sample_quadrature(st, int(b), tb, 31, given)
+                want = g.sample_quadrature(post, left.index(b), tb, 31)
+                assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
 
     def test_condition_on_outcome_agrees(self):
         rng = np.random.default_rng(13)
@@ -233,10 +256,6 @@ class TestFidelityPurity:
         assert g.purity(st) < 1.0
         assert g.is_pure(g.squeeze(g.vacuum(1), 0, 1.0))
 
-    def test_symplectic_eigenvalues_vacuum(self):
-        nu = g.symplectic_eigenvalues(g.vacuum(3))
-        np.testing.assert_allclose(nu, 0.5, atol=1e-12)
-
 
 class TestBookkeeping:
     def test_remove_and_append(self):
@@ -244,7 +263,7 @@ class TestBookkeeping:
         st2 = g.remove_modes(st, [0, 2])
         assert st2.n_modes == 1
         assert st2.cov[0, 0] == pytest.approx(np.exp(-1.8) / 2)
-        st3 = g.append_vacuum(st2, 2)
+        st3 = g.tensor(st2, g.vacuum(2))
         assert st3.n_modes == 3
         np.testing.assert_allclose(st3.cov[2:, 2:], np.eye(4) * 0.5)
 

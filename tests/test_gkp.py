@@ -96,9 +96,17 @@ class TestSynthesis:
         assert fids[0] > fids[1] > fids[2]
 
 
+def logical_x(state):
+    return fock.displace_fock(state, 0, ROOT_PI, 0.0)
+
+
+def logical_z(state):
+    return fock.displace_fock(state, 0, 0.0, ROOT_PI)
+
+
 class TestPaulis:
     def test_x_swaps_the_logicals(self):
-        x0 = gkp.logical_pauli(gkp.gkp_state(0, P25), "X")
+        x0 = logical_x(gkp.gkp_state(0, P25))
         fid = fock.fidelity_fock(x0, gkp.gkp_state(1, P25))
         assert abs(fid - envelope_x_swap_fidelity(P25)) < 1e-3
         assert fid > 0.85
@@ -107,7 +115,7 @@ class TestPaulis:
     def test_double_x_matches_envelope_oracle(self, delta):
         params = GkpParams(delta, 100)
         state = gkp.gkp_state(0, params)
-        back = gkp.logical_pauli(gkp.logical_pauli(state, "X"), "X")
+        back = logical_x(logical_x(state))
         fid = fock.fidelity_fock(back, state)
         assert abs(fid - envelope_xx_fidelity(params)) < 1e-3
 
@@ -116,13 +124,13 @@ class TestPaulis:
         for delta in (0.35, 0.3, 0.25):
             params = GkpParams(delta, 100)
             state = gkp.gkp_state(0, params)
-            back = gkp.logical_pauli(gkp.logical_pauli(state, "X"), "X")
+            back = logical_x(logical_x(state))
             fids.append(fock.fidelity_fock(back, state))
         assert fids[0] < fids[1] < fids[2]
 
     def test_z_preserves_x_density_exactly(self):
         state = gkp.gkp_state(0, P25)
-        shifted = gkp.logical_pauli(state, "Z")
+        shifted = logical_z(state)
         _, vecs = np.linalg.eigh(fock.position_op(state.cutoff))
         before = np.abs(vecs.conj().T @ state.amps) ** 2
         after = np.abs(vecs.conj().T @ shifted.amps) ** 2
@@ -131,46 +139,13 @@ class TestPaulis:
     def test_z_phases_the_two_logicals_oppositely(self):
         z0 = gkp.gkp_state(0, P25)
         z1 = gkp.gkp_state(1, P25)
-        ev0 = fock.overlap(z0, gkp.logical_pauli(z0, "Z"))
-        ev1 = fock.overlap(z1, gkp.logical_pauli(z1, "Z"))
+        ev0 = fock.overlap(z0, logical_z(z0))
+        ev1 = fock.overlap(z1, logical_z(z1))
         assert ev0.real > 0.85 and abs(ev0.imag) < 1e-9
         assert ev1.real < -0.85 and abs(ev1.imag) < 1e-9
 
-    def test_pauli_validation(self):
-        with pytest.raises(ValueError):
-            gkp.logical_pauli(gkp.gkp_state(0, P25), "Y")
-
 
 class TestCorrection:
-    def test_fixed_points(self):
-        out = gkp.correct_shift(0.0)
-        assert out.correction == 0.0 and not out.logical_flip
-
-        out = gkp.correct_shift(ROOT_PI)
-        assert abs(out.correction + ROOT_PI) < 1e-12
-        assert abs(out.residual) < 1e-12 and out.logical_flip
-
-        out = gkp.correct_shift(-ROOT_PI)
-        assert out.logical_flip and abs(out.residual) < 1e-12
-
-    def test_half_spacing_tie_rounds_to_even(self):
-        out = gkp.correct_shift(ROOT_PI / 2)
-        assert out.correction == 0.0
-        assert abs(out.residual - ROOT_PI / 2) < 1e-12
-        assert not out.logical_flip
-        out = gkp.correct_shift(1.5 * ROOT_PI)
-        assert abs(out.correction + 2 * ROOT_PI) < 1e-12
-        assert not out.logical_flip
-
-    def test_idempotent_on_residuals(self):
-        rng = np.random.default_rng(3)
-        for m in rng.uniform(-12, 12, size=200):
-            first = gkp.correct_shift(float(m))
-            assert abs(first.residual) <= ROOT_PI / 2 + 1e-12
-            again = gkp.correct_shift(first.residual)
-            assert again.correction == 0.0
-            assert not again.logical_flip
-
     def test_error_prob_limits_and_monotonicity(self):
         assert gkp.logical_error_prob(0.0) == 0.0
         assert abs(gkp.logical_error_prob(5.0) - 0.5) < 1e-3
@@ -193,9 +168,9 @@ class TestReporting:
         assert gkp.squeezing_db_of(0.1) > gkp.squeezing_db_of(0.2)
 
     def test_threshold_margin(self):
-        delta_15 = gkp.delta_of_squeezing_db(15.0)
+        delta_15 = 10.0 ** (-15.0 / 20.0)
         assert abs(gkp.threshold_margin(delta_15) + 5.5) < 1e-9
-        delta_at = gkp.delta_of_squeezing_db(20.5)
+        delta_at = 10.0 ** (-20.5 / 20.0)
         assert abs(gkp.threshold_margin(delta_at)) < 1e-12
 
     def test_error_curve_csv(self):

@@ -1,5 +1,6 @@
 """Every module-level import in the package is used (stdlib ast, no
-linter), and importing the package never loads scipy."""
+linter), every public function has a caller in the package or a stated
+reason to exist, and importing the package never loads scipy."""
 
 import ast
 import os
@@ -42,6 +43,69 @@ def test_guard_flags_an_unused_import():
               "@dataclass\nclass A:\n    x: int = 0\n"
               "y = np.zeros(os.sep)\n")
     assert _unused_imports(source) == [(1, "field")]
+
+
+# Public functions that nothing in the package calls, each with the
+# reason it stays.  Anything else without a caller is dead API.
+UNCALLED_API = {
+    "dsl.pretty_print": "the DSL's canonical text form, parse(pretty_print(p)) == p",
+    "fock.wigner_grid": "phase-space view of a non-Gaussian Fock state",
+    "gaussian.homodyne": "measurement that keeps the conditioned state",
+    "loop.certificate_variances": "evaluates generate_entangled's certificates",
+    "loop.generate_entangled": "perfbench entry point (loop job)",
+    "tdm.csv_sink": "perfbench entry point (recorded stream job)",
+    "tdm.emitted_covariance": "perfbench entry point",
+    "telegates.channel_fidelity": "perfbench entry point",
+    "telegates.tele_cubic": "perfbench entry point",
+    "telegates.tele_squeeze": "reference for the loop's squeeze_tele tests",
+    "telegates.teleport": "reference for the DSL and acceptance teleporter tests",
+}
+
+
+def _uncalled_functions(sources: dict) -> set:
+    """`module.function` for each public module-level function that no
+    module of `sources` (module name -> text) references: by bare name
+    in its own module, as `alias.function` through `from . import
+    module as alias`, or in `from .module import function`."""
+    trees = {mod: ast.parse(text) for mod, text in sources.items()}
+    defined = {(mod, node.name) for mod, tree in trees.items()
+               for node in tree.body
+               if isinstance(node, ast.FunctionDef)
+               and not node.name.startswith("_")}
+    refs = set()
+    for mod, tree in trees.items():
+        alias = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for name in node.names:
+                    if node.module is None:
+                        alias[name.asname or name.name] = name.name
+                    else:
+                        refs.add((node.module, name.name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                refs.add((mod, node.id))
+            elif (isinstance(node, ast.Attribute)
+                  and isinstance(node.value, ast.Name)
+                  and node.value.id in alias):
+                refs.add((alias[node.value.id], node.attr))
+    return {f"{mod}.{name}" for mod, name in defined - refs}
+
+
+def test_every_public_function_has_a_caller_or_a_reason():
+    uncalled = _uncalled_functions({p.stem: p.read_text() for p in MODULES})
+    assert sorted(uncalled - UNCALLED_API.keys()) == [], "dead API"
+    assert sorted(UNCALLED_API.keys() - uncalled) == [], "stale allowlist"
+
+
+def test_guard_flags_an_uncalled_function():
+    sources = {
+        "a": "def used(): pass\ndef local(): pass\ndef dead(): pass\n"
+             "def _private(): pass\nx = local\n",
+        "b": "from . import a as alias\nfrom .a import local\n"
+             "y = alias.used\ndef dead(): pass\n",
+    }
+    assert _uncalled_functions(sources) == {"a.dead", "b.dead"}
 
 
 def test_package_does_not_import_scipy():

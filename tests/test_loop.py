@@ -1,6 +1,5 @@
 """Loop processor: schedule engine, gate compilation, entangled states."""
 
-import json
 import math
 
 import numpy as np
@@ -220,25 +219,17 @@ class TestEngine:
             assert np.abs(out.cov - ref.cov).max() < 1e-9
             assert np.abs(out.mean - ref.mean).max() < 1e-9
 
-    def test_teleport_program_matches_channel(self):
-        cfg = LoopConfig(n_data=1, m_anc=2)
-        data = g.squeeze(g.coherent(0.8, -0.5), 0, 0.4)
-        anc = g.squeeze(g.squeeze(g.vacuum(2), 0, R15), 1, -R15)
-        prog = loop.teleport_program(cfg)
-        out, log = loop.simulate(cfg, prog, g.tensor(data, anc), rng_seed=7)
-        ref = telegates.teleport(data, R15, rng_seed=0)
-        assert np.abs(out.cov - ref.output.cov).max() < 1e-9
-        assert np.abs(out.mean - ref.output.mean).max() < 1e-9
-        assert log.survivors == [2]
-        assert [e["id"] for e in log.outcomes] == ["mx", "mp"]
+    @staticmethod
+    def _squeeze_tele_run(data, seed):
+        cfg = LoopConfig(n_data=1, m_anc=1)
+        prog = loop.compile_gates(cfg, [("squeeze_tele", 0, 0.6, 1.0)])
+        anc = g.squeeze(g.vacuum(1), 0, 1.0)
+        return loop.simulate(cfg, prog, g.tensor(data, anc), rng_seed=seed)
 
     def test_teleport_output_independent_of_seed(self):
-        cfg = LoopConfig(n_data=1, m_anc=2)
         data = g.coherent(1.0, 2.0)
-        anc = g.squeeze(g.squeeze(g.vacuum(2), 0, 1.0), 1, -1.0)
-        prog = loop.teleport_program(cfg)
-        out_a, log_a = loop.simulate(cfg, prog, g.tensor(data, anc), rng_seed=1)
-        out_b, log_b = loop.simulate(cfg, prog, g.tensor(data, anc), rng_seed=2)
+        out_a, log_a = self._squeeze_tele_run(data, 1)
+        out_b, log_b = self._squeeze_tele_run(data, 2)
         assert np.array_equal(out_a.cov, out_b.cov)
         assert np.array_equal(out_a.mean, out_b.mean)
         values_a = [e["outcome"] for e in log_a.outcomes]
@@ -246,24 +237,31 @@ class TestEngine:
         assert values_a != values_b
 
     def test_determinism(self):
-        cfg = LoopConfig(n_data=1, m_anc=2)
-        anc = g.squeeze(g.squeeze(g.vacuum(2), 0, 1.0), 1, -1.0)
-        inp = g.tensor(g.coherent(0.5, -1.0), anc)
-        prog = loop.teleport_program(cfg)
-        out_a, log_a = loop.simulate(cfg, prog, inp, rng_seed=42)
-        out_b, log_b = loop.simulate(cfg, prog, inp, rng_seed=42)
+        data = g.coherent(0.5, -1.0)
+        out_a, log_a = self._squeeze_tele_run(data, 42)
+        out_b, log_b = self._squeeze_tele_run(data, 42)
         assert np.array_equal(out_a.cov, out_b.cov)
         assert log_a.outcomes == log_b.outcomes
 
-    def test_outcome_log_serializes(self):
-        cfg = LoopConfig(n_data=1, m_anc=2)
-        anc = g.squeeze(g.squeeze(g.vacuum(2), 0, 1.0), 1, -1.0)
-        prog = loop.teleport_program(cfg)
-        _, log = loop.simulate(cfg, prog, g.tensor(g.vacuum(1), anc))
-        lines = log.outcomes_jsonl().splitlines()
-        assert len(lines) == 2
-        entry = json.loads(lines[0])
-        assert entry["id"] == "mx" and entry["pulse"] == 1
+    def test_epr_outcomes_follow_joint_distribution(self):
+        # mix an x- and a p-squeezed pulse, then read x on both: the
+        # second reading must be drawn given the first
+        r = g.squeezing_db_to_r(4.0)
+        cfg = LoopConfig(n_data=2)
+        bs = loop.compile_gates(cfg, [("bs", 0, 1, 0.5)])
+        prog = LoopProgram(
+            steps=bs.steps + (ScheduleStep(slot=3, homodyne=0.0, outcome_id="m0"),
+                              ScheduleStep(slot=4, homodyne=0.0, outcome_id="m1")),
+            outcome_ids=("m0", "m1"))
+        state = g.squeeze(g.squeeze(g.vacuum(2), 0, r), 1, -r)
+        values = []
+        for seed in range(1000):
+            _, log = loop.simulate(cfg, prog, state, rng_seed=seed)
+            assert [e["pulse"] for e in log.outcomes] == [1, 0]
+            values.append([e["outcome"] for e in log.outcomes])
+        exact = 0.5 * np.array([[math.cosh(2 * r), math.sinh(2 * r)],
+                                [math.sinh(2 * r), math.cosh(2 * r)]])
+        assert np.abs(np.cov(np.array(values).T) - exact).max() < 0.1
 
     @pytest.mark.parametrize("y", [0.55, 1.8])
     def test_squeeze_tele_matches_channel(self, y):

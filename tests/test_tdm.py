@@ -113,22 +113,24 @@ class TestStream1D:
 
     def test_matches_dense_simulation_slot_by_slot(self):
         spec = tdm.network_1d(R15)
-        stats = tdm.stream_1d(6, R15, capture=True)
+        records = []
+        tdm.stream_1d(6, R15, sink=records.append)
         forms = list(tdm.derive_squeezed_forms(spec))
         dense, imap = dense_network_run(
             list(spec.stages), 2, 6, list(spec.squeezers))
-        assert stats.per_slot           # includes boundary slots
-        for rec in stats.per_slot:
+        assert records                  # includes boundary slots
+        for rec in records:
             for form in forms:
                 want = _dense_form_var(form, rec["slot"], dense, imap)
                 assert rec["forms"][form.name] == pytest.approx(want,
                                                                 abs=1e-9)
 
     def test_boundary_slots_flagged_and_excluded(self):
-        stats = tdm.stream_1d(50, R15, capture=True)
+        records = []
+        stats = tdm.stream_1d(50, R15, sink=records.append)
         assert stats.boundary_slots == 1
-        assert stats.per_slot[0]["boundary"] is True
-        counted = sum(1 for rec in stats.per_slot if not rec["boundary"])
+        assert records[0]["boundary"] is True
+        counted = sum(1 for rec in records if not rec["boundary"])
         for acc in stats.form_stats.values():
             assert acc.count == counted
 
@@ -149,12 +151,13 @@ class TestStream2D:
 
     def test_matches_dense_simulation_width_two(self):
         spec = tdm.network_2d(R15, 2)
-        stats = tdm.stream_2d(4, 2, R15, capture=True)
+        records = []
+        tdm.stream_2d(4, 2, R15, sink=records.append)
         forms = list(tdm.derive_squeezed_forms(spec))
         dense, imap = dense_network_run(
             list(spec.stages), 4, 4, list(spec.squeezers))
         checked = 0
-        for rec in stats.per_slot:
+        for rec in records:
             for form in forms:
                 want = _dense_form_var(form, rec["slot"], dense, imap)
                 assert rec["forms"][form.name] == pytest.approx(want,
@@ -277,18 +280,15 @@ class TestClosedFormEqualsPerSlot:
         spec = make()
         for n_slots in self._slot_counts(spec):
             closed = tdm._stream(spec, n_slots, loss=loss)
-            per = tdm._stream(spec, n_slots, loss=loss, capture=True)
-            sunk = []
-            tdm._stream(spec, n_slots, loss=loss, sink=sunk.append)
-            assert closed.per_slot is None
-            assert sunk == per.per_slot
+            records = []
+            per = tdm._stream(spec, n_slots, loss=loss, sink=records.append)
             assert closed.boundary_slots == per.boundary_slots == min(
-                spec.max_delay, len(per.per_slot))
+                spec.max_delay, len(records))
             assert closed.slots_simulated == per.slots_simulated
             assert closed.steady_at_slot == per.steady_at_slot
-            # replay every captured slot through the one-at-a-time update
+            # replay every recorded slot through the one-at-a-time update
             replay = {f: tdm.StreamAccumulator() for f in per.form_stats}
-            for rec in per.per_slot:
+            for rec in records:
                 if not rec["boundary"]:
                     for f, var in rec["forms"].items():
                         replay[f].update(var)
@@ -297,7 +297,7 @@ class TestClosedFormEqualsPerSlot:
                 assert _acc_state(acc) == _acc_state(replay[f])
         # at 50 slots every network reaches its fixed point early
         assert closed.steady_at_slot is not None
-        assert closed.slots_simulated < len(per.per_slot)
+        assert closed.slots_simulated < len(records)
 
 
 class TestUpdateRepeated:
