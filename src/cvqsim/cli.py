@@ -6,7 +6,8 @@ states and error curves), budget (fiber arithmetic).
 
 Exit codes: 0 success, 1 usage error, 2 runtime or physics error.  The
 latter writes a structured JSON diagnostic to stderr so harnesses can
-tell a typo from a leakage budget violation.  Any subcommand that
+tell a typo from a leakage budget violation; it is one line, and any
+warnings the command raised are in it.  Any subcommand that
 samples takes a mandatory --seed; identical inputs and seed give
 identical output bytes (the timings field aside).
 """
@@ -17,6 +18,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -214,7 +216,7 @@ _COMMANDS = {"run": _cmd_run, "loop": _cmd_loop, "stream": _cmd_stream,
              "gkp": _cmd_gkp, "budget": _cmd_budget}
 
 
-def _diagnostic(exc) -> str:
+def _diagnostic(exc, caught) -> str:
     entry = {"type": type(exc).__name__, "message": str(exc)}
     if hasattr(exc, "line"):        # positioned by dsl.run
         entry.update({"line": exc.line, "column": exc.column})
@@ -222,7 +224,12 @@ def _diagnostic(exc) -> str:
         entry.update({"type": "ParseError", "message": exc.err.message,
                       "line": exc.err.line, "column": exc.err.column,
                       "token": exc.err.token})
-    return json.dumps({"error": entry}, sort_keys=True)
+    payload = {"error": entry}
+    if caught:
+        payload["warnings"] = [
+            {"category": w.category.__name__, "message": str(w.message),
+             "location": f"{w.filename}:{w.lineno}"} for w in caught]
+    return json.dumps(payload, sort_keys=True)
 
 
 def main(argv=None) -> int:
@@ -233,17 +240,25 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except SystemExit as exc:      # --help and friends
         return int(exc.code or 0)
-    try:
-        payload = _COMMANDS[args.subcommand](args)
-    except _UsageError as exc:
-        print(exc, file=sys.stderr)
+    # Warnings are held back while the command runs: a failed command
+    # folds them into its diagnostic, so stderr stays one JSON line.
+    usage = None
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            payload = _COMMANDS[args.subcommand](args)
+        except _UsageError as exc:
+            usage = str(exc)
+        except FileNotFoundError as exc:
+            usage = f"cvq: {exc}"
+        except (ValueError, RuntimeError, _ProgramError) as exc:
+            print(_diagnostic(exc, caught), file=sys.stderr)
+            return EXIT_RUNTIME
+    for w in caught:
+        warnings.showwarning(w.message, w.category, w.filename, w.lineno,
+                             w.file, w.line)
+    if usage is not None:
+        print(usage, file=sys.stderr)
         return EXIT_USAGE
-    except FileNotFoundError as exc:
-        print(f"cvq: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, RuntimeError, _ProgramError) as exc:
-        print(_diagnostic(exc), file=sys.stderr)
-        return EXIT_RUNTIME
     _emit(payload, args.out)
     return EXIT_OK
 

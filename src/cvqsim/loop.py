@@ -116,11 +116,18 @@ def simulate(config: LoopConfig, program: LoopProgram,
             raise ValueError("vbs_T out of [0, 1]")
         by_slot[step.slot] = step
     declared = set(program.outcome_ids)
+    written = {}                      # outcome id -> slot of its homodyne
     for step in steps:
         if step.homodyne is not None and step.outcome_id is None:
             raise ValueError(f"homodyne at slot {step.slot} needs an outcome id")
         if step.outcome_id is not None and step.outcome_id not in declared:
             raise ValueError(f"undeclared outcome id {step.outcome_id!r}")
+        if step.homodyne is not None:
+            if step.outcome_id in written:
+                raise ValueError(
+                    f"outcome id {step.outcome_id!r} written twice, at slots "
+                    f"{written[step.outcome_id]} and {step.slot}")
+            written[step.outcome_id] = step.slot
         if step.ff is not None and step.ff[0] not in declared:
             raise ValueError(f"feedforward references unknown id {step.ff[0]!r}")
 

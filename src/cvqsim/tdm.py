@@ -27,7 +27,9 @@ After a few slots the delay-line covariance reaches a fixed point and
 every later slot repeats the same variances.  Those slots are credited
 to the accumulators in closed form, so a run costs O(transient)
 whatever the number of pulses; with a sink, which receives one record
-per slot, it costs O(n_pulses).
+per slot, it costs O(n_pulses).  csv_sink writes one row per slot but
+formats each distinct row once: a steady-state slot repeats the previous
+row's text with only its slot number changed.
 """
 
 from __future__ import annotations
@@ -502,15 +504,29 @@ def emitted_covariance(spec: NetworkSpec, n_slots: int):
 
 
 def csv_sink(fh):
-    """Sink writing one CSV row per slot: slot, boundary, then form vars."""
-    wrote_header = [False]
+    """Sink writing one CSV row per slot: slot, boundary, then form vars.
+
+    The columns are the first record's form names, sorted.  A row's tail
+    (boundary and variances) is formatted only when it differs from the
+    previous record's, so each steady-state slot costs one comparison
+    and one write.  Only the last tail is kept, so memory stays constant
+    whether or not the run reaches steady state.  Rows holding a zero
+    are never reused, because 0.0 == -0.0 yet they print differently.
+    """
+    names = None
+    last_boundary, last_forms, last_tail = None, None, ""
 
     def sink(record):
-        if not wrote_header[0]:
-            names = ",".join(sorted(record["forms"]))
-            fh.write(f"slot,boundary,{names}\n")
-            wrote_header[0] = True
-        vals = ",".join(f"{record['forms'][n]:.12g}"
-                        for n in sorted(record["forms"]))
-        fh.write(f"{record['slot']},{int(record['boundary'])},{vals}\n")
+        nonlocal names, last_boundary, last_forms, last_tail
+        forms, boundary = record["forms"], record["boundary"]
+        if names is None:
+            names = sorted(forms)
+            fh.write(f"slot,boundary,{','.join(names)}\n")
+        if boundary != last_boundary or forms != last_forms:
+            values = [forms[n] for n in names]
+            vals = ",".join(f"{v:.12g}" for v in values)
+            last_tail = f",{int(boundary)},{vals}\n"
+            last_boundary = boundary
+            last_forms = None if 0 in values else dict(forms)
+        fh.write(f"{record['slot']}{last_tail}")
     return sink

@@ -310,3 +310,20 @@ def dsl_gaussian_dense(program, seed):
                 reports.append({"type": "form", "mean": c @ mean,
                                 "variance": c @ cov @ c})
     return outcomes, reports
+
+
+def csv_reference(records) -> str:
+    """CSV text for tdm records, formatted record by record.
+
+    The header holds the first record's form names, sorted; every row is
+    slot, boundary as 0/1, then each form's variance at .12g.  Nothing is
+    reused between rows, so tdm.csv_sink must match it byte for byte.
+    """
+    lines = []
+    for i, record in enumerate(records):
+        names = sorted(record["forms"])
+        if i == 0:
+            lines.append(f"slot,boundary,{','.join(names)}\n")
+        vals = ",".join(f"{record['forms'][n]:.12g}" for n in names)
+        lines.append(f"{record['slot']},{int(record['boundary'])},{vals}\n")
+    return "".join(lines)

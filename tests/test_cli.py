@@ -1,5 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -168,6 +173,38 @@ class TestRunCommand:
         assert entry["type"] == "ValueError"
         assert entry["message"] == "reported moments are not finite"
         assert (entry["line"], entry["column"]) == (1, column)
+
+    def test_failed_run_folds_warnings_into_one_json_line(self, tmp_path):
+        # a fresh process: pytest's own warning capture would hide the
+        # RuntimeWarning that numpy prints before the diagnostic
+        prog = tmp_path / "overflow.cvq"
+        prog.write_text("mode q0; sq q0 400r x; report cov;\n")
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+        env["PYTHONPATH"] = str(Path(cli.__file__).parent.parent)
+        proc = subprocess.run(
+            [sys.executable, "-m", "cvqsim.cli", "run", str(prog),
+             "--seed", "1"], env=env, capture_output=True, text=True)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1
+        payload = json.loads(proc.stderr)
+        assert payload["error"]["message"] == "reported moments are not finite"
+        assert payload["warnings"]
+        for w in payload["warnings"]:
+            assert w["category"] == "RuntimeWarning"
+            assert "overflow" in w["message"]
+            path, line = w["location"].rsplit(":", 1)
+            assert Path(path).name == "gaussian.py" and int(line) > 0
+
+    def test_successful_command_re_emits_its_warnings(self, capsys,
+                                                      monkeypatch):
+        def noisy(_args):
+            warnings.warn("loose tolerance", UserWarning)
+            return "{}"
+        monkeypatch.setitem(cli._COMMANDS, "budget", noisy)
+        with pytest.warns(UserWarning, match="loose tolerance"):
+            code, out, _ = run_cli(capsys, "budget", "--loss-db-km", "0.2",
+                                   "--length-m", "100", "--pulse-ns", "50")
+        assert code == 0 and out == "{}\n"
 
     def test_fock_backend(self, tmp_path, capsys):
         prog = tmp_path / "kerrish.cvq"

@@ -89,6 +89,17 @@ class TestValidation:
         with pytest.raises(ValueError, match="undeclared"):
             loop.simulate(cfg, prog, g.vacuum(1))
 
+    def test_outcome_id_written_once(self):
+        cfg = LoopConfig(n_data=3)
+        prog = LoopProgram(
+            steps=(ScheduleStep(slot=0, homodyne=0.0, outcome_id="m"),
+                   ScheduleStep(slot=1, homodyne=0.0, outcome_id="m"),
+                   ScheduleStep(slot=2, ff=("m", 1.0, 0.0, 2))),
+            outcome_ids=("m",))
+        with pytest.raises(ValueError,
+                           match=r"outcome id 'm' written twice, at slots 0 and 1"):
+            loop.simulate(cfg, prog, g.vacuum(3))
+
     def test_feedforward_source_must_be_declared(self):
         cfg = LoopConfig(n_data=1)
         prog = LoopProgram(

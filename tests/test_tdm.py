@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from cvqsim import gaussian as g
 from cvqsim import tdm
 
-from oracles import dense_network_run
+from oracles import csv_reference, dense_network_run
 
 R15 = g.squeezing_db_to_r(15.0)
 
@@ -240,6 +240,100 @@ class TestSinkAndStats:
         assert stats.wall_time_s < 10.0
         for ratio in stats.ratios().values():
             assert ratio == pytest.approx(10 ** -1.5, abs=1e-9)
+
+
+class _CountingFloat(float):
+    """A float that counts how often it is formatted."""
+
+    formats = 0
+
+    def __format__(self, spec):
+        _CountingFloat.formats += 1
+        return super().__format__(spec)
+
+
+def _assert_same_csv(text, records):
+    # compared as lines: pytest's diff of two long strings takes minutes
+    assert text.splitlines() == csv_reference(records).splitlines()
+    assert text.endswith("\n")
+
+
+class TestCsvSink:
+    """csv_sink reuses repeated rows; its bytes must not show it."""
+
+    RUNS = [
+        pytest.param(lambda s: tdm.stream_1d(3000, R15, sink=s), id="1d"),
+        pytest.param(lambda s: tdm.stream_1d(3000, R15, sink=s, loss=0.9),
+                     id="1d_loss"),
+        pytest.param(lambda s: tdm.stream_2d(3000, 5, R15, sink=s),
+                     id="2d_w5"),
+        pytest.param(lambda s: tdm.stream_2d(400, 40, 0.7, sink=s, loss=0.8),
+                     id="2d_w40_loss"),
+        # 60 slots of width 40 end inside the boundary: no steady state
+        pytest.param(lambda s: tdm.stream_2d(60, 40, 0.7, sink=s),
+                     id="2d_w40_short"),
+    ]
+
+    @pytest.mark.parametrize("run", RUNS)
+    def test_stream_bytes_match_reference(self, run):
+        buf = io.StringIO()
+        write = tdm.csv_sink(buf)
+        records = []
+
+        def sink(record):
+            records.append(record)
+            write(record)
+        run(sink)
+        assert records
+        _assert_same_csv(buf.getvalue(), records)
+
+    def test_short_run_never_reaches_steady_state(self):
+        assert tdm.stream_2d(60, 40, 0.7).steady_at_slot is None
+
+    def test_repeats_and_flips_match_reference(self):
+        a = {"x0": 0.25, "p1": 1.0 / 3.0}
+        b = {"x0": 0.5, "p1": 1e-30}
+        zero = {"x0": 0.0, "p1": 2.0}
+        neg_zero = {"x0": -0.0, "p1": 2.0}
+        seq = [(a, True), (a, True), (b, True), (a, True),
+               (a, False), (a, False), (a, True), (zero, False),
+               (neg_zero, False), (neg_zero, False), (zero, False)]
+        buf = io.StringIO()
+        sink = tdm.csv_sink(buf)
+        shared = {}                   # one dict, rewritten for every record
+        records = []
+        for k, (forms, bd) in enumerate(seq):
+            shared.clear()
+            shared.update(forms)
+            sink({"slot": k, "boundary": bd, "forms": shared})
+            records.append({"slot": k, "boundary": bd, "forms": dict(forms)})
+        _assert_same_csv(buf.getvalue(), records)
+
+    def test_repeated_rows_are_formatted_once(self):
+        names = ("x0", "p1", "x2", "p3")
+        buf = io.StringIO()
+        sink = tdm.csv_sink(buf)
+        _CountingFloat.formats = 0
+        for k in range(1000):
+            sink({"slot": k, "boundary": False,
+                  "forms": {n: _CountingFloat(0.125) for n in names}})
+        assert _CountingFloat.formats <= len(names)
+        assert len(buf.getvalue().splitlines()) == 1001
+
+    def test_sink_mutation_does_not_reach_later_records(self):
+        def snapshots(mutate):
+            seen = []
+
+            def sink(record):
+                seen.append((record["slot"], record["boundary"],
+                             dict(record["forms"])))
+                if mutate:
+                    record["forms"].clear()
+                    record["forms"]["x0"] = math.nan
+            tdm.stream_1d(50, R15, sink=sink)
+            return seen
+
+        assert snapshots(mutate=True) == snapshots(mutate=False)
 
 
 def _custom_two_slot_delay():
