@@ -27,11 +27,11 @@ class BudgetInput:
     group_velocity: float = GROUP_VELOCITY_SILICA
 
     def __post_init__(self):
-        if self.fiber_loss_db_per_km < 0:
-            raise ValueError("fiber loss must be >= 0 dB/km")
+        if not 0 <= self.fiber_loss_db_per_km < math.inf:
+            raise ValueError("fiber loss must be finite and >= 0 dB/km")
         for name in ("length_m", "pulse_width_s", "group_velocity"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -60,20 +60,21 @@ class BudgetReport:
 
 def transmission(loss_db_per_km: float, length_m: float) -> float:
     """Power transmission of a fiber span; multiplicative in length."""
-    if loss_db_per_km < 0:
-        raise ValueError("fiber loss must be >= 0 dB/km")
-    if length_m < 0:
-        raise ValueError("length must be >= 0")
+    if not 0 <= loss_db_per_km < math.inf:
+        raise ValueError("fiber loss must be finite and >= 0 dB/km")
+    if not 0 <= length_m < math.inf:
+        raise ValueError("length must be finite and >= 0")
     return 10.0 ** (-loss_db_per_km * (length_m / 1000.0) / 10.0)
 
 
 def capacity(length_m: float, pulse_width_s: float,
              group_velocity: float = GROUP_VELOCITY_SILICA) -> int:
     """Number of pulses a loop of this length holds at once."""
-    if length_m < 0:
-        raise ValueError("length must be >= 0")
-    if pulse_width_s <= 0 or group_velocity <= 0:
-        raise ValueError("pulse width and group velocity must be positive")
+    if not 0 <= length_m < math.inf:
+        raise ValueError("length must be finite and >= 0")
+    if not (0 < pulse_width_s < math.inf and 0 < group_velocity < math.inf):
+        raise ValueError(
+            "pulse width and group velocity must be finite and positive")
     return int(math.floor(length_m / (group_velocity * pulse_width_s)
                           + _CAPACITY_EPS))
 

@@ -32,8 +32,6 @@ from . import gaussian as g
 from . import loop as lp
 from . import tdm
 
-FILE_EXTENSION = ".cvq"
-
 # ancilla / input squeezing for blocks that do not set `squeeze ...;`
 DEFAULT_BLOCK_SQUEEZE_DB = 15.0
 
@@ -61,13 +59,11 @@ class Instruction:
 
 @dataclass(frozen=True)
 class CircuitProgram:
-    """Parsed program: declarations, ordered instructions, metadata."""
+    """Parsed program: declarations and ordered instructions."""
 
     modes: tuple
     outcomes: tuple
     instructions: tuple
-    backend_hint: str | None = None
-    seed: int | None = None
 
 
 @dataclass(frozen=True)

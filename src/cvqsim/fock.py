@@ -360,17 +360,16 @@ def _quadrature_pdf(amps: np.ndarray, mode: int, psi: np.ndarray) -> np.ndarray:
     return np.sum(psi * (rho.real @ psi), axis=0)
 
 
-def homodyne_fock(state: FockState, mode: int, theta: float, rng_seed,
-                  grid_points: int = HOMODYNE_GRID_POINTS,
-                  grid_sigmas: float = HOMODYNE_GRID_SIGMAS
+def homodyne_fock(state: FockState, mode: int, theta: float, rng_seed
                   ) -> tuple[float, FockState]:
     """Sample the quadrature cos(theta) x + sin(theta) p of one mode.
 
     The mode is rotated so the measured quadrature becomes x, the exact
-    probability density is evaluated on a uniform grid spanning
-    +- grid_sigmas standard deviations around the mean, the outcome is
-    drawn by inverse CDF over that grid, and the state is projected onto
-    the sampled quadrature eigenvector (mode removed, renormalized).
+    probability density is evaluated on a uniform grid of
+    HOMODYNE_GRID_POINTS points spanning +- HOMODYNE_GRID_SIGMAS standard
+    deviations around the mean, the outcome is drawn by inverse CDF over
+    that grid, and the state is projected onto the sampled quadrature
+    eigenvector (mode removed, renormalized).
 
     Raises:
         ValueError: grid does not capture the state (mass deficit).
@@ -382,7 +381,8 @@ def homodyne_fock(state: FockState, mode: int, theta: float, rng_seed,
     mean, cov = covariance_of(work)
     mu = mean[2 * mode]
     sigma = np.sqrt(cov[2 * mode, 2 * mode])
-    xs = np.linspace(mu - grid_sigmas * sigma, mu + grid_sigmas * sigma, grid_points)
+    xs = np.linspace(mu - HOMODYNE_GRID_SIGMAS * sigma,
+                     mu + HOMODYNE_GRID_SIGMAS * sigma, HOMODYNE_GRID_POINTS)
     dx = xs[1] - xs[0]
 
     psi = hermite_functions(xs, work.cutoff)  # (cutoff, grid)

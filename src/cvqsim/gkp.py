@@ -35,8 +35,8 @@ class GkpParams:
     cutoff: int = 100
 
     def __post_init__(self):
-        if self.delta <= 0:
-            raise ValueError("delta must be positive")
+        if not 0 < self.delta < math.inf:
+            raise ValueError("delta must be finite and positive")
         if self.cutoff < 8:
             raise ValueError("cutoff too small for a lattice state")
 
@@ -147,8 +147,8 @@ def lattice_mass(state: FockState, window: float = ROOT_PI / 4.0,
 
 def logical_error_prob(sigma: float) -> float:
     """Probability a N(0, sigma) shift decodes to a logical flip."""
-    if sigma < 0:
-        raise ValueError("sigma must be >= 0")
+    if not 0 <= sigma < math.inf:
+        raise ValueError("sigma must be finite and >= 0")
     if sigma == 0.0:
         return 0.0
 
@@ -171,6 +171,8 @@ def logical_error_prob(sigma: float) -> float:
 def monte_carlo_error_prob(sigma: float, samples: int, rng_seed
                            ) -> tuple[float, float]:
     """(flip fraction, standard error) from sampled shifts."""
+    if not (0 <= sigma < math.inf and samples >= 1):
+        raise ValueError("sigma must be finite and >= 0, samples >= 1")
     rng = as_rng(rng_seed)
     shifts = rng.normal(0.0, sigma, size=samples)
     k = np.round(shifts / ROOT_PI)
@@ -181,8 +183,8 @@ def monte_carlo_error_prob(sigma: float, samples: int, rng_seed
 
 def squeezing_db_of(delta: float) -> float:
     """Effective squeezing: peak variance delta^2/2 against vacuum 1/2."""
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    if not 0 < delta < math.inf:
+        raise ValueError("delta must be finite and positive")
     return -20.0 * math.log10(delta)
 
 

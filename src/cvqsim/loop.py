@@ -20,6 +20,11 @@ measured pulse out at the end.  Outcomes are still sampled for the log,
 each conditioned on the earlier ones (gaussian.sample_quadrature), so a
 run's outcomes follow their joint distribution.  The squeeze_tele gate
 takes its settings from telegates.squeeze_gadget.
+
+compile_gates writes phase, beam-splitter and squeeze_tele gates as one
+circulation each.  generate_entangled decomposes its passive network by
+a triangular Givens sweep (Reck et al., PRL 73, 58, 1994), checked by
+applying each gate to the rows it touches.
 """
 
 from __future__ import annotations
@@ -42,15 +47,12 @@ class LoopScheduleError(RuntimeError):
 class LoopConfig:
     n_data: int
     m_anc: int = 0
-    slot_time: float = 50e-9
     eta_outer: float = 1.0    # transmission per outer circulation
     eta_inner: float = 1.0    # transmission per slot held in the inner loop
 
     def __post_init__(self):
         if self.n_data + self.m_anc < 1:
             raise ValueError("need at least one pulse slot")
-        if self.slot_time <= 0:
-            raise ValueError("slot_time must be positive")
         for eta in (self.eta_outer, self.eta_inner):
             if not 0.0 <= eta <= 1.0:
                 raise ValueError("transmissions must lie in [0, 1]")
@@ -139,7 +141,6 @@ def simulate(config: LoopConfig, program: LoopProgram,
     measured = {}                     # outcome id -> (pulse, basis)
     given = []                        # (pulse, basis, value) per homodyne
     consumed = [False] * length
-    emitted = [False] * length
     pending = {}                      # target slot -> [(src, gx, gp)]
     outcomes = []
     outer_passes = {p: 0 for p in range(length)}
@@ -216,7 +217,6 @@ def simulate(config: LoopConfig, program: LoopProgram,
                 if pulse is None:
                     raise LoopScheduleError(
                         f"slot {t}: switch-out of a consumed slot")
-                emitted[pulse] = True
                 outer[s] = None
         t += 1
     if pending:
@@ -233,10 +233,6 @@ def simulate(config: LoopConfig, program: LoopProgram,
 
 # ---------------------------------------------------------------------------
 # Gate compilation
-
-
-def _next_arrival(slot: int, not_before: int, length: int) -> int:
-    return not_before + ((slot - not_before) % length)
 
 
 def compile_gates(config: LoopConfig, gates) -> LoopProgram:
@@ -260,16 +256,24 @@ def compile_gates(config: LoopConfig, gates) -> LoopProgram:
             raise LoopScheduleError(f"slot conflict at {slot}")
         steps[slot] = ScheduleStep(slot=slot, **kwargs)
 
+    def circulate(i, k, **act):
+        """Capture pulse i at its next arrival (at or after the cursor),
+        put act k slots later, release pulse i one circulation on and
+        move the cursor past the release; return the act's slot."""
+        nonlocal cursor
+        t1 = cursor + (i - cursor) % length
+        put(t1, vbs_T=0.0)
+        put(t1 + k, **act)
+        put(t1 + length, vbs_T=0.0)
+        cursor = t1 + length + 1
+        return t1 + k
+
     for gate in gates:
         kind = gate[0]
         if kind == "phase":
             _, i, theta = gate
             _check_slot(i, length)
-            t1 = _next_arrival(i, cursor, length)
-            put(t1, vbs_T=0.0)
-            put(t1 + 1, vps_theta=theta)
-            put(t1 + length, vbs_T=0.0)
-            cursor = t1 + length + 1
+            circulate(i, 1, vps_theta=theta)
         elif kind == "bs":
             _, i, j, t_bs = gate
             _check_slot(i, length)
@@ -278,18 +282,13 @@ def compile_gates(config: LoopConfig, gates) -> LoopProgram:
                 raise ValueError("beam splitter needs two distinct slots")
             if not 0.0 <= t_bs <= 1.0:
                 raise ValueError("transmissivity out of [0, 1]")
-            t1 = _next_arrival(i, cursor, length)
-            t2 = t1 + ((j - i) % length)
-            put(t1, vbs_T=0.0)
-            put(t2, vbs_T=t_bs)
-            put(t1 + length, vbs_T=0.0)
-            cursor = t1 + length + 1
+            circulate(i, (j - i) % length, vbs_T=t_bs)
         elif kind == "displace":
             _, i, dx, dp = gate
             _check_slot(i, length)
-            t1 = _next_arrival(i, cursor, length)
-            put(t1, eom=(dx, dp))
-            cursor = t1 + 1
+            cursor += (i - cursor) % length
+            put(cursor, eom=(dx, dp))
+            cursor += 1
         elif kind == "squeeze_tele":
             _, i, y, r_anc = gate
             _check_slot(i, length)
@@ -303,12 +302,7 @@ def compile_gates(config: LoopConfig, gates) -> LoopProgram:
                 continue
             oid = f"m{len(outcome_ids)}"
             outcome_ids.append(oid)
-            t1 = _next_arrival(i, cursor, length)
-            t2 = t1 + ((anc - i) % length)
-            put(t1, vbs_T=0.0)
-            put(t2, vbs_T=t_bs)
-            put(t1 + length, vbs_T=0.0)
-            t_h = t2 + length
+            t_h = circulate(i, (anc - i) % length, vbs_T=t_bs) + length
             put(t_h, homodyne=theta, outcome_id=oid,
                 ff=(oid, gains[0], gains[1], i))
             cursor = t_h + length + 1
@@ -372,19 +366,16 @@ def _unitary_to_gates(u: np.ndarray, tol: float = 1e-11) -> list:
 
 
 def _assert_gates_match(gates, u):
-    n = u.shape[0]
-    m = np.eye(n, dtype=complex)
+    """Apply the gates to the identity, each to the rows it touches, and
+    raise unless the product is u."""
+    m = np.eye(u.shape[0], dtype=complex)
     for gate in gates:
         if gate[0] == "phase":
-            d = np.eye(n, dtype=complex)
-            d[gate[1], gate[1]] = np.exp(1j * gate[2])
-            m = d @ m
+            m[gate[1]] *= np.exp(1j * gate[2])
         else:
             _, i, j, t = gate
-            b = np.eye(n, dtype=complex)
             a, c = math.sqrt(t), math.sqrt(1 - t)
-            b[i, i], b[i, j], b[j, i], b[j, j] = a, c, -c, a
-            m = b @ m
+            m[[i, j]] = np.array([[a, c], [-c, a]]) @ m[[i, j]]
     if np.abs(m - u).max() > 1e-8:
         raise RuntimeError("gate decomposition failed to reproduce the target")
 
@@ -440,8 +431,7 @@ def _cluster_target(n: int, r: float) -> np.ndarray:
     return c @ v0 @ c.T
 
 
-def generate_entangled(kind: str, n: int, r: float,
-                       config: LoopConfig | None = None) -> LoopProgram:
+def generate_entangled(kind: str, n: int, r: float) -> LoopProgram:
     """Build a loop program whose output passes the kind's certificate.
 
     The returned program carries the required input state (squeezed
@@ -452,12 +442,10 @@ def generate_entangled(kind: str, n: int, r: float,
         raise ValueError("r must be >= 0")
     if kind == "EPR":
         n = 2
-        if config is None:
-            config = LoopConfig(n_data=2)
         state = g.vacuum(2)
         state = g.squeeze(state, 0, r)
         state = g.squeeze(state, 1, -r)
-        program = compile_gates(config, [("bs", 0, 1, 0.5)])
+        gates = [("bs", 0, 1, 0.5)]
         certs = (
             ("x0-x1", ((0, 0, 1.0), (1, 0, -1.0)), math.exp(-2 * r)),
             ("p0+p1", ((0, 1, 1.0), (1, 1, 1.0)), math.exp(-2 * r)),
@@ -465,8 +453,6 @@ def generate_entangled(kind: str, n: int, r: float,
     elif kind == "GHZ":
         if n < 2:
             raise ValueError("GHZ needs n >= 2")
-        if config is None:
-            config = LoopConfig(n_data=n)
         state = g.vacuum(n)
         state = g.squeeze(state, 0, -r)        # shared momentum direction
         for k in range(1, n):
@@ -479,7 +465,6 @@ def generate_entangled(kind: str, n: int, r: float,
             hh = diff / norm
             u = u - 2.0 * np.outer(hh, hh @ u)
         gates = _unitary_to_gates(u.astype(complex))
-        program = compile_gates(config, gates)
         certs = tuple(
             [("p_sum", tuple((k, 1, 1.0) for k in range(n)),
               n * math.exp(-2 * r) / 2)]
@@ -489,14 +474,11 @@ def generate_entangled(kind: str, n: int, r: float,
     elif kind == "CLUSTER_LINEAR":
         if n < 2:
             raise ValueError("cluster needs n >= 2")
-        if config is None:
-            config = LoopConfig(n_data=n)
         rs, q = _factor_pure_state(_cluster_target(n, r))
         state = g.vacuum(n)
         for k, rk in enumerate(rs):
             state = g.squeeze(state, k, rk)
         gates = _unitary_to_gates(_passive_to_unitary(q))
-        program = compile_gates(config, gates)
         certs = []
         for i in range(n):
             terms = [(i, 1, 1.0)]
@@ -508,6 +490,7 @@ def generate_entangled(kind: str, n: int, r: float,
         certs = tuple(certs)
     else:
         raise ValueError(f"unknown kind {kind!r}")
+    program = compile_gates(LoopConfig(n_data=n), gates)
     return LoopProgram(steps=program.steps, outcome_ids=program.outcome_ids,
                        input_state=state, certificates=certs,
                        ancilla_prep=program.ancilla_prep)

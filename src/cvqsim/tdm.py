@@ -13,8 +13,9 @@ pushes a row stack [arm quadratures; delay contents] through the stages
 with gaussian.beamsplitter_matrix for every splitter and a roll of the
 queue rows for every delay; _stage_plan builds those row indices and
 matrices once per network.  The one-slot matrix that drives streaming
-and emitted_covariance, and the unrolled map that derive_squeezed_forms
-solves against, are both made by it.
+and emitted_covariance is made by it, and derive_squeezed_forms pushes
+each squeezed input row through it slot by slot: the network is passive,
+so no whole-run matrix is ever built or inverted.
 
 The engine never stores emitted pulses.  The delay-line contents are
 the only quantum memory; their covariance is updated slot by slot, and
@@ -53,12 +54,10 @@ class NetworkSpec:
     squeezers: one (orientation, r) pair per arm, orientation "x" or "p".
     stages: ordered tuple of ("bs", arm_i, arm_j, T) and
         ("delay", arm, length) entries, applied top to bottom each slot.
-    width: lattice width for 2D networks (informational).
     """
 
     squeezers: tuple
     stages: tuple
-    width: int | None = None
 
     def __post_init__(self):
         if len(self.squeezers) not in (2, 4):
@@ -66,8 +65,8 @@ class NetworkSpec:
         for orient, r in self.squeezers:
             if orient not in ("x", "p"):
                 raise ValueError(f"unknown squeezer orientation {orient!r}")
-            if r < 0:
-                raise ValueError("squeezer r must be >= 0")
+            if not 0 <= r < math.inf:
+                raise ValueError("squeezer r must be finite and >= 0")
         arms = self.n_arms
         for s in self.stages:
             if s[0] == "bs":
@@ -124,7 +123,6 @@ def network_2d(r: float, width: int) -> NetworkSpec:
                 ("delay", 3, width),
                 ("bs", 0, 2, BS_DEFAULT_T),
                 ("bs", 1, 3, BS_DEFAULT_T)),
-        width=width,
     )
 
 
@@ -197,59 +195,37 @@ def _slot_matrix(spec: NetworkSpec) -> np.ndarray:
                      np.eye(2 * (spec.n_arms + spec.n_delay_slots)))
 
 
-def _unrolled_symplectic(spec: NetworkSpec, n_slots: int) -> np.ndarray:
-    """Dense map for n_slots: inputs [fresh slot-major; initial delay],
-    outputs [emitted slot-major; final delay]."""
-    plan = _stage_plan(spec)
-    a2 = 2 * spec.n_arms
-    d2 = 2 * spec.n_delay_slots
-    dim = a2 * n_slots + d2
-    z = np.zeros((a2 + d2, dim))
-    z[a2:, a2 * n_slots:] = np.eye(d2)
-    out = np.empty((dim, dim))
-    for k in range(n_slots):
-        z[:a2] = 0.0
-        z[:a2, a2 * k:a2 * (k + 1)] = np.eye(a2)
-        _run_slot(plan, z)
-        out[a2 * k:a2 * (k + 1)] = z[:a2]
-    out[a2 * n_slots:] = z[a2:]
-    return out
-
-
 def derive_squeezed_forms(spec: NetworkSpec) -> tuple:
     """Propagate each squeezed input quadrature to the emitted basis.
 
-    If z_out = S z_in, the combination c = S^{-T} e_q of emitted
-    quadratures reproduces the squeezed input quadrature q exactly, so
-    its variance is e^{-2r}/2 regardless of the network.  Whenever c
-    touches several slots it certifies inter-slot entanglement.
+    Every stage is a beam splitter or a delay, so the map S of any run
+    of slots (z_out = S z_in) is orthogonal, and the combination
+    c = S^{-T} e_q = S e_q of emitted quadratures reproduces the squeezed
+    input quadrature q exactly: its variance is e^{-2r}/2 regardless of
+    the network.  S e_q is e_q pushed forward slot by slot through
+    _run_slot, reading the emitted arm rows after each slot, so it never
+    reaches an earlier slot.  Whenever c touches several slots it
+    certifies inter-slot entanglement.
     """
-    n_slots = 2 * spec.max_delay + 3
-    anchor = spec.max_delay + 1
-    s_mat = _unrolled_symplectic(spec, n_slots)
+    plan = _stage_plan(spec)
     a2 = 2 * spec.n_arms
-    n_emitted = a2 * n_slots
     forms = []
     for arm, (orient, r) in enumerate(spec.squeezers):
-        e = np.zeros(s_mat.shape[0])
-        e[a2 * anchor + 2 * arm + (0 if orient == "x" else 1)] = 1.0
-        c = np.linalg.solve(s_mat.T, e)
-        tail = np.abs(c[n_emitted:]).max() if len(c) > n_emitted else 0.0
-        if tail > 1e-10:
-            raise RuntimeError("nullifier support leaks into the delay line")
+        z = np.zeros(a2 + 2 * spec.n_delay_slots)
+        z[2 * arm + (0 if orient == "x" else 1)] = 1.0
         terms = []
-        for idx in np.nonzero(np.abs(c[:n_emitted]) > 1e-10)[0]:
-            slot, rem = divmod(int(idx), a2)
-            t_arm, quad = divmod(rem, 2)
-            if slot < anchor:
-                raise RuntimeError("acausal nullifier support")
-            terms.append((slot - anchor, t_arm, quad, float(c[idx])))
-        norm_sq = sum(t[3] ** 2 for t in terms)
+        for offset in range(spec.max_delay + 2):
+            _run_slot(plan, z)
+            for idx in np.nonzero(np.abs(z[:a2]) > 1e-10)[0]:
+                terms.append((offset, *divmod(int(idx), 2), float(z[idx])))
+            z[:a2] = 0.0                # no fresh input after slot 0
+        if np.abs(z[a2:]).max(initial=0.0) > 1e-10:
+            raise RuntimeError("nullifier support leaks into the delay line")
         forms.append(NullifierForm(
             name=f"{orient}{arm}",
-            terms=tuple(sorted(terms)),
+            terms=tuple(terms),             # (offset, arm, quad) order
             expected_var=math.exp(-2 * r) / 2,
-            vacuum_var=norm_sq / 2,
+            vacuum_var=sum(t[3] ** 2 for t in terms) / 2,
         ))
     return tuple(forms)
 

@@ -367,6 +367,74 @@ class TestDeterminism:
             assert outs[0] == outs[1], argv
 
 
+# Every numeric flag, given a non-finite value on top of a valid command.
+# The cases run in one fresh process, under a timeout, because a value
+# that slips through validation can hang a loop (gkp once spun forever
+# on --delta nan), and that must fail this test rather than stall it.
+_SWEEP_DRIVER = """
+import contextlib, io, json, sys
+from cvqsim import cli
+results = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    results.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps(results))
+"""
+_NON_FINITE = ("nan", "inf", "-inf")
+_SWEEP_FLAGS = {
+    "run": ["--seed", "--shots", "--cutoff"],
+    "loop": ["--seed"],
+    "stream": ["--pulses", "--width", "--eta"],
+    "gkp": ["--delta", "--cutoff"],
+    "curve": ["--curve", "--samples", "--seed"],
+    "budget": ["--loss-db-km", "--length-m", "--pulse-ns", "--velocity"],
+}
+_SWEEP = ([(name, f"{flag}={value}") for name, flags in _SWEEP_FLAGS.items()
+           for flag in flags for value in _NON_FINITE]
+          + [("stream", f"--squeezing={value}{unit}")
+             for value in _NON_FINITE for unit in ("dB", "r")]
+          + [("curve", "--samples=0")])
+
+
+@pytest.fixture(scope="module")
+def sweep(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("sweep")
+    (tmp / "epr.cvq").write_text(EPR_PROGRAM)
+    (tmp / "sched.cvq").write_text(SCHEDULE_PROGRAM)
+    bases = {
+        "run": ["run", str(tmp / "epr.cvq"), "--seed", "1"],
+        "loop": ["loop", str(tmp / "sched.cvq"), "--seed", "1"],
+        "stream": ["stream", "--spec", "2d", "--width", "3", "--pulses",
+                   "50", "--squeezing", "10dB"],
+        "gkp": ["gkp", "--delta", "0.3", "--cutoff", "40"],
+        "curve": ["gkp", "--curve", "0.3", "--samples", "100", "--seed", "1"],
+        "budget": ["budget", "--loss-db-km", "0.2", "--length-m", "100",
+                   "--pulse-ns", "50"],
+    }
+    # argparse keeps a flag's last occurrence, so the appended value wins
+    argvs = [bases[name] + [extra] for name, extra in _SWEEP]
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(cli.__file__).parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-c", _SWEEP_DRIVER, json.dumps(argvs)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return dict(zip(_SWEEP, json.loads(proc.stdout)))
+
+
+class TestNonFiniteFlags:
+
+    @pytest.mark.parametrize("case", _SWEEP, ids=" ".join)
+    def test_rejected_with_one_line(self, sweep, case):
+        code, out, err = sweep[case]
+        assert code in (1, 2) and out == ""
+        assert len(err.splitlines()) == 1
+        if code == 2:
+            assert json.loads(err)["error"]["type"] == "ValueError"
+
+
 class TestTopLevel:
 
     def test_help_exits_zero(self, capsys):

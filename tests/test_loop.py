@@ -49,10 +49,6 @@ class TestValidation:
         with pytest.raises(ValueError):
             LoopConfig(n_data=1, eta_inner=-0.1)
 
-    def test_config_rejects_bad_slot_time(self):
-        with pytest.raises(ValueError):
-            LoopConfig(n_data=1, slot_time=0.0)
-
     def test_input_mode_count_must_match(self):
         cfg = LoopConfig(n_data=3)
         with pytest.raises(ValueError, match="3 modes"):
@@ -411,6 +407,26 @@ class TestEntangled:
         jmat = g.symplectic_form(3)
         eig = np.linalg.eigvals(1j * (out.cov @ jmat))
         assert np.abs(np.sort(np.abs(eig)) - 0.5).max() < 1e-8
+
+    def test_gate_check_rejects_a_wrong_gate_list(self):
+        u = loop._passive_to_unitary(
+            loop._factor_pure_state(loop._cluster_target(4, R15))[1])
+        gates = loop._unitary_to_gates(u)
+        loop._assert_gates_match(gates, u)
+        # the strongest splitter with its sign flipped (arms swapped),
+        # and the largest phase dropped
+        k = min((n for n, gate in enumerate(gates) if gate[0] == "bs"),
+                key=lambda n: gates[n][3])
+        _, i, j, t = gates[k]
+        assert t < 0.99
+        flipped = gates[:k] + [("bs", j, i, t)] + gates[k + 1:]
+        k = max((n for n, gate in enumerate(gates) if gate[0] == "phase"),
+                key=lambda n: abs(gates[n][2]))
+        assert abs(gates[k][2]) > 0.01
+        dropped = gates[:k] + gates[k + 1:]
+        for wrong in (flipped, dropped):
+            with pytest.raises(RuntimeError, match="failed to reproduce"):
+                loop._assert_gates_match(wrong, u)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="unknown kind"):

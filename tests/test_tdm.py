@@ -48,6 +48,44 @@ class TestNetworkSpec:
             tdm.network_2d(1.0, 1)
 
 
+def _custom_two_slot_delay():
+    return tdm.NetworkSpec(squeezers=(("x", 1.2), ("p", 0.4)),
+                           stages=(("bs", 0, 1, 0.3),
+                                   ("delay", 1, 2),
+                                   ("bs", 0, 1, 0.6)))
+
+
+class TestSlotMap:
+    # every network this file builds; derive_squeezed_forms pushes rows
+    # forward instead of inverting, which holds only for an orthogonal map
+    @pytest.mark.parametrize("make", [
+        lambda: tdm.network_1d(R15),
+        lambda: tdm.network_1d(0.0),
+        lambda: tdm.network_2d(1.0, 5),
+        *(lambda w=w: tdm.network_2d(0.7, w) for w in (2, 3, 40)),
+        lambda: tdm.NetworkSpec(squeezers=(("x", 0.8), ("p", 0.8)),
+                                stages=(("bs", 0, 1, 0.5),)),
+        _custom_two_slot_delay,
+        lambda: tdm.NetworkSpec(squeezers=(("x", 1.2), ("p", 0.4)),
+                                stages=(("bs", 0, 1, 0.3), ("delay", 1, 3),
+                                        ("delay", 0, 1), ("bs", 1, 0, 0.6))),
+        lambda: tdm.NetworkSpec(squeezers=(("x", 0.0), ("p", 0.0)),
+                                stages=(("delay", 0, 3),)),
+    ])
+    def test_slot_matrix_is_orthogonal(self, make):
+        m = tdm._slot_matrix(make())
+        assert np.abs(m.T @ m - np.eye(len(m))).max() < 1e-12
+
+    def test_support_beyond_the_window_is_rejected(self):
+        # two delays in series on one arm emit a pulse 5 slots after it
+        # enters, past the max_delay + 2 = 5 slots (offsets 0-4) followed
+        spec = tdm.NetworkSpec(squeezers=(("x", 1.0), ("p", 1.0)),
+                               stages=(("bs", 0, 1, 0.5), ("delay", 0, 2),
+                                       ("delay", 0, 3), ("bs", 0, 1, 0.5)))
+        with pytest.raises(RuntimeError, match="leaks into the delay line"):
+            tdm.derive_squeezed_forms(spec)
+
+
 class TestDeriveForms:
     def test_single_splitter_no_delay(self):
         spec = tdm.NetworkSpec(squeezers=(("x", 0.8), ("p", 0.8)),
@@ -334,13 +372,6 @@ class TestCsvSink:
             return seen
 
         assert snapshots(mutate=True) == snapshots(mutate=False)
-
-
-def _custom_two_slot_delay():
-    return tdm.NetworkSpec(squeezers=(("x", 1.2), ("p", 0.4)),
-                           stages=(("bs", 0, 1, 0.3),
-                                   ("delay", 1, 2),
-                                   ("bs", 0, 1, 0.6)))
 
 
 def _acc_state(acc):
