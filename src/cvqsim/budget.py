@@ -75,8 +75,12 @@ def capacity(length_m: float, pulse_width_s: float,
     if not (0 < pulse_width_s < math.inf and 0 < group_velocity < math.inf):
         raise ValueError(
             "pulse width and group velocity must be finite and positive")
-    return int(math.floor(length_m / (group_velocity * pulse_width_s)
-                          + _CAPACITY_EPS))
+    pulse_length_m = group_velocity * pulse_width_s
+    pulses = length_m / pulse_length_m if pulse_length_m else math.inf
+    if pulses == math.inf:
+        raise ValueError("pulse capacity overflows: the loop is too long "
+                         "for the pulse width and group velocity")
+    return int(math.floor(pulses + _CAPACITY_EPS))
 
 
 def report(budget: BudgetInput) -> BudgetReport:

@@ -17,26 +17,23 @@ and emitted_covariance is made by it, and derive_squeezed_forms pushes
 each squeezed input row through it slot by slot: the network is passive,
 so no whole-run matrix is ever built or inverted.
 
-The engine never stores emitted pulses.  The delay-line contents are
-the only quantum memory; their covariance is updated slot by slot, and
-every certificate (nullifier) variance is evaluated analytically by
-splitting the form into its delay-line part and its not-yet-injected
-fresh-pulse part.  Memory is therefore constant in the number of
-pulses, and all reported variances are exact.
-
-After a few slots the delay-line covariance reaches a fixed point and
-every later slot repeats the same variances.  Those slots are credited
-to the accumulators in closed form, so a run costs O(transient)
-whatever the number of pulses; with a sink, which receives one record
-per slot, it costs O(n_pulses).  csv_sink writes one row per slot but
-formats each distinct row once: a steady-state slot repeats the previous
-row's text with only its slot number changed.
+The engine never stores emitted pulses, nor the delay-line state.  Each
+form is one squeezed input quadrature read back through the passive
+network, so its variance is the same in every slot: _stream evaluates it
+once, from the fresh inputs it reads, and a run costs O(1) whatever the
+number of pulses; with a sink, which receives one record per slot, it
+costs O(n_pulses).  csv_sink writes one row per slot but formats each
+distinct row once: a repeated slot repeats the previous row's text with
+only its slot number changed.  emitted_covariance is the one slot-by-slot
+recursion of the delay-line covariance, the reference the tests hold
+those variances to.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 import time
 from dataclasses import dataclass
 
@@ -45,6 +42,8 @@ import numpy as np
 from . import gaussian as g
 
 BS_DEFAULT_T = 0.5
+# largest squeezing r whose anti-squeezed variance e^{2r}/2 is a float
+_MAX_SQUEEZE_R = math.log(sys.float_info.max) / 2
 
 
 @dataclass(frozen=True)
@@ -65,8 +64,10 @@ class NetworkSpec:
         for orient, r in self.squeezers:
             if orient not in ("x", "p"):
                 raise ValueError(f"unknown squeezer orientation {orient!r}")
-            if not 0 <= r < math.inf:
-                raise ValueError("squeezer r must be finite and >= 0")
+            if not 0 <= r <= _MAX_SQUEEZE_R:
+                raise ValueError(
+                    f"squeezer r must be in [0, {_MAX_SQUEEZE_R:.6g}]: "
+                    "e^(2r) must be a finite float")
         arms = self.n_arms
         for s in self.stages:
             if s[0] == "bs":
@@ -230,104 +231,67 @@ def derive_squeezed_forms(spec: NetworkSpec) -> tuple:
     return tuple(forms)
 
 
-class StreamAccumulator:
-    """Running count/mean/min/max without storing the sequence."""
-
-    def __init__(self):
-        self.count = 0
-        self.mean = 0.0
-        self.min = math.inf
-        self.max = -math.inf
-
-    def update(self, value: float):
-        self.count += 1
-        self.mean += (value - self.mean) / self.count
-        if value < self.min:
-            self.min = value
-        if value > self.max:
-            self.max = value
-
-    def update_repeated(self, value: float, times: int):
-        """Same state, bit for bit, as `times` calls of update(value).
-
-        Once an increment rounds to zero the mean is a fixed point:
-        value - mean no longer changes, count only grows and rounding is
-        monotone, so every later increment rounds to zero too.  The loop
-        therefore stops at that point and credits the rest to count.
-        """
-        if times < 0:
-            raise ValueError("times must be >= 0")
-        if times == 0:
-            return
-        self.update(value)
-        count, mean = self.count, self.mean
-        for _ in range(times - 1):
-            count += 1
-            new = mean + (value - mean) / count
-            if new == mean:
-                break
-            mean = new
-        self.count += times - 1
-        self.mean = mean
-
-
 @dataclass
 class StreamStats:
     """Result of a streaming run; variances are exact, not sampled.
 
-    slots_simulated counts the slots whose variances were computed from
-    the delay-line covariance; steady_at_slot is the first non-boundary
-    slot at which that covariance is a fixed point (None if the run ends
-    first).  Every later slot repeats its values and is credited to the
-    accumulators in closed form.
+    variances holds each form's variance, the same in every slot, and
+    count the non-boundary slots, each of which evaluates every form.
+    When count is 0, to_json gives each form mean_var 0.0 and min_var
+    and max_var None.
     """
 
-    form_stats: dict
+    variances: dict
+    count: int
     vacuum_vars: dict
     expected_vars: dict
     n_slots: int
     boundary_slots: int
     peak_active_modes: int
-    slots_simulated: int
-    steady_at_slot: int | None
     wall_time_s: float
 
     def ratios(self) -> dict:
-        """Steady-state variance normalized by the vacuum value per form."""
-        return {name: acc.mean / self.vacuum_vars[name]
-                for name, acc in self.form_stats.items() if acc.count}
+        """Variance normalized by the vacuum value per form; empty when
+        every evaluated slot is a boundary slot."""
+        if not self.count:
+            return {}
+        return {name: var / self.vacuum_vars[name]
+                for name, var in self.variances.items()}
 
     def to_json(self) -> str:
+        n = self.count
         payload = {
             "n_slots": self.n_slots,
             "boundary_slots": self.boundary_slots,
             "peak_active_modes": self.peak_active_modes,
-            "slots_simulated": self.slots_simulated,
-            "steady_at_slot": self.steady_at_slot,
             "forms": {
                 name: {
-                    "count": acc.count,
-                    "mean_var": acc.mean,
-                    "min_var": acc.min if acc.count else None,
-                    "max_var": acc.max if acc.count else None,
+                    "count": n,
+                    "mean_var": var if n else 0.0,
+                    "min_var": var if n else None,
+                    "max_var": var if n else None,
                     "vacuum_var": self.vacuum_vars[name],
                     "expected_var": self.expected_vars[name],
                 }
-                for name, acc in self.form_stats.items()
+                for name, var in self.variances.items()
             },
             "timings": {"stream_s": self.wall_time_s},
         }
         return json.dumps(payload, indent=2)
 
 
-def _form_vectors(spec, forms, m):
-    """Split each form into delay-line and future-fresh components.
+def _form_variances(spec, forms):
+    """Variance of each form, from the fresh inputs it reads.
 
     Writing emitted pulses at offsets t >= 0 in terms of the delay
-    content w at the anchor slot and the fresh inputs f at offsets
-    0..t gives Var(form) = g^T V_w g + sum_s h_s^T V_f h_s with h_s
-    constant.  Returns per form (g, constant fresh part).
+    content at the anchor slot and the fresh inputs f at offsets 0..t
+    gives Var(form) = sum_s h_s^T V_f h_s plus a delay-line part.  A
+    form is a squeezed input pushed through the passive network
+    (derive_squeezed_forms), so its delay-line part is zero up to
+    rounding, and the fresh part is its variance in every slot,
+    boundary slots included.
     """
+    m = _slot_matrix(spec)
     a2 = 2 * spec.n_arms
     of, ow = m[:a2, :a2], m[:a2, a2:]
     wf, ww = m[a2:, :a2], m[a2:, a2:]
@@ -339,12 +303,12 @@ def _form_vectors(spec, forms, m):
         for off, arm, quad, coef in form.terms:
             c_by_offset[off][2 * arm + quad] += coef
         u = np.zeros(m.shape[0] - a2)
-        fresh_const = 0.0
+        fresh = 0.0
         for s in range(support - 1, -1, -1):
             h = of.T @ c_by_offset[s] + wf.T @ u
-            fresh_const += float(h @ v_f @ h)
+            fresh += float(h @ v_f @ h)
             u = ow.T @ c_by_offset[s] + ww.T @ u
-        out.append((u, fresh_const))
+        out.append(fresh)
     return out
 
 
@@ -357,70 +321,26 @@ def _stream(spec: NetworkSpec, n_slots: int, sink=None,
     if loss is not None and not 0.0 < loss <= 1.0:
         raise ValueError("loss transmission must be in (0, 1]")
     start = time.perf_counter()
-    m = _slot_matrix(spec)
-    a2 = 2 * spec.n_arms
-    wf, ww = m[a2:, :a2], m[a2:, a2:]
-    v_f = _fresh_cov(spec)
-    k_update = wf @ v_f @ wf.T
-
-    forms = list(derive_squeezed_forms(spec))
-    vectors = _form_vectors(spec, forms, m)
-    max_support = max(f.support for f in forms) - 1
-    boundary_limit = spec.max_delay
-
-    stats = {f.name: StreamAccumulator() for f in forms}
-    vacuum = {f.name: f.vacuum_var for f in forms}
-    expected = {f.name: f.expected_var for f in forms}
-    eta = 1.0 if loss is None else loss
-
-    v_w = 0.5 * np.eye(2 * spec.n_delay_slots)
-    n_eval = max(0, n_slots - max_support)
-    boundary_count = 0
-    steady_at = None
-
-    def emit(k, boundary, vals):
-        if sink is not None:
-            sink({"slot": k, "boundary": boundary, "forms": dict(vals)})
-
-    # Transient: step the delay-line covariance until it is a fixed point.
-    for k in range(n_eval):
-        vals = {}
-        for form, (gw, const) in zip(forms, vectors):
-            var = float(gw @ v_w @ gw) + const
-            if loss is not None:
-                var = eta * var + (1 - eta) * form.vacuum_var
-            vals[form.name] = var
-        boundary = k < boundary_limit
-        if boundary:
-            boundary_count += 1
-        else:
-            for name, var in vals.items():
-                stats[name].update(var)
-        emit(k, boundary, vals)
-        v_next = k_update + ww @ v_w @ ww.T
-        if not boundary and np.array_equal(v_next, v_w):
-            steady_at = k
-            break
-        v_w = v_next
-
-    # Steady state: every later slot repeats slot steady_at bit for bit.
-    if steady_at is not None:
-        rest = range(steady_at + 1, n_eval)
-        for name, var in vals.items():
-            stats[name].update_repeated(var, len(rest))
-        if sink is not None:
-            for k in rest:
-                emit(k, False, vals)
+    forms = derive_squeezed_forms(spec)
+    vals = {}
+    for form, var in zip(forms, _form_variances(spec, forms)):
+        if loss is not None:
+            var = loss * var + (1 - loss) * form.vacuum_var
+        vals[form.name] = var
+    n_eval = max(0, n_slots - max(f.support for f in forms) + 1)
+    boundary = min(n_eval, spec.max_delay)
+    if sink is not None:
+        for k in range(n_eval):
+            sink({"slot": k, "boundary": k < boundary, "forms": dict(vals)})
 
     return StreamStats(
-        form_stats=stats,
-        vacuum_vars=vacuum,
-        expected_vars=expected,
+        variances=vals,
+        count=n_eval - boundary,
+        vacuum_vars={f.name: f.vacuum_var for f in forms},
+        expected_vars={f.name: f.expected_var for f in forms},
         n_slots=n_slots,
-        boundary_slots=boundary_count,
+        boundary_slots=boundary,
         peak_active_modes=spec.n_arms + spec.n_delay_slots,
-        slots_simulated=n_eval if steady_at is None else steady_at + 1,
-        steady_at_slot=steady_at,
         wall_time_s=time.perf_counter() - start,
     )
 
@@ -441,10 +361,13 @@ def stream_2d(n_steps: int, width: int, r: float, sink=None,
 
 
 def emitted_covariance(spec: NetworkSpec, n_slots: int):
-    """Joint covariance of every emitted pulse, by the streaming recursion.
+    """Joint covariance of every emitted pulse, stepping the delay-line
+    covariance slot by slot.
 
-    Uses the same one-slot matrices as the streaming engine, so equality
-    with a dense whole-network simulation checks the engine end to end.
+    This is the only recursion of the delay-line state.  It uses the same
+    one-slot matrix as _stream, so equality with a dense whole-network
+    simulation checks the slot map end to end, and the form variances it
+    gives are the reference for the ones _stream reports without it.
     Returns (cov, index_map) with index_map[(slot, arm)] -> mode.
     """
     m = _slot_matrix(spec)

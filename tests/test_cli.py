@@ -367,10 +367,13 @@ class TestDeterminism:
             assert outs[0] == outs[1], argv
 
 
-# Every numeric flag, given a non-finite value on top of a valid command.
-# The cases run in one fresh process, under a timeout, because a value
-# that slips through validation can hang a loop (gkp once spun forever
-# on --delta nan), and that must fail this test rather than stall it.
+# Every numeric flag, given a non-finite value on top of a valid command,
+# plus finite values whose arithmetic overflows: a squeezing whose e^(2r)
+# is not a float, and budget sizes whose pulse capacity is infinite or
+# whose pulse length underflows to zero.  The cases run in one fresh
+# process, under a timeout, because a value that slips through
+# validation can hang a loop (gkp once spun forever on --delta nan), and
+# that must fail this test rather than stall it.
 _SWEEP_DRIVER = """
 import contextlib, io, json, sys
 from cvqsim import cli
@@ -395,7 +398,10 @@ _SWEEP = ([(name, f"{flag}={value}") for name, flags in _SWEEP_FLAGS.items()
            for flag in flags for value in _NON_FINITE]
           + [("stream", f"--squeezing={value}{unit}")
              for value in _NON_FINITE for unit in ("dB", "r")]
-          + [("curve", "--samples=0")])
+          + [("curve", "--samples=0"),
+             ("stream", "--squeezing=400r"), ("stream", "--squeezing=3500dB"),
+             ("budget", "--pulse-ns=1e-310"), ("budget", "--velocity=1e-300"),
+             ("budget", "--velocity=1e-320")])
 
 
 @pytest.fixture(scope="module")
