@@ -8,8 +8,10 @@ Exit codes: 0 success, 1 usage error, 2 runtime or physics error.  The
 latter writes a structured JSON diagnostic to stderr so harnesses can
 tell a typo from a leakage budget violation; it is one line, and any
 warnings the command raised are in it.  Any subcommand that
-samples takes a mandatory --seed; identical inputs and seed give
-identical output bytes (the timings field aside).
+samples takes a mandatory --seed, a non-negative integer; identical
+inputs and seed give identical output bytes (the timings field aside).
+A reader that closes stdout before the output is written ends the
+command quietly: nothing goes to stderr and the exit code is 0.
 """
 
 from __future__ import annotations
@@ -45,6 +47,13 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: {message}")
 
 
+def _seed(text: str) -> int:
+    if not text.isdecimal():        # numpy seeds are non-negative
+        raise argparse.ArgumentTypeError(
+            f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="cvq", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="subcommand", required=True)
@@ -53,14 +62,14 @@ def _build_parser() -> _Parser:
     p_run.add_argument("program", help="path to a .cvq file")
     p_run.add_argument("--backend", choices=("gaussian", "fock"),
                        default="gaussian")
-    p_run.add_argument("--seed", type=int, required=True)
+    p_run.add_argument("--seed", type=_seed, required=True)
     p_run.add_argument("--shots", type=int, default=1)
     p_run.add_argument("--cutoff", type=int, default=fk.DEFAULT_CUTOFF)
     p_run.add_argument("--out")
 
     p_loop = sub.add_parser("loop", help="run a schedule program")
     p_loop.add_argument("program", help=".cvq file with a schedule block")
-    p_loop.add_argument("--seed", type=int, required=True)
+    p_loop.add_argument("--seed", type=_seed, required=True)
     p_loop.add_argument("--out")
 
     p_stream = sub.add_parser("stream", help="stream a cluster state")
@@ -78,7 +87,7 @@ def _build_parser() -> _Parser:
     p_gkp.add_argument("--cutoff", type=int, default=100)
     p_gkp.add_argument("--curve", help="comma-separated shift sigmas")
     p_gkp.add_argument("--samples", type=int, default=100000)
-    p_gkp.add_argument("--seed", type=int)
+    p_gkp.add_argument("--seed", type=_seed)
     p_gkp.add_argument("--out")
 
     p_budget = sub.add_parser("budget", help="fiber loss and capacity")
@@ -106,6 +115,7 @@ def _emit(payload: str, out_path) -> None:
         sys.stdout.write(payload)
         if not payload.endswith("\n"):
             sys.stdout.write("\n")
+        sys.stdout.flush()          # a closed reader raises here, not at exit
         return
     base = os.environ.get("CVQ_OUT_DIR")
     if base and not os.path.isabs(out_path):
@@ -259,7 +269,12 @@ def main(argv=None) -> int:
     if usage is not None:
         print(usage, file=sys.stderr)
         return EXIT_USAGE
-    _emit(payload, args.out)
+    try:
+        _emit(payload, args.out)
+    except BrokenPipeError:
+        # the reader stopped early; point stdout at devnull so the
+        # interpreter's final flush cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return EXIT_OK
 
 

@@ -626,7 +626,7 @@ def _run_network(r, args):
         stats = tdm.stream_1d(s["pulses"], sq)
     else:
         stats = tdm.stream_2d(s["pulses"], s["width"], sq)
-    payload = json.loads(stats.to_json())
+    payload = stats.to_dict()
     r.wall = payload.pop("timings")["stream_s"]
     payload["type"] = "stream"
     r.reports.append(payload)

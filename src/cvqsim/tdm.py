@@ -12,21 +12,20 @@ The pipeline has one model: the slot map, built by _run_slot, which
 pushes a row stack [arm quadratures; delay contents] through the stages
 with gaussian.beamsplitter_matrix for every splitter and a roll of the
 queue rows for every delay; _stage_plan builds those row indices and
-matrices once per network.  The one-slot matrix that drives streaming
-and emitted_covariance is made by it, and derive_squeezed_forms pushes
-each squeezed input row through it slot by slot: the network is passive,
-so no whole-run matrix is ever built or inverted.
+matrices once per network.  derive_squeezed_forms pushes each squeezed
+input row through it slot by slot, and emitted_covariance steps the
+one-slot matrix it makes; no whole-run matrix is built or inverted.
 
 The engine never stores emitted pulses, nor the delay-line state.  Each
 form is one squeezed input quadrature read back through the passive
-network, so its variance is the same in every slot: _stream evaluates it
-once, from the fresh inputs it reads, and a run costs O(1) whatever the
-number of pulses; with a sink, which receives one record per slot, it
-costs O(n_pulses).  csv_sink writes one row per slot but formats each
-distinct row once: a repeated slot repeats the previous row's text with
-only its slot number changed.  emitted_covariance is the one slot-by-slot
-recursion of the delay-line covariance, the reference the tests hold
-those variances to.
+network, so its variance is that input's e^{-2r}/2 in every slot, exact
+by construction: a stream run computes only the forms' support, their
+coefficients and the boundary slots, and costs O(1) whatever the number
+of pulses; with a sink, which receives one record per slot, it costs
+O(n_pulses).  csv_sink writes one row per slot but formats each distinct
+row once: a repeated slot repeats the previous row's text with only its
+slot number changed.  emitted_covariance, the one slot-by-slot recursion
+of the delay-line covariance, is the tests' reference for them.
 """
 
 from __future__ import annotations
@@ -133,8 +132,8 @@ class NullifierForm:
 
     terms: tuple of (slot_offset, arm, quad, coef) with quad 0 for x and
     1 for p; offsets are relative to the form's anchor slot.
-    expected_var is the lossless steady-state variance; vacuum_var the
-    value the same form takes on unsqueezed inputs.
+    expected_var is the lossless variance, e^{-2r}/2 in every slot;
+    vacuum_var the value the same form takes on unsqueezed inputs.
     """
 
     name: str
@@ -206,7 +205,9 @@ def derive_squeezed_forms(spec: NetworkSpec) -> tuple:
     the network.  S e_q is e_q pushed forward slot by slot through
     _run_slot, reading the emitted arm rows after each slot, so it never
     reaches an earlier slot.  Whenever c touches several slots it
-    certifies inter-slot entanglement.
+    certifies inter-slot entanglement.  expected_var is exact only while
+    S is orthogonal on the row, so a form whose sum(c^2) is not 1 within
+    1e-12 raises RuntimeError.
     """
     plan = _stage_plan(spec)
     a2 = 2 * spec.n_arms
@@ -222,11 +223,15 @@ def derive_squeezed_forms(spec: NetworkSpec) -> tuple:
             z[:a2] = 0.0                # no fresh input after slot 0
         if np.abs(z[a2:]).max(initial=0.0) > 1e-10:
             raise RuntimeError("nullifier support leaks into the delay line")
+        norm = sum(t[3] ** 2 for t in terms)
+        if abs(norm - 1.0) > 1e-12:
+            raise RuntimeError(f"nullifier {orient}{arm} has squared norm "
+                               f"{norm!r}: the slot map is not orthogonal")
         forms.append(NullifierForm(
             name=f"{orient}{arm}",
             terms=tuple(terms),             # (offset, arm, quad) order
             expected_var=math.exp(-2 * r) / 2,
-            vacuum_var=sum(t[3] ** 2 for t in terms) / 2,
+            vacuum_var=norm / 2,
         ))
     return tuple(forms)
 
@@ -235,8 +240,9 @@ def derive_squeezed_forms(spec: NetworkSpec) -> tuple:
 class StreamStats:
     """Result of a streaming run; variances are exact, not sampled.
 
-    variances holds each form's variance, the same in every slot, and
-    count the non-boundary slots, each of which evaluates every form.
+    variances holds each form's variance, the same in every slot: its
+    expected_var, through the loss map when there is one; count the
+    non-boundary slots, each of which evaluates every form.
     When count is 0, to_json gives each form mean_var 0.0 and min_var
     and max_var None.
     """
@@ -258,9 +264,9 @@ class StreamStats:
         return {name: var / self.vacuum_vars[name]
                 for name, var in self.variances.items()}
 
-    def to_json(self) -> str:
+    def to_dict(self) -> dict:
         n = self.count
-        payload = {
+        return {
             "n_slots": self.n_slots,
             "boundary_slots": self.boundary_slots,
             "peak_active_modes": self.peak_active_modes,
@@ -277,53 +283,24 @@ class StreamStats:
             },
             "timings": {"stream_s": self.wall_time_s},
         }
-        return json.dumps(payload, indent=2)
 
-
-def _form_variances(spec, forms):
-    """Variance of each form, from the fresh inputs it reads.
-
-    Writing emitted pulses at offsets t >= 0 in terms of the delay
-    content at the anchor slot and the fresh inputs f at offsets 0..t
-    gives Var(form) = sum_s h_s^T V_f h_s plus a delay-line part.  A
-    form is a squeezed input pushed through the passive network
-    (derive_squeezed_forms), so its delay-line part is zero up to
-    rounding, and the fresh part is its variance in every slot,
-    boundary slots included.
-    """
-    m = _slot_matrix(spec)
-    a2 = 2 * spec.n_arms
-    of, ow = m[:a2, :a2], m[:a2, a2:]
-    wf, ww = m[a2:, :a2], m[a2:, a2:]
-    v_f = _fresh_cov(spec)
-    out = []
-    for form in forms:
-        support = form.support
-        c_by_offset = [np.zeros(a2) for _ in range(support)]
-        for off, arm, quad, coef in form.terms:
-            c_by_offset[off][2 * arm + quad] += coef
-        u = np.zeros(m.shape[0] - a2)
-        fresh = 0.0
-        for s in range(support - 1, -1, -1):
-            h = of.T @ c_by_offset[s] + wf.T @ u
-            fresh += float(h @ v_f @ h)
-            u = ow.T @ c_by_offset[s] + ww.T @ u
-        out.append(fresh)
-    return out
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
 
 
 def _stream(spec: NetworkSpec, n_slots: int, sink=None,
             loss=None) -> StreamStats:
-    """Stream n_slots slots of spec.  A sink, when given, receives one
-    record {"slot", "boundary", "forms"} per slot; loss is a transmission
-    applied to every form (a form of vacuum variance v becomes
-    eta var + (1 - eta) v)."""
+    """Stream n_slots slots of spec.  Each form reports its expected_var;
+    loss is a transmission applied to every form (a form of vacuum
+    variance v becomes eta var + (1 - eta) v).  A sink, when given,
+    receives one record {"slot", "boundary", "forms"} per slot."""
     if loss is not None and not 0.0 < loss <= 1.0:
         raise ValueError("loss transmission must be in (0, 1]")
     start = time.perf_counter()
     forms = derive_squeezed_forms(spec)
     vals = {}
-    for form, var in zip(forms, _form_variances(spec, forms)):
+    for form in forms:
+        var = form.expected_var
         if loss is not None:
             var = loss * var + (1 - loss) * form.vacuum_var
         vals[form.name] = var
@@ -364,10 +341,10 @@ def emitted_covariance(spec: NetworkSpec, n_slots: int):
     """Joint covariance of every emitted pulse, stepping the delay-line
     covariance slot by slot.
 
-    This is the only recursion of the delay-line state.  It uses the same
-    one-slot matrix as _stream, so equality with a dense whole-network
+    This is the only recursion of the delay-line state and the only user
+    of the one-slot matrix.  Equality with a dense whole-network
     simulation checks the slot map end to end, and the form variances it
-    gives are the reference for the ones _stream reports without it.
+    gives are the reference for the expected_var that _stream reports.
     Returns (cov, index_map) with index_map[(slot, arm)] -> mode.
     """
     m = _slot_matrix(spec)

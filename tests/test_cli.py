@@ -98,6 +98,16 @@ class TestRunCommand:
         code, _, err = run_cli(capsys, "run", str(prog))
         assert code == 1 and "--seed" in err
 
+    @pytest.mark.parametrize("extra", [(), ("--shots", "2"),
+                                       ("--backend", "fock")],
+                             ids=["single", "shots", "fock"])
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys, extra):
+        prog = tmp_path / "epr.cvq"
+        prog.write_text(EPR_PROGRAM)
+        code, out, err = run_cli(capsys, "run", str(prog), "--seed", "-1",
+                                 *extra)
+        assert code == 1 and out == "" and "--seed" in err
+
     def test_missing_file_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "run", "no-such.cvq", "--seed", "1")
         assert code == 1 and "no-such.cvq" in err
@@ -249,6 +259,12 @@ class TestLoopCommand:
         assert payload["reports"][0]["type"] == "loop"
         assert payload["reports"][0]["survivors"] == [0, 1]
 
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys):
+        prog = tmp_path / "sched.cvq"
+        prog.write_text(SCHEDULE_PROGRAM)
+        code, out, err = run_cli(capsys, "loop", str(prog), "--seed", "-1")
+        assert code == 1 and out == "" and "--seed" in err
+
     def test_non_schedule_program_rejected(self, tmp_path, capsys):
         prog = tmp_path / "plain.cvq"
         prog.write_text("mode q0; ps q0 0.1;\n")
@@ -282,6 +298,19 @@ class TestStreamCommand:
         code, _, err = run_cli(capsys, "stream", "--spec", "1d",
                                "--pulses", "50", "--squeezing", "15")
         assert code == 1 and "suffix" in err
+
+    @pytest.mark.parametrize("r", [17.0, 20.0])
+    @pytest.mark.parametrize("spec", [("1d",), ("2d", "--width", "5")],
+                             ids=["1d", "2d_w5"])
+    def test_large_squeezing_reports_the_exact_variance(self, capsys, spec,
+                                                        r):
+        code, out, _ = run_cli(capsys, "stream", "--spec", *spec,
+                               "--pulses", "100", "--squeezing", f"{r}r")
+        assert code == 0
+        for form in json.loads(out)["forms"].values():
+            assert form["expected_var"] == math.exp(-2 * r) / 2
+            assert math.isclose(form["mean_var"], form["expected_var"],
+                                rel_tol=1e-15)
 
     def test_lossy_ratio_is_weaker(self, capsys):
         _, lossless, _ = run_cli(capsys, "stream", "--spec", "1d",
@@ -336,6 +365,11 @@ class TestGkpCommand:
     def test_curve_needs_seed(self, capsys):
         code, _, err = run_cli(capsys, "gkp", "--curve", "0.2")
         assert code == 1 and "--seed" in err
+
+    def test_curve_negative_seed_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "gkp", "--curve", "0.3",
+                                 "--seed", "-1")
+        assert code == 1 and out == "" and "--seed" in err
 
     def test_gkp_needs_some_request(self, capsys):
         code, _, err = run_cli(capsys, "gkp")
@@ -452,6 +486,30 @@ class TestTopLevel:
 
     def test_no_subcommand_is_usage_error(self, capsys):
         assert cli.main([]) == 1
+
+    def test_closed_stdout_exits_quietly(self, tmp_path, capsys):
+        # a 60 x 60 covariance: more than the 64 KiB a pipe buffers, so
+        # the write meets the closed read end whatever the scheduling
+        n = 30
+        prog = tmp_path / "big.cvq"
+        prog.write_text(
+            f"mode {' '.join(f'q{i}' for i in range(n))};\n"
+            + "".join(f"sq q{i} 0.3r x;\n" for i in range(n))
+            + "".join(f"bs q{i} q{i + 1} t=0.3;\n" for i in range(n - 1))
+            + "report cov;\n")
+        _, out, _ = run_cli(capsys, "run", str(prog), "--seed", "1")
+        assert len(out.encode()) > 64 * 1024
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+        env["PYTHONPATH"] = str(Path(cli.__file__).parent.parent)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "cvqsim.cli", "run", str(prog),
+             "--seed", "1"], env=env, stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == cli.EXIT_OK
+        assert err == b""
 
 
 def gkp_margin(delta: float) -> float:

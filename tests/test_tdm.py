@@ -122,6 +122,13 @@ class TestDeriveForms:
             assert form.expected_var == pytest.approx(form.vacuum_var,
                                                       abs=1e-12)
 
+    def test_non_orthogonal_slot_map_is_rejected(self, monkeypatch):
+        exact = g.beamsplitter_matrix
+        monkeypatch.setattr(g, "beamsplitter_matrix",
+                            lambda t: 1.01 * exact(t))
+        with pytest.raises(RuntimeError, match="squared norm"):
+            tdm.derive_squeezed_forms(tdm.network_1d(R15))
+
 
 class TestStream1D:
     def test_fifteen_db_ratio_exact(self):
@@ -434,7 +441,8 @@ def _random_network(rng):
 
 
 class TestFormVarianceIsSlotInvariant:
-    """_stream evaluates each form once; every slot must agree with the
+    """_stream reports each form's expected_var, e^{-2r}/2, through the
+    loss map; every slot must agree with the form's variance on the
     slot-by-slot delay-line recursion of emitted_covariance."""
 
     @staticmethod
@@ -447,8 +455,8 @@ class TestFormVarianceIsSlotInvariant:
         cov, imap = tdm.emitted_covariance(spec, n_slots)
         assert len(records) == n_slots - support + 1
         assert records[0]["boundary"] == (spec.max_delay > 0)
-        # rounding in either path scales with the largest anti-squeezed
-        # variance: below 7e-17 of it on 441 random networks
+        # emitted_covariance's rounding scales with the largest
+        # anti-squeezed variance: below 7e-17 of it on 441 random networks
         tol = 1e-14 * max(math.exp(2 * r) for _, r in spec.squeezers)
         for rec in records:
             for form in forms:
@@ -483,6 +491,28 @@ class TestFormVarianceIsSlotInvariant:
                 self._check(spec, loss)
             checked += 1
         assert checked > 400 and rejected > 100
+
+
+class TestLargeSqueezingIsExact:
+    """At large r the reported variance is e^{-2r}/2 itself, not the
+    rounding of sums over anti-squeezed variances e^{2r}/2."""
+
+    @pytest.mark.parametrize("r", [17.0, 20.0])
+    @pytest.mark.parametrize("make", [tdm.network_1d,
+                                      lambda r: tdm.network_2d(r, 5)],
+                             ids=["1d", "2d_w5"])
+    def test_stats_and_every_record(self, make, r):
+        records = []
+        stats = tdm._stream(make(r), 100, sink=records.append)
+        want = math.exp(-2 * r) / 2
+        forms = stats.to_dict()["forms"]
+        assert records and forms
+        for form in forms.values():
+            assert form["expected_var"] == want
+            assert math.isclose(form["mean_var"], want, rel_tol=1e-15)
+        for rec in records:
+            for var in rec["forms"].values():
+                assert math.isclose(var, want, rel_tol=1e-15)
 
 
 class TestCounters:
