@@ -7,7 +7,6 @@ pulses of width tau, and a pulse circulating through it keeps a fraction
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -46,9 +45,6 @@ class BudgetReport:
                 "capacity": self.capacity,
                 "circulation_time_s": self.circulation_time_s,
                 "loss_per_circulation_db": self.loss_per_circulation_db}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
     def to_csv(self) -> str:
         d = self.to_dict()

@@ -4,14 +4,18 @@ Subcommands: run (execute a .cvq program), stream (cluster-state
 streaming), loop (schedule programs on the loop processor), gkp (code
 states and error curves), budget (fiber arithmetic).
 
+Each subcommand returns a dict, or CSV text for `budget --format csv`
+and `gkp --curve`; `main` writes a dict as one line of key-sorted compact
+JSON, the same bytes to stdout or to --out.
+
 Exit codes: 0 success, 1 usage error, 2 runtime or physics error.  The
 latter writes a structured JSON diagnostic to stderr so harnesses can
-tell a typo from a leakage budget violation; it is one line, and any
-warnings the command raised are in it.  Any subcommand that
-samples takes a mandatory --seed, a non-negative integer; identical
-inputs and seed give identical output bytes (the timings field aside).
-A reader that closes stdout before the output is written ends the
-command quietly: nothing goes to stderr and the exit code is 0.
+tell a typo from a leakage budget violation; it is one such line, and
+any warnings the command raised are in it.  Any subcommand that samples
+takes a mandatory --seed, a non-negative integer; identical inputs and
+seed give identical output bytes (the timings field aside).  A reader
+that closes stdout before the output is written ends the command
+quietly: nothing goes to stderr and the exit code is 0.
 """
 
 from __future__ import annotations
@@ -54,6 +58,30 @@ def _seed(text: str) -> int:
     return int(text)
 
 
+def _squeezing(text: str) -> float:
+    """A squeezing amount with its unit, e.g. 15dB or 0.8r, as r."""
+    for suffix, to_r in (("dB", g.squeezing_db_to_r), ("r", float)):
+        if text.endswith(suffix):
+            try:
+                return float(to_r(float(text[:-len(suffix)])))
+            except ValueError:
+                break
+    raise argparse.ArgumentTypeError(
+        f"needs a number with a dB or r suffix, e.g. 15dB, got {text!r}")
+
+
+def _sigmas(text: str) -> list:
+    """Comma-separated shift sigmas, at least one."""
+    try:
+        sigmas = [float(s) for s in text.split(",") if s.strip()]
+    except ValueError:
+        sigmas = []
+    if not sigmas:
+        raise argparse.ArgumentTypeError(
+            f"needs comma-separated numbers, got {text!r}")
+    return sigmas
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="cvq", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="subcommand", required=True)
@@ -76,7 +104,7 @@ def _build_parser() -> _Parser:
     p_stream.add_argument("--spec", choices=("1d", "2d"), required=True)
     p_stream.add_argument("--pulses", type=int, required=True)
     p_stream.add_argument("--width", type=int)
-    p_stream.add_argument("--squeezing", required=True,
+    p_stream.add_argument("--squeezing", type=_squeezing, required=True,
                           help="e.g. 15dB or 0.8r")
     p_stream.add_argument("--eta", type=float,
                           help="per-slot transmission, default lossless")
@@ -85,7 +113,8 @@ def _build_parser() -> _Parser:
     p_gkp = sub.add_parser("gkp", help="code-state report or error curve")
     p_gkp.add_argument("--delta", type=float)
     p_gkp.add_argument("--cutoff", type=int, default=100)
-    p_gkp.add_argument("--curve", help="comma-separated shift sigmas")
+    p_gkp.add_argument("--curve", type=_sigmas,
+                       help="comma-separated shift sigmas")
     p_gkp.add_argument("--samples", type=int, default=100000)
     p_gkp.add_argument("--seed", type=_seed)
     p_gkp.add_argument("--out")
@@ -102,26 +131,23 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _parse_squeezing(text: str) -> float:
-    if text.endswith("dB"):
-        return float(g.squeezing_db_to_r(float(text[:-2])))
-    if text.endswith("r"):
-        return float(text[:-1])
-    raise _UsageError("squeezing needs a dB or r suffix, e.g. 15dB")
+def _render(payload) -> str:
+    # compact: an indented dump takes json's pure-Python encoder
+    if isinstance(payload, str):
+        return payload
+    return json.dumps(payload, sort_keys=True) + "\n"
 
 
-def _emit(payload: str, out_path) -> None:
+def _emit(text: str, out_path) -> None:
     if out_path is None:
-        sys.stdout.write(payload)
-        if not payload.endswith("\n"):
-            sys.stdout.write("\n")
+        sys.stdout.write(text)
         sys.stdout.flush()          # a closed reader raises here, not at exit
         return
     base = os.environ.get("CVQ_OUT_DIR")
     if base and not os.path.isabs(out_path):
         out_path = os.path.join(base, out_path)
     with open(out_path, "w") as fh:
-        fh.write(payload)
+        fh.write(text)
 
 
 def _load_program(path: str) -> dsl.CircuitProgram:
@@ -144,13 +170,13 @@ def _shot_seed(seed: int, shot: int) -> int:
                .generate_state(1, dtype=np.uint64)[0])
 
 
-def _cmd_run(args) -> str:
+def _cmd_run(args) -> dict:
     program = _load_program(args.program)
     if args.shots <= 0:
         raise _UsageError("--shots must be >= 1")
     if args.shots == 1:
         return dsl.run(program, args.backend, args.seed,
-                       cutoff=args.cutoff).to_json()
+                       cutoff=args.cutoff).to_dict()
     shots = []
     total = 0.0
     for i in range(args.shots):
@@ -159,47 +185,43 @@ def _cmd_run(args) -> str:
         total += rep.timings["run_s"]
         shots.append({"shot": i, "seed": rep.seed,
                       "outcomes": rep.outcomes, "reports": rep.reports})
-    return json.dumps({"backend": args.backend, "seed": args.seed,
-                       "shots": shots, "timings": {"run_s": total}},
-                      sort_keys=True, indent=2)
+    return {"backend": args.backend, "seed": args.seed, "shots": shots,
+            "timings": {"run_s": total}}
 
 
-def _cmd_loop(args) -> str:
+def _cmd_loop(args) -> dict:
     program = _load_program(args.program)
     ops = [i.op for i in program.instructions]
     if ops != ["schedule"]:
         raise ValueError("loop subcommand needs a single schedule block")
-    return dsl.run(program, "gaussian", args.seed).to_json()
+    return dsl.run(program, "gaussian", args.seed).to_dict()
 
 
-def _cmd_stream(args) -> str:
-    r = _parse_squeezing(args.squeezing)
+def _cmd_stream(args) -> dict:
     if args.spec == "2d":
         if args.width is None:
             raise _UsageError("--spec 2d needs --width")
-        stats = tdm.stream_2d(args.pulses, args.width, r, loss=args.eta)
+        stats = tdm.stream_2d(args.pulses, args.width, args.squeezing,
+                              loss=args.eta)
     else:
         if args.width is not None:
             raise _UsageError("--width only applies to --spec 2d")
-        stats = tdm.stream_1d(args.pulses, r, loss=args.eta)
-    return stats.to_json()
+        stats = tdm.stream_1d(args.pulses, args.squeezing, loss=args.eta)
+    return stats.to_dict()
 
 
-def _cmd_gkp(args) -> str:
+def _cmd_gkp(args) -> dict | str:
     if args.curve:
         if args.seed is None:
             raise _UsageError("--curve samples shifts and needs --seed")
-        sigmas = [float(s) for s in args.curve.split(",") if s.strip()]
-        if not sigmas:
-            raise _UsageError("--curve needs at least one sigma")
-        return gkp.error_curve_csv(sigmas, samples=args.samples,
+        return gkp.error_curve_csv(args.curve, samples=args.samples,
                                    rng_seed=args.seed)
     if args.delta is None:
         raise _UsageError("gkp needs --delta or --curve")
     params = gkp.GkpParams(args.delta, args.cutoff)
     zero = gkp.gkp_state(0, params)
     one = gkp.gkp_state(1, params)
-    payload = {
+    return {
         "delta": args.delta,
         "cutoff": args.cutoff,
         "squeezing_db": gkp.squeezing_db_of(args.delta),
@@ -213,20 +235,19 @@ def _cmd_gkp(args) -> str:
         "lattice_mass": {"zero": gkp.lattice_mass(zero),
                          "one": gkp.lattice_mass(one)},
     }
-    return json.dumps(payload, sort_keys=True, indent=2)
 
 
-def _cmd_budget(args) -> str:
+def _cmd_budget(args) -> dict | str:
     rep = bd.report(bd.BudgetInput(args.loss_db_km, args.length_m,
                                    args.pulse_ns * 1e-9, args.velocity))
-    return rep.to_csv() if args.format == "csv" else rep.to_json()
+    return rep.to_csv() if args.format == "csv" else rep.to_dict()
 
 
 _COMMANDS = {"run": _cmd_run, "loop": _cmd_loop, "stream": _cmd_stream,
              "gkp": _cmd_gkp, "budget": _cmd_budget}
 
 
-def _diagnostic(exc, caught) -> str:
+def _diagnostic(exc, caught) -> dict:
     entry = {"type": type(exc).__name__, "message": str(exc)}
     if hasattr(exc, "line"):        # positioned by dsl.run
         entry.update({"line": exc.line, "column": exc.column})
@@ -239,7 +260,7 @@ def _diagnostic(exc, caught) -> str:
         payload["warnings"] = [
             {"category": w.category.__name__, "message": str(w.message),
              "location": f"{w.filename}:{w.lineno}"} for w in caught]
-    return json.dumps(payload, sort_keys=True)
+    return payload
 
 
 def main(argv=None) -> int:
@@ -261,7 +282,7 @@ def main(argv=None) -> int:
         except FileNotFoundError as exc:
             usage = f"cvq: {exc}"
         except (ValueError, RuntimeError, _ProgramError) as exc:
-            print(_diagnostic(exc, caught), file=sys.stderr)
+            sys.stderr.write(_render(_diagnostic(exc, caught)))
             return EXIT_RUNTIME
     for w in caught:
         warnings.showwarning(w.message, w.category, w.filename, w.lineno,
@@ -270,7 +291,7 @@ def main(argv=None) -> int:
         print(usage, file=sys.stderr)
         return EXIT_USAGE
     try:
-        _emit(payload, args.out)
+        _emit(_render(payload), args.out)
     except BrokenPipeError:
         # the reader stopped early; point stdout at devnull so the
         # interpreter's final flush cannot raise again

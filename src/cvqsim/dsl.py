@@ -15,11 +15,12 @@ grammar, the backends it runs on, its range checks and its Gaussian and
 Fock actions.  parse, pretty_print, validate and run all read it, and
 the `network` and `schedule` entries carry the tables of their block
 entries.
+
+run returns a RunReport of plain data (to_dict); cli renders it as text.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import re
 import time
@@ -88,9 +89,6 @@ class RunReport:
         return {"backend": self.backend, "seed": self.seed,
                 "outcomes": self.outcomes, "reports": self.reports,
                 "timings": self.timings}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
 
 # ---------------------------------------------------------------------------
@@ -589,8 +587,7 @@ def _report(r, a, backend):
     if not all(np.isfinite(m).all() for m in (moments.mean, moments.cov)):
         raise ValueError("reported moments are not finite")
     if a[0] == "cov":
-        entry = {"type": "cov", "modes": live,
-                 "mean": moments.mean.tolist(), "cov": moments.cov.tolist()}
+        entry = {"type": "cov", "modes": live, **moments.to_dict()}
     elif a[0] == "form":
         if len(a[1]) != moments.mean.size:
             raise ValueError(f"form needs {moments.mean.size} coefficients, "
@@ -647,8 +644,7 @@ def _run_schedule(r, args):
                     "pulse": e["pulse"], "basis": e["basis"]}
                    for e in log.outcomes]
     r.reports.append({"type": "loop", "survivors": log.survivors,
-                      "mean": final.mean.tolist(),
-                      "cov": final.cov.tolist()})
+                      **final.to_dict()})
 
 
 # ---------------------------------------------------------------------------

@@ -227,23 +227,14 @@ def _bs_block_eighs(cutoff: int):
     return eighs
 
 
-@lru_cache(maxsize=256)
-def _bs_blocks(cutoff: int, theta: float):
-    """Beam-splitter unitaries exp(theta K_N) per total-photon-number block.
-
-    exp(theta K_N) = exp(-i theta (i K_N)) is real orthogonal, so the
-    imaginary rounding residue of the spectral form is dropped.
-    """
-    return [((w * np.exp(-1j * theta * mu)) @ w.conj().T).real
-            for mu, w in _bs_block_eighs(cutoff)]
-
-
 def beam_splitter_fock(state: FockState, mode_i: int, mode_j: int,
                        transmissivity: float) -> FockState:
     """Beam splitter with the same sign convention as the Gaussian backend.
 
     On |1, 0> the transmitted amplitude is sqrt(T) and the reflected
-    amplitude on the second mode is -sqrt(1-T).
+    amplitude on the second mode is -sqrt(1-T).  Each photon-number block
+    applies exp(theta K_N) = w exp(-i theta mu) w^H through the cached
+    spectral form, so no per-angle matrix is built or kept.
     """
     _check_mode(state, mode_i)
     _check_mode(state, mode_j)
@@ -253,18 +244,18 @@ def beam_splitter_fock(state: FockState, mode_i: int, mode_j: int,
         raise ValueError("transmissivity must lie in [0, 1]")
     d = state.cutoff
     theta = float(np.arctan2(np.sqrt(1.0 - transmissivity), np.sqrt(transmissivity)))
-    blocks = _bs_blocks(d, theta)
 
     work = np.moveaxis(state.amps, (mode_i, mode_j), (0, 1))
     rest = work.shape[2:]
     work = work.reshape(d, d, -1).copy()
     out = np.zeros_like(work)
-    for total in range(2 * d - 1):
+    for total, (mu, w) in enumerate(_bs_block_eighs(d)):
         lo = max(0, total - d + 1)
         hi = min(total, d - 1)
         ks = np.arange(lo, hi + 1)
         vec = work[ks, total - ks, :]
-        out[ks, total - ks, :] = blocks[total] @ vec
+        out[ks, total - ks, :] = w @ (np.exp(-1j * theta * mu)[:, None]
+                                      * (w.conj().T @ vec))
     out = out.reshape((d, d) + rest)
     return FockState(np.moveaxis(out, (0, 1), (mode_i, mode_j)))
 

@@ -99,11 +99,6 @@ class GaussianState:
     def to_dict(self) -> dict:
         return {"mean": self.mean.tolist(), "cov": self.cov.tolist()}
 
-    @staticmethod
-    def from_dict(d: dict) -> "GaussianState":
-        return GaussianState(np.array(d["mean"], dtype=float),
-                             np.array(d["cov"], dtype=float))
-
 
 # ---------------------------------------------------------------------------
 # State constructors

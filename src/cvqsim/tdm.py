@@ -243,7 +243,7 @@ class StreamStats:
     variances holds each form's variance, the same in every slot: its
     expected_var, through the loss map when there is one; count the
     non-boundary slots, each of which evaluates every form.
-    When count is 0, to_json gives each form mean_var 0.0 and min_var
+    When count is 0, to_dict gives each form mean_var 0.0 and min_var
     and max_var None.
     """
 

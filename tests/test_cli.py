@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -45,7 +46,7 @@ class TestBudgetCommand:
         assert code == 0 and err == ""
         payload = json.loads(out)
         assert payload["transmission"] == pytest.approx(0.9954, abs=1e-4)
-        assert payload["capacity"] == 10
+        assert payload["capacity"] == 10 and type(payload["capacity"]) is int
 
     def test_csv_format(self, capsys):
         code, out, _ = run_cli(capsys, "budget", "--loss-db-km", "0.2",
@@ -209,7 +210,7 @@ class TestRunCommand:
                                                       monkeypatch):
         def noisy(_args):
             warnings.warn("loose tolerance", UserWarning)
-            return "{}"
+            return {}
         monkeypatch.setitem(cli._COMMANDS, "budget", noisy)
         with pytest.warns(UserWarning, match="loose tolerance"):
             code, out, _ = run_cli(capsys, "budget", "--loss-db-km", "0.2",
@@ -299,6 +300,13 @@ class TestStreamCommand:
                                "--pulses", "50", "--squeezing", "15")
         assert code == 1 and "suffix" in err
 
+    @pytest.mark.parametrize("value", ["xdB", "r"])
+    def test_malformed_squeezing_is_usage_error(self, capsys, value):
+        code, out, err = run_cli(capsys, "stream", "--spec", "1d",
+                                 "--pulses", "50", "--squeezing", value)
+        assert code == 1 and out == ""
+        assert "--squeezing" in err and len(err.splitlines()) == 1
+
     @pytest.mark.parametrize("r", [17.0, 20.0])
     @pytest.mark.parametrize("spec", [("1d",), ("2d", "--width", "5")],
                              ids=["1d", "2d_w5"])
@@ -362,6 +370,13 @@ class TestGkpCommand:
         assert lines[0] == "sigma,p_closed_form,p_monte_carlo,stderr"
         assert len(lines) == 3
 
+    @pytest.mark.parametrize("curve", ["0.1,abc", ","])
+    def test_malformed_curve_is_usage_error(self, capsys, curve):
+        code, out, err = run_cli(capsys, "gkp", "--curve", curve,
+                                 "--seed", "1")
+        assert code == 1 and out == ""
+        assert "--curve" in err and len(err.splitlines()) == 1
+
     def test_curve_needs_seed(self, capsys):
         code, _, err = run_cli(capsys, "gkp", "--curve", "0.2")
         assert code == 1 and "--seed" in err
@@ -374,6 +389,55 @@ class TestGkpCommand:
     def test_gkp_needs_some_request(self, capsys):
         code, _, err = run_cli(capsys, "gkp")
         assert code == 1
+
+
+_RENDERED = {
+    "run": ("run", "{epr}", "--seed", "5"),
+    "run_shots": ("run", "{epr}", "--seed", "5", "--shots", "2"),
+    "run_fock": ("run", "{epr}", "--seed", "5", "--backend", "fock",
+                 "--cutoff", "20"),
+    "loop": ("loop", "{sched}", "--seed", "5"),
+    "stream_1d": ("stream", "--spec", "1d", "--pulses", "2000",
+                  "--squeezing", "10dB"),
+    "stream_2d": ("stream", "--spec", "2d", "--width", "3", "--pulses", "50",
+                  "--squeezing", "0.7r", "--eta", "0.9"),
+    "gkp": ("gkp", "--delta", "0.3", "--cutoff", "60"),
+    "budget": ("budget", "--loss-db-km", "0.2", "--length-m", "100",
+               "--pulse-ns", "50"),
+}
+
+
+def _canonical(text: str) -> str:
+    return json.dumps(json.loads(text), sort_keys=True) + "\n"
+
+
+class TestRendering:
+    """Every JSON output is one line of key-sorted compact JSON, and
+    --out gets the bytes stdout gets."""
+
+    @pytest.mark.parametrize("name", _RENDERED)
+    def test_one_sorted_line_on_stdout_and_out(self, tmp_path, capsys,
+                                               monkeypatch, name):
+        # a stopped clock: every timing reads 0.0, so two runs give
+        # equal bytes
+        monkeypatch.setattr(time, "perf_counter", lambda: 1.0)
+        (tmp_path / "epr.cvq").write_text(EPR_PROGRAM)
+        (tmp_path / "sched.cvq").write_text(SCHEDULE_PROGRAM)
+        argv = [a.format(epr=tmp_path / "epr.cvq",
+                         sched=tmp_path / "sched.cvq")
+                for a in _RENDERED[name]]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and err == ""
+        assert out == _canonical(out)
+        path = tmp_path / "out.json"
+        assert cli.main(argv + ["--out", str(path)]) == 0
+        assert path.read_bytes() == out.encode()
+
+    def test_diagnostic_is_one_sorted_line(self, capsys):
+        code, out, err = run_cli(capsys, "budget", "--loss-db-km", "-0.2",
+                                 "--length-m", "100", "--pulse-ns", "50")
+        assert code == 2 and out == ""
+        assert err == _canonical(err)
 
 
 class TestDeterminism:
@@ -488,9 +552,9 @@ class TestTopLevel:
         assert cli.main([]) == 1
 
     def test_closed_stdout_exits_quietly(self, tmp_path, capsys):
-        # a 60 x 60 covariance: more than the 64 KiB a pipe buffers, so
+        # an 80 x 80 covariance: more than the 64 KiB a pipe buffers, so
         # the write meets the closed read end whatever the scheduling
-        n = 30
+        n = 40
         prog = tmp_path / "big.cvq"
         prog.write_text(
             f"mode {' '.join(f'q{i}' for i in range(n))};\n"

@@ -472,7 +472,7 @@ class TestRun:
     def test_run_report_json_shape(self):
         p = parse_ok("mode q0; hom q0 theta=0 -> m0;")
         rep = dsl.run(p, "gaussian", 11)
-        payload = json.loads(rep.to_json())
+        payload = json.loads(json.dumps(rep.to_dict()))
         assert set(payload) == {"backend", "seed", "outcomes", "reports",
                                 "timings"}
         assert payload["backend"] == "gaussian" and payload["seed"] == 11

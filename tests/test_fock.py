@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -311,16 +312,47 @@ class TestSpectralGates:
         rng = np.random.default_rng(cutoff + 1)
         t = rng.uniform(0.2, 0.8)
         theta = float(np.arctan2(np.sqrt(1.0 - t), np.sqrt(t)))
-        blocks = fk._bs_blocks(cutoff, theta)
-        assert len(blocks) == 2 * cutoff - 1
         # every block up to cutoff 60; above, a stride that keeps the
         # largest block (total = cutoff - 1)
         stride = 1 if cutoff <= 60 else 9
-        for total in range(cutoff - 1, -1, -stride):
-            for tot in {total, 2 * cutoff - 2 - total}:
-                gen = oracles.bs_block_generator(cutoff, tot, theta)
-                want = oracles.expm_unitary(gen)
-                assert np.abs(blocks[tot] - want).max() < 1e-12
+        checked = {tot for total in range(cutoff - 1, -1, -stride)
+                   for tot in (total, 2 * cutoff - 2 - total)}
+        # block N is {|k, N-k>} for k from lo[N]; probe j puts 1 on
+        # k = lo[N] + j in every block that long, so the gate's output
+        # holds column j of every block at once
+        totals = np.arange(2 * cutoff - 1)
+        lo = np.maximum(0, totals - cutoff + 1)
+        size = np.minimum(totals, cutoff - 1) - lo + 1
+        rows = {tot: lo[tot] + np.arange(size[tot]) for tot in checked}
+        got = {tot: np.zeros((ks.size, ks.size), dtype=complex)
+               for tot, ks in rows.items()}
+        for j in range(cutoff):
+            k = lo[size > j] + j
+            probe = np.zeros((cutoff, cutoff), dtype=complex)
+            probe[k, totals[size > j] - k] = 1.0
+            out = fk.beam_splitter_fock(fk.FockState(probe), 0, 1, t).amps
+            for tot, ks in rows.items():
+                if j < ks.size:
+                    got[tot][:, j] = out[ks, tot - ks]
+        for tot, block in got.items():
+            gen = oracles.bs_block_generator(cutoff, tot, theta)
+            assert np.abs(block - oracles.expm_unitary(gen)).max() < 1e-12
+
+    def test_distinct_angles_retain_no_memory(self):
+        # the gate keeps only the per-cutoff spectral forms; keeping the
+        # block matrices of an angle would cost about 1.2 MB at cutoff 60
+        rng = np.random.default_rng(5)
+        st = fk.FockState(np.eye(60, dtype=complex) / math.sqrt(60))
+        fk.beam_splitter_fock(st, 0, 1, 0.5)       # caches the cutoff's forms
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for t in rng.uniform(0.2, 0.8, size=20):
+                fk.beam_splitter_fock(st, 0, 1, t)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained < 256 * 1024
 
     def test_displacement_matches_cahill_glauber(self):
         rng = np.random.default_rng(7)

@@ -1,7 +1,8 @@
 """Every module-level import in the package is used (stdlib ast, no
 linter), every public function has a caller in the package or a stated
-reason to exist, every private module-level function has a caller, and
-importing the package never loads scipy."""
+reason to exist, every private module-level function has a caller, only
+cli writes JSON (apart from stated exceptions), and importing the
+package never loads scipy."""
 
 import ast
 import os
@@ -110,6 +111,36 @@ def test_guard_flags_an_uncalled_function():
     }
     assert _uncalled_functions(sources) == {"a.dead", "a._private",
                                             "b.dead"}
+
+
+# Modules that call json.dump or json.dumps, each with the reason.  The
+# output format is decided once, by cli's renderer.
+JSON_WRITERS = {
+    "cli": "the one output renderer",
+    "tdm": "StreamStats.to_json is perfbench's stream_recorded entry point",
+}
+
+
+def _json_writers(sources: dict) -> set:
+    """The modules of `sources` (module name -> text) that use
+    `json.dump` or `json.dumps`."""
+    return {mod for mod, text in sources.items()
+            for node in ast.walk(ast.parse(text))
+            if isinstance(node, ast.Attribute)
+            and node.attr in ("dump", "dumps")
+            and isinstance(node.value, ast.Name) and node.value.id == "json"}
+
+
+def test_only_cli_writes_json():
+    writers = _json_writers({p.stem: p.read_text() for p in MODULES})
+    assert sorted(writers) == sorted(JSON_WRITERS)
+
+
+def test_guard_flags_a_json_writer():
+    sources = {"a": "import json\nx = json.dumps({}, indent=2)\n",
+               "b": "import json\ndef f(fh):\n    json.dump({}, fh)\n",
+               "c": "import json\ny = json.loads('{}')\n"}
+    assert _json_writers(sources) == {"a", "b"}
 
 
 def test_package_does_not_import_scipy():
