@@ -25,6 +25,7 @@ import math
 import re
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -100,8 +101,7 @@ _SUFFIX_RE = re.compile(r"[A-Za-z0-9_]*")
 _PUNCT1 = ";{}[]=,"
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str       # id | num | punct | eof
     text: str
     line: int
@@ -577,6 +577,11 @@ def _ff_fock(r, a):
     return fk.displace_fock(r.state, r[a[1]], a[2] * v, a[3] * v)
 
 
+def _check_finite(moments):
+    if not all(np.isfinite(m).all() for m in (moments.mean, moments.cov)):
+        raise ValueError("reported moments are not finite")
+
+
 def _report(r, a, backend):
     live = r.live()
     if backend == "gaussian":
@@ -584,8 +589,7 @@ def _report(r, a, backend):
     else:
         state = r.state
         moments = g.GaussianState(*fk.covariance_of(state))
-    if not all(np.isfinite(m).all() for m in (moments.mean, moments.cov)):
-        raise ValueError("reported moments are not finite")
+    _check_finite(moments)
     if a[0] == "cov":
         entry = {"type": "cov", "modes": live, **moments.to_dict()}
     elif a[0] == "form":
@@ -640,6 +644,7 @@ def _run_schedule(r, args):
     for slot, orientation in prog.ancilla_prep:
         state = g.squeeze(state, slot, sq if orientation == "x" else -sq)
     final, log = lp.simulate(config, prog, state, rng_seed=r.seed)
+    _check_finite(final)
     r.outcomes += [{"id": e["id"], "value": e["outcome"], "slot": e["slot"],
                     "pulse": e["pulse"], "basis": e["basis"]}
                    for e in log.outcomes]

@@ -211,20 +211,37 @@ def _apply_diag_single(state: FockState, mode: int, diag: np.ndarray) -> FockSta
     return FockState(state.amps * diag.reshape(shape))
 
 
-@lru_cache(maxsize=8)  # each entry holds O(cutoff^3) complex numbers
+_I_POWERS = np.array([1.0, 1.0j, -1.0, -1.0j])
+
+
+@lru_cache(maxsize=8)  # each entry holds O(cutoff^3) real numbers
 def _bs_block_eighs(cutoff: int):
-    """Spectral decompositions of i K_N, one per total photon number N.
+    """Real spectral forms of the beam-splitter blocks.
 
     The beam-splitter generator theta (a1^dag a2 - a1 a2^dag) conserves
     n1 + n2, so it restricts to theta K_N on the block {|k, N-k>}, with
-    K_N real antisymmetric and independent of theta.
+    K_N real antisymmetric and independent of theta.  With D = diag(i^m)
+    over the block's positions m, i K_N = D T_N D^H for the real
+    symmetric tridiagonal T_N = v diag(mu) v^T, so
+    exp(theta K_N) = D v exp(-i theta mu) v^T D^H.
+
+    Returns (blocks, mu, phase): per N, the flat indices k cutoff + N - k
+    of its amplitudes, its eigenvectors v and its eigenvalues' slice of
+    mu; phase holds i^m at every flat index.
     """
-    eighs = []
+    blocks, mus = [], []
+    phase = np.empty(cutoff * cutoff, dtype=complex)
+    start = 0
     for total in range(2 * cutoff - 1):
-        k1 = np.arange(max(0, total - cutoff + 1), min(total, cutoff - 1))
-        amp = np.sqrt((k1 + 1) * (total - k1))
-        eighs.append(np.linalg.eigh(1j * (np.diag(amp, -1) - np.diag(amp, 1))))
-    return eighs
+        k = np.arange(max(0, total - cutoff + 1), min(total, cutoff - 1) + 1)
+        rows = k * cutoff + total - k
+        phase[rows] = _I_POWERS[np.arange(k.size) % 4]
+        amp = np.sqrt((k[:-1] + 1) * (total - k[:-1]))
+        mu, v = np.linalg.eigh(np.diag(amp, -1) + np.diag(amp, 1))
+        blocks.append((rows, v, slice(start, start + k.size)))
+        mus.append(mu)
+        start += k.size
+    return blocks, np.concatenate(mus), phase
 
 
 def beam_splitter_fock(state: FockState, mode_i: int, mode_j: int,
@@ -233,8 +250,10 @@ def beam_splitter_fock(state: FockState, mode_i: int, mode_j: int,
 
     On |1, 0> the transmitted amplitude is sqrt(T) and the reflected
     amplitude on the second mode is -sqrt(1-T).  Each photon-number block
-    applies exp(theta K_N) = w exp(-i theta mu) w^H through the cached
-    spectral form, so no per-angle matrix is built or kept.
+    applies exp(theta K_N) = D v exp(-i theta mu) v^T D^H through the
+    cached real spectral form (_bs_block_eighs): D is one elementwise
+    phase over the whole state, and v acts by real matrix products on
+    the block's float view, so no per-angle matrix is built or kept.
     """
     _check_mode(state, mode_i)
     _check_mode(state, mode_j)
@@ -245,17 +264,17 @@ def beam_splitter_fock(state: FockState, mode_i: int, mode_j: int,
     d = state.cutoff
     theta = float(np.arctan2(np.sqrt(1.0 - transmissivity), np.sqrt(transmissivity)))
 
+    blocks, mu, phase = _bs_block_eighs(d)
     work = np.moveaxis(state.amps, (mode_i, mode_j), (0, 1))
     rest = work.shape[2:]
-    work = work.reshape(d, d, -1).copy()
-    out = np.zeros_like(work)
-    for total, (mu, w) in enumerate(_bs_block_eighs(d)):
-        lo = max(0, total - d + 1)
-        hi = min(total, d - 1)
-        ks = np.arange(lo, hi + 1)
-        vec = work[ks, total - ks, :]
-        out[ks, total - ks, :] = w @ (np.exp(-1j * theta * mu)[:, None]
-                                      * (w.conj().T @ vec))
+    work = work.reshape(d * d, -1) * phase.conj()[:, None]
+    spin = np.exp(-1j * theta * mu)[:, None]
+    out = np.empty_like(work)
+    for rows, v, part in blocks:
+        vec = (v.T @ work[rows].view(float)).view(complex)
+        vec *= spin[part]
+        out[rows] = (v @ vec.view(float)).view(complex)
+    out *= phase[:, None]
     out = out.reshape((d, d) + rest)
     return FockState(np.moveaxis(out, (0, 1), (mode_i, mode_j)))
 

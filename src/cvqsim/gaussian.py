@@ -17,10 +17,11 @@ Conventions used throughout the package:
 
 All operations are pure functions: they return a new GaussianState and
 never mutate their argument.  Every linear update of the moments, for
-gates, loss, feedforward and the teleportation gadgets alike, goes
-through apply_local, with feedforward blocks built by
-feedforward_matrix; loss then adds its vacuum noise to the mode's two
-variances.  apply_local rewrites only the touched rows and columns and
+gates, loss, feedforward, the teleportation gadgets and the loop's
+composed channels alike, goes through apply_local, with feedforward
+blocks built by feedforward_matrix; a channel's added noise, such as
+the vacuum noise of loss (loss_channel), is apply_local's `noise`
+term.  apply_local rewrites only the touched rows and columns and
 symmetrizes only the touched block, and homodyne conditioning updates
 the covariance by a symmetric expression, so covariances are symmetric
 by construction.  Every homodyne outcome, in this module, telegates,
@@ -31,6 +32,7 @@ quadrature.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,15 +136,12 @@ def beamsplitter_matrix(transmissivity: float) -> np.ndarray:
     """Two-mode beam splitter block in interleaved ordering."""
     if not 0.0 <= transmissivity <= 1.0:
         raise ValueError("transmissivity must lie in [0, 1]")
-    t = np.sqrt(transmissivity)
-    rkappa = np.sqrt(1.0 - transmissivity)
-    s = np.zeros((4, 4))
-    for q in range(2):  # same mixing for x and p
-        s[q, q] = t
-        s[q, 2 + q] = rkappa
-        s[2 + q, q] = -rkappa
-        s[2 + q, 2 + q] = t
-    return s
+    t = math.sqrt(transmissivity)
+    r = math.sqrt(1.0 - transmissivity)
+    return np.array([t, 0.0, r, 0.0,          # same mixing for x and p
+                     0.0, t, 0.0, r,
+                     -r, 0.0, t, 0.0,
+                     0.0, -r, 0.0, t]).reshape(4, 4)
 
 
 def feedforward_matrix(n_local: int, target: int, source: int, theta: float,
@@ -164,14 +163,17 @@ def feedforward_matrix(n_local: int, target: int, source: int, theta: float,
 # Operations
 
 
-def apply_local(state: GaussianState, modes, block: np.ndarray) -> GaussianState:
+def apply_local(state: GaussianState, modes, block: np.ndarray,
+                noise: np.ndarray | None = None) -> GaussianState:
     """Apply a 2k x 2k linear map to the quadratures of `modes`.
 
     `block` acts on (x_m0, p_m0, x_m1, p_m1, ...) in the order of `modes`
     and need not be symplectic (feedforward blocks are not).  With
     R = block @ cov[idx, :], R replaces the rows and the columns idx and
     only the 2k x 2k block idx x idx is symmetrized, so the covariance
-    stays symmetric by construction.  The arithmetic is O(k n); the rest
+    stays symmetric by construction.  `noise`, a 2k x 2k matrix, is added
+    to that block before it is symmetrized: the map V -> B V B^T + N of
+    a Gaussian channel such as loss.  The arithmetic is O(k n); the rest
     of the cost is one copy of the covariance.
     """
     for m in modes:
@@ -185,6 +187,8 @@ def apply_local(state: GaussianState, modes, block: np.ndarray) -> GaussianState
     cov[idx, :] = rows
     cov[:, idx] = rows.T
     inner = rows[:, idx] @ block.T
+    if noise is not None:
+        inner += noise
     cov[np.ix_(idx, idx)] = 0.5 * (inner + inner.T)
     return GaussianState(mean, cov)
 
@@ -215,18 +219,20 @@ def displace(state: GaussianState, mode: int, dx: float, dp: float) -> GaussianS
     return GaussianState(mean, state.cov)
 
 
-def loss(state: GaussianState, mode: int, eta: float) -> GaussianState:
-    """Pure-loss channel of transmission eta on one mode.
-
-    The mode's quadratures scale by sqrt(eta) (apply_local), then the
-    vacuum noise (1 - eta)/2 is added to its two variances.
-    """
+def loss_channel(eta: float) -> tuple[float, float]:
+    """(scale, noise) of the pure-loss channel of transmission eta: each
+    quadrature of the mode scales by sqrt(eta), and (1 - eta)/2 of
+    vacuum noise is added to each of its two variances."""
     if not 0.0 <= eta <= 1.0:
         raise ValueError("transmission must lie in [0, 1]")
-    out = apply_local(state, (mode,), np.sqrt(eta) * np.eye(2))
-    q = [2 * mode, 2 * mode + 1]
-    out.cov[q, q] += (1.0 - eta) * VACUUM_VAR
-    return out
+    return math.sqrt(eta), (1.0 - eta) * VACUUM_VAR
+
+
+def loss(state: GaussianState, mode: int, eta: float) -> GaussianState:
+    """Pure-loss channel of transmission eta on one mode."""
+    scale, noise = loss_channel(eta)
+    return apply_local(state, (mode,), np.array([[scale, 0.0], [0.0, scale]]),
+                       np.array([[noise, 0.0], [0.0, noise]]))
 
 
 def quadrature_row(n_modes: int, mode: int, theta: float) -> np.ndarray:

@@ -11,15 +11,28 @@ behind it, which is how non-adjacent pairs interact.  A phase shifter
 a homodyne detector with feedforward closes the loop for
 measurement-induced gates.
 
+simulate is event-driven: it jumps from one step's slot to the next,
+or to the arrival of a pulse that a feedforward waits for, and counts
+the outer passes and inner-loop slots of the skipped slots
+arithmetically, so its cost grows with the steps, not the slots.  Loss
+is lazy: each pulse keeps the transmission it accrued since an
+operation last touched it, and that becomes one loss just before the
+next operation on it (pure-loss channels compose and commute with
+operations on other pulses).  The gates, feedforward and losses between
+two reads of the state compose into one pending Gaussian channel,
+applied by a single gaussian.apply_local before a homodyne draw, before
+a displacement of a pulse the channel touches, when its noise factor is
+full, and at the end.
+
 Measurement semantics match the teleportation gates module: a homodyne
 plus its declared feedforward gains defines a deterministic affine
 channel, so the engine freezes the measured quadrature as a classical
 record, applies feedforward as an exact row operation
-(gaussian.feedforward_matrix through apply_local), and traces the
-measured pulse out at the end.  Outcomes are still sampled for the log,
-each conditioned on the earlier ones (gaussian.sample_quadrature), so a
-run's outcomes follow their joint distribution.  The squeeze_tele gate
-takes its settings from telegates.squeeze_gadget.
+(gaussian.feedforward_matrix), and traces the measured pulse out at the
+end.  Outcomes are still sampled for the log, each conditioned on the
+earlier ones (gaussian.sample_quadrature), so a run's outcomes follow
+their joint distribution.  The squeeze_tele gate takes its settings
+from telegates.squeeze_gadget.
 
 compile_gates writes phase, beam-splitter and squeeze_tele gates as one
 circulation each.  generate_entangled decomposes its passive network by
@@ -29,8 +42,10 @@ applying each gate to the rows it touches.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,6 +66,10 @@ class LoopConfig:
     eta_inner: float = 1.0    # transmission per slot held in the inner loop
 
     def __post_init__(self):
+        for count in (self.n_data, self.m_anc):
+            if not isinstance(count, (int, np.integer)) or count < 0:
+                raise ValueError(
+                    f"pulse counts must be non-negative integers, got {count!r}")
         if self.n_data + self.m_anc < 1:
             raise ValueError("need at least one pulse slot")
         for eta in (self.eta_outer, self.eta_inner):
@@ -62,8 +81,7 @@ class LoopConfig:
         return self.n_data + self.m_anc
 
 
-@dataclass(frozen=True)
-class ScheduleStep:
+class ScheduleStep(NamedTuple):
     """Control settings for one slot; unset fields mean pass-through."""
 
     slot: int
@@ -100,6 +118,8 @@ def simulate(config: LoopConfig, program: LoopProgram,
     Returns (final state over surviving pulses in slot order, LoopRunLog).
     Measured pulses are consumed; their feedforward contributions are
     applied exactly, so the result is the channel output of the circuit.
+    The run jumps from event to event: a step's slot, or the arrival of
+    a pulse that a feedforward waits for.
     """
     length = config.length
     if input_state.n_modes != length:
@@ -108,15 +128,15 @@ def simulate(config: LoopConfig, program: LoopProgram,
     steps = sorted(program.steps, key=lambda s: s.slot)
     if [s.slot for s in steps] != [s.slot for s in program.steps]:
         raise ValueError("program slots must be monotone")
-    by_slot = {}
+    slots = set()
     for step in steps:
-        if step.slot < 0:
-            raise ValueError("negative slot")
-        if step.slot in by_slot:
+        if not isinstance(step.slot, (int, np.integer)) or step.slot < 0:
+            raise ValueError(f"slot {step.slot!r} is not a non-negative integer")
+        if step.slot in slots:
             raise LoopScheduleError(f"slot conflict at {step.slot}")
         if not 0.0 <= step.vbs_T <= 1.0:
             raise ValueError("vbs_T out of [0, 1]")
-        by_slot[step.slot] = step
+        slots.add(step.slot)
     declared = set(program.outcome_ids)
     written = {}                      # outcome id -> slot of its homodyne
     for step in steps:
@@ -134,69 +154,77 @@ def simulate(config: LoopConfig, program: LoopProgram,
             raise ValueError(f"feedforward references unknown id {step.ff[0]!r}")
 
     rng = as_rng(rng_seed)
-    st = input_state
+    run = _Pulses(config, input_state)
     outer = list(range(length))       # pulse id per outer slot, None if gone
     inner = None
-    seen = [False] * length
     measured = {}                     # outcome id -> (pulse, basis)
     given = []                        # (pulse, basis, value) per homodyne
     consumed = [False] * length
-    pending = {}                      # target slot -> [(src, gx, gp)]
+    waiting = {}                      # target slot -> [(src, gx, gp)]
     outcomes = []
-    outer_passes = {p: 0 for p in range(length)}
-    inner_slots = {p: 0 for p in range(length)}
 
-    duration = steps[-1].slot + 1 if steps else 0
-    t = 0
-    drain = 0
-    while t < duration or (pending and drain < length):
-        if t >= duration:
-            drain += 1
+    k = now = 0                       # next step; every slot before now passed
+    while True:
+        due = [now + (s - now) % length for s in waiting
+               if outer[s] is not None] if waiting else None
+        t_ff = min(due) if due else None
+        if k < len(steps) and (t_ff is None or steps[k].slot <= t_ff):
+            step = steps[k]
+            k += 1
+            t = step.slot
+        elif t_ff is not None:
+            step = None
+            t = t_ff
+        else:
+            break
         s = t % length
         pulse = outer[s]
 
-        if pulse is not None:
-            if seen[pulse]:
-                outer_passes[pulse] += 1
-                if config.eta_outer < 1.0:
-                    st = g.loss(st, pulse, config.eta_outer)
-            seen[pulse] = True
-            for src, gx, gp in pending.pop(s, ()):
+        if t == t_ff:
+            run.touch(pulse, s, t)
+            for src, gx, gp in waiting.pop(s):
                 src_pulse, basis = measured[src]
-                ff = g.feedforward_matrix(2, 1, 0, basis, gx, gp)
-                st = g.apply_local(st, (src_pulse, pulse), ff)
+                run.compose((src_pulse, pulse), g.feedforward_matrix(
+                    2, 1, 0, basis, gx, gp))
 
-        if inner is not None:
-            inner_slots[inner] += 1
-            if config.eta_inner < 1.0:
-                st = g.loss(st, inner, config.eta_inner)
-
-        step = by_slot.get(t)
         if step is not None:
             if step.vps_theta != 0.0:
                 if inner is None:
                     raise LoopScheduleError(
                         f"slot {t}: phase scheduled on empty inner loop")
-                st = g.phase_shift(st, inner, step.vps_theta)
+                run.touch(inner, _INNER, t)
+                run.compose((inner,), g.rotation_matrix(step.vps_theta))
             if step.vbs_T == 0.0:
-                outer[s], inner = inner, outer[s]
+                if pulse is not None:
+                    run.settle(pulse, s, t)
+                if inner is not None:
+                    run.settle(inner, _INNER, t)
+                outer[s], inner = inner, pulse
                 pulse = outer[s]
             elif step.vbs_T < 1.0:
                 if inner is None or pulse is None:
                     raise LoopScheduleError(
                         f"slot {t}: beam splitter needs both ports occupied")
-                st = g.beam_splitter(st, inner, pulse, step.vbs_T)
+                run.touch(inner, _INNER, t)
+                run.touch(pulse, s, t)
+                run.compose((inner, pulse), g.beamsplitter_matrix(step.vbs_T))
             if step.eom is not None:
                 if pulse is None:
                     raise LoopScheduleError(
                         f"slot {t}: EOM addresses a consumed slot")
-                st = g.displace(st, pulse, step.eom[0], step.eom[1])
+                run.touch(pulse, s, t)
+                if pulse in run.touched:
+                    run.flush()
+                run.state = g.displace(run.state, pulse, step.eom[0],
+                                       step.eom[1])
             if step.homodyne is not None:
                 if pulse is None:
                     raise LoopScheduleError(
                         f"slot {t}: homodyne addresses a consumed slot")
+                run.touch(pulse, s, t)
+                run.flush()
                 theta = step.homodyne
-                value = g.sample_quadrature(st, pulse, theta, rng, given)
+                value = g.sample_quadrature(run.state, pulse, theta, rng, given)
                 measured[step.outcome_id] = (pulse, theta)
                 given.append((pulse, theta, value))
                 consumed[pulse] = True
@@ -212,23 +240,128 @@ def simulate(config: LoopConfig, program: LoopProgram,
                         f"slot {t}: feedforward from unmeasured {src!r}")
                 if not 0 <= target < length:
                     raise ValueError(f"feedforward target {target} out of range")
-                pending.setdefault(target, []).append((src, gx, gp))
+                waiting.setdefault(target, []).append((src, gx, gp))
             if step.switch_out:
                 if pulse is None:
                     raise LoopScheduleError(
                         f"slot {t}: switch-out of a consumed slot")
+                run.settle(pulse, s, t)
                 outer[s] = None
-        t += 1
-    if pending:
+        now = t + 1
+    if waiting:
         raise LoopScheduleError(
-            f"feedforward target slots never arrive: {sorted(pending)}")
+            f"feedforward target slots never arrive: {sorted(waiting)}")
 
+    for s, pulse in enumerate(outer):
+        if pulse is not None:
+            run.settle(pulse, s, now - 1)
+    if inner is not None:
+        run.settle(inner, _INNER, now - 1)
+    for pulse in range(length):
+        run.lose(pulse)
+    run.flush()
+    st = run.state
     drop = [p for p in range(length) if consumed[p]]
     if drop:
         st = g.remove_modes(st, drop)
     survivors = [p for p in range(length) if not consumed[p]]
-    return st, LoopRunLog(outcomes=outcomes, outer_passes=outer_passes,
-                          inner_slots=inner_slots, survivors=survivors)
+    return st, LoopRunLog(outcomes=outcomes, outer_passes=run.outer_passes,
+                          inner_slots=run.inner_slots, survivors=survivors)
+
+
+_INNER = -1                           # where a pulse held in the inner loop is
+
+
+class _Pulses:
+    """The moments of a run, each pulse's accrued loss, and the channel
+    not yet applied.
+
+    mark[p] is the first slot whose passage p has not been counted;
+    settle(p, where, t) counts p's outer passes (where = its outer slot)
+    or inner-loop slots (where = _INNER) through slot t at once, and
+    folds them into tau[p], the transmission p accrued since an
+    operation last touched it.  touch() composes that as one loss just
+    before the next operation; this is exact, since pure-loss channels
+    compose, L(a) L(b) = L(ab), and commute with operations on other
+    pulses.  Gates and losses are composed into one Gaussian channel
+    V -> X V X^T + F F^T, with X the identity and F zero outside the
+    rows of `touched`: a gate multiplies their rows of X and F, and a
+    loss scales its pulse's rows and adds two columns to F, its vacuum
+    noise.  flush() applies the channel as one g.apply_local, before a
+    displacement of a touched pulse, before every homodyne draw, when F
+    is full, and at the end.
+    """
+
+    def __init__(self, config: LoopConfig, state: g.GaussianState):
+        length = config.length
+        self.length = length
+        self.eta_outer, self.eta_inner = config.eta_outer, config.eta_inner
+        self.state = state
+        self.mark = list(range(1, length + 1))   # a first arrival is no pass
+        self.tau = [1.0] * length
+        self.outer_passes = dict.fromkeys(range(length), 0)
+        self.inner_slots = dict.fromkeys(range(length), 0)
+        # X and the noise factor F side by side, so one product updates a
+        # gate's rows of both; F holds the noise of 2 L losses
+        width = 2 * length
+        self.xf = np.hstack([np.eye(width), np.zeros((width, 2 * width))])
+        self.x, self.f = self.xf[:, :width], self.xf[:, width:]
+        self.columns = 0              # columns of F in use
+        self.touched = set()
+
+    def settle(self, pulse: int, where: int, t: int) -> None:
+        start = self.mark[pulse]
+        if t < start:
+            return
+        self.mark[pulse] = t + 1
+        if where == _INNER:
+            n = t + 1 - start
+            self.inner_slots[pulse] += n
+            self.tau[pulse] *= self.eta_inner ** n
+        else:
+            n = (t - where) // self.length - (start - 1 - where) // self.length
+            self.outer_passes[pulse] += n
+            self.tau[pulse] *= self.eta_outer ** n
+
+    def touch(self, pulse: int, where: int, t: int) -> None:
+        self.settle(pulse, where, t)
+        self.lose(pulse)
+
+    def lose(self, pulse: int) -> None:
+        """Compose the loss pulse accrued since it was last touched."""
+        if self.tau[pulse] == 1.0:
+            return
+        scale, noise = g.loss_channel(self.tau[pulse])
+        self.tau[pulse] = 1.0
+        if self.columns == self.f.shape[1]:
+            self.flush()
+        q = 2 * pulse
+        self.xf[q:q + 2] *= scale
+        c = self.columns
+        self.f[q, c] = self.f[q + 1, c + 1] = math.sqrt(noise)
+        self.columns += 2
+        self.touched.add(pulse)
+
+    def compose(self, pulses, block: np.ndarray) -> None:
+        """Follow the pending channel by `block` on the pulses."""
+        rows = [q for p in pulses for q in (2 * p, 2 * p + 1)]
+        used = self.x.shape[1] + self.columns
+        self.xf[rows, :used] = block @ self.xf[rows, :used]
+        self.touched.update(pulses)
+
+    def flush(self) -> None:
+        if not self.touched:
+            return
+        modes = sorted(self.touched)
+        rows = [q for p in modes for q in (2 * p, 2 * p + 1)]
+        f = self.f[rows, :self.columns]
+        block = np.ix_(rows, rows)
+        self.state = g.apply_local(self.state, modes, self.x[block],
+                                   f @ f.T if self.columns else None)
+        self.x[block] = np.eye(len(rows))
+        self.f[rows, :self.columns] = 0.0
+        self.columns = 0
+        self.touched.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -341,20 +474,23 @@ def _unitary_to_gates(u: np.ndarray, tol: float = 1e-11) -> list:
     work = u.astype(complex).copy()
     rots = []
     for c in range(n - 1):
+        row_c = work[c, c:]           # columns left of c are zero already
         for j in range(c + 1, n):
-            if abs(work[j, c]) < tol:
+            row_j = work[j, c:]
+            if abs(row_j[0]) < tol:
                 continue
-            alpha = float(np.angle(work[c, c]) - np.angle(work[j, c]))
-            work[j, :] *= np.exp(1j * alpha)
-            theta = float(np.arctan2(abs(work[j, c]), abs(work[c, c])))
+            alpha = cmath.phase(row_c[0]) - cmath.phase(row_j[0])
+            theta = math.atan2(abs(row_j[0]), abs(row_c[0]))
             ct, st = math.cos(theta), math.sin(theta)
-            rc = ct * work[c, :] + st * work[j, :]
-            work[j, :] = -st * work[c, :] + ct * work[j, :]
-            work[c, :] = rc
+            row_j *= cmath.exp(1j * alpha)
+            rc = ct * row_c + st * row_j
+            row_j *= ct
+            row_j -= st * row_c
+            row_c[:] = rc
             rots.append((c, j, theta, alpha))
     gates = []
     for i in range(n):
-        beta = float(np.angle(work[i, i]))
+        beta = cmath.phase(work[i, i])
         if abs(beta) > tol:
             gates.append(("phase", i, beta))
     for c, j, theta, alpha in reversed(rots):
@@ -371,11 +507,15 @@ def _assert_gates_match(gates, u):
     m = np.eye(u.shape[0], dtype=complex)
     for gate in gates:
         if gate[0] == "phase":
-            m[gate[1]] *= np.exp(1j * gate[2])
+            m[gate[1]] *= cmath.exp(1j * gate[2])
         else:
             _, i, j, t = gate
             a, c = math.sqrt(t), math.sqrt(1 - t)
-            m[[i, j]] = np.array([[a, c], [-c, a]]) @ m[[i, j]]
+            row_i, row_j = m[i], m[j]
+            new_i = a * row_i + c * row_j
+            row_j *= a
+            row_j -= c * row_i
+            row_i[:] = new_i
     if np.abs(m - u).max() > 1e-8:
         raise RuntimeError("gate decomposition failed to reproduce the target")
 

@@ -152,12 +152,14 @@ def squeeze_gadget(y: float) -> tuple:
     """
     if y <= 0:
         raise ValueError("squeeze factor y must be positive")
+    transmissivity = y * y if y < 1.0 else 1.0 / (y * y)
+    ff = (-math.sqrt((1.0 - transmissivity) / transmissivity)
+          if transmissivity > 0.0 else -math.inf)
+    if not math.isfinite(ff):
+        raise ValueError(f"squeeze factor {y!r} is out of range: y^2 "
+                         "under- or overflows")
     if y < 1.0:
-        transmissivity = y * y
-        ff = -math.sqrt((1.0 - transmissivity) / transmissivity)
         return transmissivity, "x", math.pi / 2, (0.0, ff)
-    transmissivity = 1.0 / (y * y)
-    ff = -math.sqrt((1.0 - transmissivity) / transmissivity)
     return transmissivity, "p", 0.0, (ff, 0.0)
 
 

@@ -3,8 +3,9 @@
 Everything in this file deliberately avoids the production code paths it
 is used to check: linear maps are applied as dense whole-state products,
 conditioning is done with explicit block partitioning and pseudoinverses,
-fidelities with grid quadrature over Wigner functions, and network
-streaming with a dense whole-network state.
+fidelities with grid quadrature over Wigner functions, network
+streaming with a dense whole-network state, and the loop processor by
+visiting every slot, one gate and one loss at a time.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ import scipy.linalg
 
 from cvqsim import fock as fk
 from cvqsim import gaussian as g
+from cvqsim.gaussian import as_rng
+from cvqsim.loop import LoopRunLog, LoopScheduleError
 
 
 def embed(block: np.ndarray, modes, n_modes: int) -> np.ndarray:
@@ -327,3 +330,144 @@ def csv_reference(records) -> str:
         vals = ",".join(f"{record['forms'][n]:.12g}" for n in names)
         lines.append(f"{record['slot']},{int(record['boundary'])},{vals}\n")
     return "".join(lines)
+
+
+def loop_slot_walk(config, program, input_state: g.GaussianState, rng_seed=0):
+    """The loop engine one slot at a time: loop.simulate's reference.
+
+    Every slot of the schedule is visited; each gate is applied on its
+    own, and loss is applied at every outer pass and every inner-loop
+    slot.  Same signature and result as loop.simulate.
+
+    Returns (final state over surviving pulses in slot order, LoopRunLog).
+    Measured pulses are consumed; their feedforward contributions are
+    applied exactly, so the result is the channel output of the circuit.
+    """
+    length = config.length
+    if input_state.n_modes != length:
+        raise ValueError(
+            f"input must have {length} modes, got {input_state.n_modes}")
+    steps = sorted(program.steps, key=lambda s: s.slot)
+    if [s.slot for s in steps] != [s.slot for s in program.steps]:
+        raise ValueError("program slots must be monotone")
+    by_slot = {}
+    for step in steps:
+        if step.slot < 0:
+            raise ValueError("negative slot")
+        if step.slot in by_slot:
+            raise LoopScheduleError(f"slot conflict at {step.slot}")
+        if not 0.0 <= step.vbs_T <= 1.0:
+            raise ValueError("vbs_T out of [0, 1]")
+        by_slot[step.slot] = step
+    declared = set(program.outcome_ids)
+    written = {}                      # outcome id -> slot of its homodyne
+    for step in steps:
+        if step.homodyne is not None and step.outcome_id is None:
+            raise ValueError(f"homodyne at slot {step.slot} needs an outcome id")
+        if step.outcome_id is not None and step.outcome_id not in declared:
+            raise ValueError(f"undeclared outcome id {step.outcome_id!r}")
+        if step.homodyne is not None:
+            if step.outcome_id in written:
+                raise ValueError(
+                    f"outcome id {step.outcome_id!r} written twice, at slots "
+                    f"{written[step.outcome_id]} and {step.slot}")
+            written[step.outcome_id] = step.slot
+        if step.ff is not None and step.ff[0] not in declared:
+            raise ValueError(f"feedforward references unknown id {step.ff[0]!r}")
+
+    rng = as_rng(rng_seed)
+    st = input_state
+    outer = list(range(length))       # pulse id per outer slot, None if gone
+    inner = None
+    seen = [False] * length
+    measured = {}                     # outcome id -> (pulse, basis)
+    given = []                        # (pulse, basis, value) per homodyne
+    consumed = [False] * length
+    pending = {}                      # target slot -> [(src, gx, gp)]
+    outcomes = []
+    outer_passes = {p: 0 for p in range(length)}
+    inner_slots = {p: 0 for p in range(length)}
+
+    duration = steps[-1].slot + 1 if steps else 0
+    t = 0
+    drain = 0
+    while t < duration or (pending and drain < length):
+        if t >= duration:
+            drain += 1
+        s = t % length
+        pulse = outer[s]
+
+        if pulse is not None:
+            if seen[pulse]:
+                outer_passes[pulse] += 1
+                if config.eta_outer < 1.0:
+                    st = g.loss(st, pulse, config.eta_outer)
+            seen[pulse] = True
+            for src, gx, gp in pending.pop(s, ()):
+                src_pulse, basis = measured[src]
+                ff = g.feedforward_matrix(2, 1, 0, basis, gx, gp)
+                st = g.apply_local(st, (src_pulse, pulse), ff)
+
+        if inner is not None:
+            inner_slots[inner] += 1
+            if config.eta_inner < 1.0:
+                st = g.loss(st, inner, config.eta_inner)
+
+        step = by_slot.get(t)
+        if step is not None:
+            if step.vps_theta != 0.0:
+                if inner is None:
+                    raise LoopScheduleError(
+                        f"slot {t}: phase scheduled on empty inner loop")
+                st = g.phase_shift(st, inner, step.vps_theta)
+            if step.vbs_T == 0.0:
+                outer[s], inner = inner, outer[s]
+                pulse = outer[s]
+            elif step.vbs_T < 1.0:
+                if inner is None or pulse is None:
+                    raise LoopScheduleError(
+                        f"slot {t}: beam splitter needs both ports occupied")
+                st = g.beam_splitter(st, inner, pulse, step.vbs_T)
+            if step.eom is not None:
+                if pulse is None:
+                    raise LoopScheduleError(
+                        f"slot {t}: EOM addresses a consumed slot")
+                st = g.displace(st, pulse, step.eom[0], step.eom[1])
+            if step.homodyne is not None:
+                if pulse is None:
+                    raise LoopScheduleError(
+                        f"slot {t}: homodyne addresses a consumed slot")
+                theta = step.homodyne
+                value = g.sample_quadrature(st, pulse, theta, rng, given)
+                measured[step.outcome_id] = (pulse, theta)
+                given.append((pulse, theta, value))
+                consumed[pulse] = True
+                outcomes.append({"id": step.outcome_id, "slot": t,
+                                 "pulse": pulse, "basis": theta,
+                                 "outcome": value})
+                outer[s] = None
+                pulse = None
+            if step.ff is not None:
+                src, gx, gp, target = step.ff
+                if src not in measured:
+                    raise LoopScheduleError(
+                        f"slot {t}: feedforward from unmeasured {src!r}")
+                if not 0 <= target < length:
+                    raise ValueError(f"feedforward target {target} out of range")
+                pending.setdefault(target, []).append((src, gx, gp))
+            if step.switch_out:
+                if pulse is None:
+                    raise LoopScheduleError(
+                        f"slot {t}: switch-out of a consumed slot")
+                outer[s] = None
+        t += 1
+    if pending:
+        raise LoopScheduleError(
+            f"feedforward target slots never arrive: {sorted(pending)}")
+
+    drop = [p for p in range(length) if consumed[p]]
+    if drop:
+        st = g.remove_modes(st, drop)
+    survivors = [p for p in range(length) if not consumed[p]]
+    return st, LoopRunLog(outcomes=outcomes, outer_passes=outer_passes,
+                          inner_slots=inner_slots, survivors=survivors)

@@ -499,7 +499,10 @@ _SWEEP = ([(name, f"{flag}={value}") for name, flags in _SWEEP_FLAGS.items()
           + [("curve", "--samples=0"),
              ("stream", "--squeezing=400r"), ("stream", "--squeezing=3500dB"),
              ("budget", "--pulse-ns=1e-310"), ("budget", "--velocity=1e-300"),
-             ("budget", "--velocity=1e-320")])
+             ("budget", "--velocity=1e-320")]
+          # a loop squeeze factor whose square under- or overflows
+          + [("sqz", value) for value in ("1e300", "1e-300", "1e160",
+                                          "1e-160")])
 
 
 @pytest.fixture(scope="module")
@@ -517,8 +520,16 @@ def sweep(tmp_path_factory):
         "budget": ["budget", "--loss-db-km", "0.2", "--length-m", "100",
                    "--pulse-ns", "50"],
     }
-    # argparse keeps a flag's last occurrence, so the appended value wins
-    argvs = [bases[name] + [extra] for name, extra in _SWEEP]
+
+    def argv(name, extra):
+        if name == "sqz":           # the value goes into the program
+            path = tmp / f"sqz{extra}.cvq"
+            path.write_text(f"schedule {{ data 2; anc 1; sqz 0 {extra}; }}\n")
+            return ["loop", str(path), "--seed", "1"]
+        # argparse keeps a flag's last occurrence, so the appended value wins
+        return bases[name] + [extra]
+
+    argvs = [argv(name, extra) for name, extra in _SWEEP]
     env = dict(os.environ,
                PYTHONPATH=str(Path(cli.__file__).parent.parent))
     proc = subprocess.run(

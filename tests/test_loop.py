@@ -1,6 +1,7 @@
 """Loop processor: schedule engine, gate compilation, entangled states."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -43,6 +44,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             LoopConfig(n_data=0, m_anc=0)
 
+    @pytest.mark.parametrize("n_data, m_anc", [(3, -1), (-1, 3), (2.5, 0),
+                                               (2, 0.5), ("2", 0)])
+    def test_config_rejects_impossible_counts(self, n_data, m_anc):
+        with pytest.raises(ValueError, match="non-negative integers"):
+            LoopConfig(n_data=n_data, m_anc=m_anc)
+
     def test_config_rejects_bad_transmission(self):
         with pytest.raises(ValueError):
             LoopConfig(n_data=1, eta_outer=1.2)
@@ -64,6 +71,14 @@ class TestValidation:
         cfg = LoopConfig(n_data=2)
         prog = LoopProgram(steps=(ScheduleStep(slot=1), ScheduleStep(slot=1)))
         with pytest.raises(LoopScheduleError, match="conflict"):
+            loop.simulate(cfg, prog, g.vacuum(2))
+
+    @pytest.mark.parametrize("slot", [-1, 1.5])
+    def test_slot_must_be_a_non_negative_integer(self, slot):
+        # a fractional slot never comes round: the slot walk skipped it
+        cfg = LoopConfig(n_data=2)
+        prog = LoopProgram(steps=(ScheduleStep(slot=slot, eom=(1.0, 0.0)),))
+        with pytest.raises(ValueError, match="non-negative integer"):
             loop.simulate(cfg, prog, g.vacuum(2))
 
     def test_vbs_out_of_range(self):
@@ -435,3 +450,156 @@ class TestEntangled:
             loop.generate_entangled("GHZ", 1, 1.0)
         with pytest.raises(ValueError):
             loop.generate_entangled("EPR", 2, -0.5)
+
+
+def random_schedule(rng, lossy):
+    """A random schedule on a loop of 1-6 pulses that mostly runs.
+
+    The generator follows where each pulse is, so most steps address an
+    occupied port; every kind of step appears: captures and releases,
+    beam splitters, phases, squeeze_tele gadgets (with their ancilla),
+    EOM displacements, homodynes with feedforward, and switch-outs.
+    Gaps between steps run from one slot to many circulations.
+    """
+    length = int(rng.integers(1, 7))
+    eta = (float(rng.uniform(0.9, 1.0)), float(rng.uniform(0.95, 1.0)))
+    cfg = LoopConfig(n_data=length, eta_outer=eta[0] if lossy else 1.0,
+                     eta_inner=eta[1] if lossy else 1.0)
+    outer, inner = list(range(length)), None
+    steps, ids, t = [], [], -1
+    for _ in range(int(rng.integers(1, 30))):
+        t += int(rng.integers(1, 2 * length + 1)
+                 if rng.uniform() < 0.9 else rng.integers(1, 60 * length))
+        s = t % length
+        kw = {}
+        if inner is not None and rng.uniform() < 0.3:
+            kw["vps_theta"] = float(rng.uniform(-3, 3))
+        kind = rng.choice(["swap", "bs", "none"])
+        if kind == "swap":
+            kw["vbs_T"] = 0.0
+            outer[s], inner = inner, outer[s]
+        elif kind == "bs" and inner is not None and outer[s] is not None:
+            kw["vbs_T"] = float(rng.uniform(0.05, 0.95))
+        if outer[s] is not None:
+            act = rng.choice(["eom", "hom", "out", "none", "none"])
+            if act == "eom":
+                kw["eom"] = (float(rng.uniform(-1, 1)),
+                             float(rng.uniform(-1, 1)))
+            elif act == "hom":
+                ids.append(f"m{len(ids)}")
+                kw["homodyne"] = float(rng.uniform(0, math.pi))
+                kw["outcome_id"] = ids[-1]
+                outer[s] = None
+                live = [k for k in range(length) if outer[k] is not None]
+                if live and rng.uniform() < 0.8:
+                    kw["ff"] = (ids[-1], float(rng.uniform(-1, 1)),
+                                float(rng.uniform(-1, 1)),
+                                int(rng.choice(live)))
+            elif act == "out":
+                kw["switch_out"] = True
+                outer[s] = None
+        steps.append(ScheduleStep(slot=t, **kw))
+    return cfg, LoopProgram(steps=tuple(steps), outcome_ids=tuple(ids))
+
+
+def random_squeeze_tele(rng, lossy):
+    """compile_gates on phases, beam splitters, displacements and
+    squeeze_tele gadgets, so each gadget's homodyne and feedforward run
+    as the compiler schedules them."""
+    n_data = int(rng.integers(1, 4))
+    n_anc = int(rng.integers(1, 3))
+    cfg = LoopConfig(n_data=n_data, m_anc=n_anc,
+                     eta_outer=0.97 if lossy else 1.0,
+                     eta_inner=0.99 if lossy else 1.0)
+    gates = []
+    for _ in range(int(rng.integers(1, 6))):
+        i = int(rng.integers(n_data))
+        kind = rng.choice(["phase", "bs", "displace", "squeeze_tele"])
+        if kind == "bs" and n_data > 1:
+            j = int(rng.choice([k for k in range(n_data) if k != i]))
+            gates.append(("bs", i, j, float(rng.uniform(0.1, 0.9))))
+        elif kind == "displace":
+            gates.append(("displace", i, float(rng.uniform(-1, 1)),
+                          float(rng.uniform(-1, 1))))
+        elif kind == "squeeze_tele" and n_anc:
+            n_anc -= 1
+            gates.append(("squeeze_tele", i, float(rng.uniform(0.5, 1.8)),
+                          0.8))
+        else:
+            gates.append(("phase", i, float(rng.uniform(-3, 3))))
+    return cfg, loop.compile_gates(cfg, gates)
+
+
+def _assert_close(got, want, what):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape, what
+    scale = max(1.0, float(np.abs(want).max())) if want.size else 1.0
+    assert np.abs(got - want).max(initial=0.0) <= 1e-12 * scale, what
+
+
+class TestSlotWalkOracle:
+    """The event-driven engine against the slot-by-slot walk it replaced."""
+
+    @pytest.mark.parametrize("lossy", [False, True])
+    def test_random_schedules(self, lossy):
+        rng = np.random.default_rng(2024 + lossy)
+        ran = 0
+        for case in range(150):
+            make = random_schedule if case % 3 else random_squeeze_tele
+            cfg, prog = make(rng, lossy)
+            state = random_input(cfg.length, rng) if cfg.length > 1 else (
+                g.displace(g.squeeze(g.vacuum(1), 0, 0.4), 0, 0.3, -0.2))
+            try:
+                want = oracles.loop_slot_walk(cfg, prog, state, rng_seed=case)
+            except (ValueError, LoopScheduleError) as exc:
+                with pytest.raises(type(exc)) as info:
+                    loop.simulate(cfg, prog, state, rng_seed=case)
+                assert str(info.value) == str(exc)
+                continue
+            ran += 1
+            out, log = loop.simulate(cfg, prog, state, rng_seed=case)
+            ref, ref_log = want
+            what = f"case {case}"
+            assert log.outer_passes == ref_log.outer_passes, what
+            assert log.inner_slots == ref_log.inner_slots, what
+            assert log.survivors == ref_log.survivors, what
+            assert ([(e["id"], e["slot"], e["pulse"], e["basis"])
+                     for e in log.outcomes]
+                    == [(e["id"], e["slot"], e["pulse"], e["basis"])
+                        for e in ref_log.outcomes]), what
+            _assert_close([e["outcome"] for e in log.outcomes],
+                          [e["outcome"] for e in ref_log.outcomes], what)
+            _assert_close(out.mean, ref.mean, what)
+            _assert_close(out.cov, ref.cov, what)
+        assert ran >= 100
+
+    @pytest.mark.parametrize("kind, n", [("EPR", 2), ("GHZ", 4),
+                                         ("CLUSTER_LINEAR", 16)])
+    @pytest.mark.parametrize("eta", [(1.0, 1.0), (0.99, 0.999)])
+    def test_entangled_programs(self, kind, n, eta):
+        prog = loop.generate_entangled(kind, n, R15)
+        cfg = LoopConfig(n_data=n, eta_outer=eta[0], eta_inner=eta[1])
+        out, log = loop.simulate(cfg, prog, prog.input_state)
+        ref, ref_log = oracles.loop_slot_walk(cfg, prog, prog.input_state)
+        assert log.outer_passes == ref_log.outer_passes
+        assert log.inner_slots == ref_log.inner_slots
+        _assert_close(out.mean, ref.mean, kind)
+        _assert_close(out.cov, ref.cov, kind)
+
+    def test_time_is_linear_in_steps_not_slots(self):
+        # two steps a billion slots apart: the slot walk would visit
+        # every slot, the engine jumps between the two
+        cfg = LoopConfig(n_data=3, eta_outer=1 - 1e-9, eta_inner=1 - 1e-9)
+        last = 10 ** 9 + 2            # slot 0 of the outer loop
+        prog = LoopProgram(steps=(ScheduleStep(slot=1, vbs_T=0.0),
+                                  ScheduleStep(slot=last, eom=(0.5, 0.0))))
+        inp = g.displace(g.vacuum(3), 0, 1.0, 0.0)
+        start = time.perf_counter()
+        out, log = loop.simulate(cfg, prog, inp)
+        assert time.perf_counter() - start < 1.0
+        # pulse 1 sits in the inner loop from slot 2 to the end; pulses 0
+        # and 2 arrive every third slot after their first arrival
+        assert log.inner_slots == {0: 0, 1: last - 1, 2: 0}
+        assert log.outer_passes == {0: last // 3, 1: 0, 2: (last - 2) // 3}
+        scale = math.sqrt(cfg.eta_outer ** log.outer_passes[0])
+        assert abs(out.mean[0] - (scale + 0.5)) < 1e-12
