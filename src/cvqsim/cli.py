@@ -6,7 +6,8 @@ states and error curves), budget (fiber arithmetic).
 
 Each subcommand returns a dict, or CSV text for `budget --format csv`
 and `gkp --curve`; `main` writes a dict as one line of key-sorted compact
-JSON, the same bytes to stdout or to --out.
+JSON, the same bytes to stdout or to --out, and a NaN or infinity in it
+is a runtime error.
 
 Exit codes: 0 success, 1 usage error, 2 runtime or physics error.  The
 latter writes a structured JSON diagnostic to stderr so harnesses can
@@ -135,7 +136,7 @@ def _render(payload) -> str:
     # compact: an indented dump takes json's pure-Python encoder
     if isinstance(payload, str):
         return payload
-    return json.dumps(payload, sort_keys=True) + "\n"
+    return json.dumps(payload, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _emit(text: str, out_path) -> None:
@@ -276,7 +277,7 @@ def main(argv=None) -> int:
     usage = None
     with warnings.catch_warnings(record=True) as caught:
         try:
-            payload = _COMMANDS[args.subcommand](args)
+            text = _render(_COMMANDS[args.subcommand](args))
         except _UsageError as exc:
             usage = str(exc)
         except FileNotFoundError as exc:
@@ -291,7 +292,7 @@ def main(argv=None) -> int:
         print(usage, file=sys.stderr)
         return EXIT_USAGE
     try:
-        _emit(_render(payload), args.out)
+        _emit(text, args.out)
     except BrokenPipeError:
         # the reader stopped early; point stdout at devnull so the
         # interpreter's final flush cannot raise again

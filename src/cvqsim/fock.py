@@ -120,11 +120,6 @@ def coherent_fock(alpha: complex, cutoff: int = DEFAULT_CUTOFF) -> FockState:
     return displace_fock(vacuum_fock(1, cutoff), 0, dx, dp)
 
 
-def squeezed_vacuum_fock(r: float, cutoff: int = DEFAULT_CUTOFF) -> FockState:
-    """Squeezed vacuum; r > 0 squeezes x (variance e^{-2r}/2), r < 0 squeezes p."""
-    return squeeze_fock(vacuum_fock(1, cutoff), 0, r)
-
-
 # ---------------------------------------------------------------------------
 # Mode operators
 
@@ -336,18 +331,29 @@ def controlled_phase(state: FockState, mode_i: int, mode_j: int) -> FockState:
 def hermite_functions(xs: np.ndarray, cutoff: int) -> np.ndarray:
     """Matrix psi[n, k] = <x_k | n> of normalized Hermite functions.
 
-    Uses the stable normalized recurrence with the Gaussian envelope
-    factored out and reapplied at the end, which keeps intermediate
-    values representable at large |x|.
+    Runs the normalized recurrence with the envelope exp(-x^2/2) kept as
+    a per-point log scale.  A point whose value passes 2^300 is scaled by
+    2^-300 (exactly) and its log scale gains 300 ln 2, so values stay
+    finite at any cutoff; a point never rescaled gets exactly the
+    recurrence times exp(-x^2/2).
     """
     xs = np.asarray(xs, dtype=float)
-    h = np.zeros((cutoff, xs.size))
-    h[0] = np.pi ** -0.25
-    if cutoff > 1:
-        h[1] = np.sqrt(2.0) * xs * h[0]
-    for n in range(2, cutoff):
-        h[n] = xs * np.sqrt(2.0 / n) * h[n - 1] - np.sqrt((n - 1) / n) * h[n - 2]
-    return h * np.exp(-xs ** 2 / 2.0)
+    h = np.empty((cutoff, xs.size))
+    log_env = -xs ** 2 / 2.0
+    env = np.exp(log_env)
+    prev, cur = np.zeros(xs.size), np.full(xs.size, np.pi ** -0.25)
+    for n in range(cutoff):
+        if n:
+            prev, cur = cur, (xs * np.sqrt(2.0 / n) * cur
+                              - np.sqrt((n - 1) / n) * prev)
+        big = np.abs(cur) > 2.0 ** 300
+        if big.any():
+            cur[big] *= 2.0 ** -300
+            prev[big] *= 2.0 ** -300
+            log_env[big] += 300.0 * np.log(2.0)
+            env = np.exp(log_env)
+        h[n] = cur * env
+    return h
 
 
 def quadrature_wavefunction(state: FockState, xs: np.ndarray) -> np.ndarray:

@@ -1,17 +1,21 @@
 """Approximate GKP qubits on the truncated Fock backend.
 
 A logical |j> lives on the x-lattice sqrt(pi)*(2s+j).  The finite-energy
-approximation used here is the standard peak-sum form: x-squeezed peaks
-of width delta at the lattice sites, weighted by a Gaussian envelope
-exp(-delta^2 mu^2 / 2).  Logical X and Z are quadrature displacements by
-sqrt(pi).  Error correction is a classical rounding decision on a
-homodyne record (monte_carlo_error_prob), with ties at half-spacing
-resolved toward the even sublattice so results are deterministic.
+approximation used here is the standard peak-sum form (Gottesman, Kitaev
+& Preskill 2001): x-squeezed peaks of width delta at the lattice sites,
+weighted by a Gaussian envelope exp(-delta^2 mu^2 / 2), projected by
+quadrature onto the Hermite functions below the cutoff (Tzitrin et al.
+2020): a state depends on the basis alone, on no Fock gate.  Logical X
+and Z are quadrature displacements by sqrt(pi).  Error correction is a
+classical rounding decision on a homodyne record
+(monte_carlo_error_prob), with ties at half-spacing resolved toward the
+even sublattice so results are deterministic.
 """
 
 from __future__ import annotations
 
 import io
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -26,7 +30,6 @@ ROOT_PI = math.sqrt(math.pi)
 THRESHOLD_DB = 20.5
 MIN_PEAK_WEIGHT = 1e-8
 SYNTHESIS_BUDGET = 1e-4
-TAIL_BOX_MARGIN = 120
 
 
 @dataclass(frozen=True)
@@ -41,91 +44,111 @@ class GkpParams:
             raise ValueError("cutoff too small for a lattice state")
 
 
-@lru_cache(maxsize=64)
-def _peak_vector(mu: float, r: float, box: int) -> np.ndarray:
-    """Displaced x-squeezed peak as a unit Fock vector in a large box."""
-    st = fock.displace_fock(fock.squeezed_vacuum_fock(r, box), 0, mu, 0.0)
-    amps = st.amps.copy()
-    amps.setflags(write=False)
-    return amps
+def _mass_below(mu: float, delta: float, cutoff: int) -> float:
+    """Exact mass of the unit peak at mu in the levels below the cutoff.
 
-
-@lru_cache(maxsize=64)
-def _selected_sites(j: int, delta: float, cutoff: int):
-    """Peaks kept in the sum, chosen so truncation stays inside budget.
-
-    Collects lattice sites outward from the center, then drops outer
-    pairs until the summed state's mass beyond the cutoff fits the
-    synthesis budget.  Outer peaks at strong squeezing carry heavy
-    anti-squeezed tails, so this is what actually limits the lattice
-    extent, not the raw envelope weight.
+    Its Fock amplitudes obey ((1 + delta^2) a + (1 - delta^2) a^dag) c =
+    sqrt(2) mu c, run here over 1 + delta^2 = 2 / (1 + t) with
+    t = tanh(-ln delta), so no power of delta overflows.
     """
-    r = -math.log(delta)
-    box = cutoff + TAIL_BOX_MARGIN
-    groups = []
-    m = j
-    while True:
-        w = math.exp(-delta ** 2 * (m * ROOT_PI) ** 2 / 2.0)
-        if w < MIN_PEAK_WEIGHT:
-            break
-        mus = (0.0,) if m == 0 else (m * ROOT_PI, -m * ROOT_PI)
-        tail = float(np.sum(np.abs(_peak_vector(mus[0], r, box)[cutoff:]) ** 2))
-        if tail > 0.5:
-            break
-        groups.append((mus, w))
-        m += 2
+    t = math.tanh(-math.log(delta))
+    prev = 0.0
+    cur = math.sqrt(2.0 / (delta + 1.0 / delta)) * math.exp(-mu ** 2 * (1.0 + t) / 4.0)
+    mass = 0.0
+    for n in range(cutoff):
+        mass += cur * cur
+        prev, cur = cur, ((math.sqrt(0.5) * mu * (1.0 + t) * cur
+                           - t * math.sqrt(n) * prev) / math.sqrt(n + 1.0))
+    return mass
 
-    while groups:
-        amps = np.zeros(box, dtype=complex)
-        for mus, w in groups:
-            for mu in mus:
-                amps = amps + w * _peak_vector(mu, r, box)
-        amps /= np.linalg.norm(amps)
-        leak = float(np.sum(np.abs(amps[cutoff:]) ** 2))
-        if leak <= SYNTHESIS_BUDGET * 0.95:
-            break
-        groups.pop()
-    if not groups:
-        raise ValueError(f"cutoff {cutoff} too small for delta {delta}")
 
-    mus = [mu for group, w in groups for mu in group]
-    weights = [w for group, w in groups for _ in group]
-    order = np.argsort(mus)
-    return tuple(np.asarray(mus)[order]), tuple(np.asarray(weights)[order])
+@lru_cache(maxsize=32)
+def _synthesis(delta: float, cutoff: int):
+    """Sites, weights, amplitudes and leakage of |0> and |1> (None if unfit).
+
+    Each unit peak (pi delta^2)^(-1/4) exp(-(x - mu)^2 / (2 delta^2)) is
+    projected onto the Hermite functions below the cutoff by the
+    trapezoid rule on one grid for both logicals: out to 8 past the top
+    level's turning point t = sqrt(2 cutoff + 1), at a quarter of
+    min(delta, 1/t), where halving the spacing changes nothing beyond
+    rounding.  The leakage is the norm deficit against the exact
+    w^T G w, with the Gram matrix G = exp(-(mu - nu)^2 / (4 delta^2)).
+
+    Sites grow outward while the envelope weight is at least
+    MIN_PEAK_WEIGHT, up to the first peak with less than half its mass
+    below the cutoff; outer pairs are then dropped until the leakage
+    fits the budget.  A logical whose first peak fails the half-mass
+    test (by _mass_below) builds no grid, which bounds it: a fitting
+    peak has delta above about 0.48 / t.
+    """
+    fits = [_mass_below(j * ROOT_PI, delta, cutoff) >= 0.5 for j in (0, 1)]
+    if not any(fits):
+        return None, None
+    turn = math.sqrt(2.0 * cutoff + 1.0)
+    half = turn + 8.0
+    xs = np.linspace(-half, half, int(8.0 * half / min(delta, 1.0 / turn)) + 2)
+    basis = fock.hermite_functions(xs, cutoff)
+    scale = (math.pi * delta ** 2) ** -0.25 * (xs[1] - xs[0])
+
+    def project(mu):
+        return basis @ (scale * np.exp(-(xs - mu) ** 2 / (2.0 * delta ** 2)))
+
+    records = []
+    for j in (0, 1):
+        groups = []             # (site, weight, projection) per +-pair
+        for m in itertools.count(j, 2):
+            w = math.exp(-delta ** 2 * (m * ROOT_PI) ** 2 / 2.0)
+            if not fits[j] or w < MIN_PEAK_WEIGHT:
+                break
+            sites = (0.0,) if m == 0 else (m * ROOT_PI, -m * ROOT_PI)
+            group = [(mu, w, project(mu)) for mu in sites]
+            if group[0][2] @ group[0][2] < 0.5:
+                break
+            groups.append(group)
+
+        while groups:
+            mus, weights, peaks = map(np.array, zip(*itertools.chain(*groups)))
+            amps = weights @ peaks
+            gram = np.exp(-np.subtract.outer(mus, mus) ** 2 / (4.0 * delta ** 2))
+            kept = float(amps @ amps) / float(weights @ gram @ weights)
+            if 1.0 - kept <= SYNTHESIS_BUDGET * 0.95:
+                break
+            groups.pop()
+        records.append(None)
+        if groups:
+            order = np.argsort(mus)
+            records[j] = (mus[order], weights[order], amps / np.linalg.norm(amps))
+            for a in records[j]:
+                a.setflags(write=False)
+            records[j] += (max(0.0, 1.0 - kept),)
+    return tuple(records)
+
+
+def _logical(j: int, params: GkpParams):
+    if j not in (0, 1):
+        raise ValueError("logical index must be 0 or 1")
+    record = _synthesis(params.delta, params.cutoff)[j]
+    if record is None:
+        raise ValueError(f"cutoff {params.cutoff} too small for delta {params.delta}")
+    return record
 
 
 def lattice_sites(j: int, params: GkpParams):
     """Peak positions and envelope weights entering the state sum."""
-    if j not in (0, 1):
-        raise ValueError("logical index must be 0 or 1")
-    mus, weights = _selected_sites(j, params.delta, params.cutoff)
-    return np.asarray(mus), np.asarray(weights)
-
-
-def _synthesize(j: int, params: GkpParams) -> np.ndarray:
-    """Normalized big-box amplitude vector of the peak sum."""
-    mus, weights = lattice_sites(j, params)
-    r = -math.log(params.delta)             # peak x-variance delta^2/2
-    box = params.cutoff + TAIL_BOX_MARGIN
-    amps = np.zeros(box, dtype=complex)
-    for mu, w in zip(mus, weights):
-        amps = amps + w * _peak_vector(float(mu), r, box)
-    norm = np.linalg.norm(amps)
-    if norm <= 0:
-        raise ValueError("state collapsed to zero norm")
-    return amps / norm
+    return _logical(j, params)[:2]
 
 
 def gkp_state(j: int, params: GkpParams) -> FockState:
-    """Logical |j>: the converged peak sum projected to the cutoff."""
-    amps = _synthesize(j, params)[:params.cutoff]
-    return FockState(amps / np.linalg.norm(amps))
+    """Logical |j>: the peak sum projected to the cutoff, normalized."""
+    return FockState(_logical(j, params)[2])
 
 
 def synthesis_leakage(j: int, params: GkpParams) -> float:
-    """Probability mass of the converged state beyond the cutoff."""
-    amps = _synthesize(j, params)
-    return float(np.sum(np.abs(amps[params.cutoff:]) ** 2))
+    """Norm lost beyond the cutoff, 1 - |P psi|^2 / |psi|^2, clamped at 0.
+
+    The quadrature's rounding limits its resolution to about 1e-12.
+    """
+    return _logical(j, params)[3]
 
 
 def x_density(state: FockState, xs: np.ndarray) -> np.ndarray:

@@ -182,10 +182,10 @@ def fuzz_case(rng) -> str:
     kind = rng.integers(0, 5)
     if kind == 0:                      # printable ascii noise
         k = int(rng.integers(0, 80))
-        return "".join(chr(rng.integers(32, 127)) for _ in range(k))
+        return "".join(map(chr, rng.integers(32, 127, size=k)))
     if kind == 1:                      # wider unicode incl. controls
         k = int(rng.integers(0, 40))
-        return "".join(chr(rng.integers(0, 0x2500)) for _ in range(k))
+        return "".join(map(chr, rng.integers(0, 0x2500, size=k)))
     if kind == 2:                      # mutated valid program
         text = list(random_program_text(rng))
         for _ in range(int(rng.integers(1, 6))):
@@ -202,8 +202,8 @@ def fuzz_case(rng) -> str:
         return "".join(text)
     if kind == 3:                      # token soup
         k = int(rng.integers(0, 30))
-        return " ".join(_VOCAB[rng.integers(0, len(_VOCAB))]
-                        for _ in range(k))
+        return " ".join(_VOCAB[i]
+                        for i in rng.integers(0, len(_VOCAB), size=k))
     k = int(rng.integers(1, 200))      # pathological repetition
     atom = ["{", "}", ";", "[", "mode q0 ", "-", "->", "9" * 40,
             "sq q0 ", "#", "\x00", "q" * 50 + " "][rng.integers(0, 12)]

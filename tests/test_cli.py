@@ -353,11 +353,28 @@ class TestGkpCommand:
         assert zero == len(gkp.lattice_sites(0, params)[0])
         assert zero > 2
 
+    def test_large_cutoff_reports_finite_numbers(self, capsys):
+        # past cutoff 600 the grid reaches where the Hermite recurrence
+        # leaves double range unless it is rescaled
+        code, out, _ = run_cli(capsys, "gkp", "--delta", "0.3",
+                               "--cutoff", "800")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["sites"] == {"zero": 11, "one": 12}
+        for j in ("zero", "one"):
+            assert 0.9 < payload["lattice_mass"][j] < 1.0
+
     def test_impossible_cutoff_is_runtime_error(self, capsys):
         code, _, err = run_cli(capsys, "gkp", "--delta", "0.2",
                                "--cutoff", "40")
         assert code == 2
         assert "cutoff" in json.loads(err)["error"]["message"]
+
+    def test_tiny_delta_is_runtime_error(self, capsys):
+        code, out, err = run_cli(capsys, "gkp", "--delta", "1e-6")
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1
+        assert "too small" in json.loads(err)["error"]["message"]
 
     def test_curve_csv_deterministic(self, capsys):
         args = ("gkp", "--curve", "0.2,0.4", "--samples", "2000",
@@ -551,6 +568,15 @@ class TestNonFiniteFlags:
 
 
 class TestTopLevel:
+
+    def test_non_finite_payload_is_runtime_error(self, capsys, monkeypatch):
+        monkeypatch.setitem(cli._COMMANDS, "budget",
+                            lambda args: {"value": float("nan")})
+        code, out, err = run_cli(capsys, "budget", "--loss-db-km", "0.2",
+                                 "--length-m", "100", "--pulse-ns", "50")
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"]["type"] == "ValueError"
 
     def test_help_exits_zero(self, capsys):
         assert cli.main(["--help"]) == 0

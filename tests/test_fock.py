@@ -32,7 +32,7 @@ class TestConstructors:
         np.testing.assert_allclose(cov, np.eye(2) * 0.5, atol=1e-9)
 
     def test_squeezed_vacuum_even_levels(self):
-        st = fk.squeezed_vacuum_fock(0.8, cutoff=50)
+        st = fk.squeeze_fock(fk.vacuum_fock(1, 50), 0, 0.8)
         probs = np.abs(st.amps) ** 2
         assert probs[1::2].max() < 1e-20
         mean, cov = fk.covariance_of(st)
@@ -47,7 +47,7 @@ class TestConstructors:
 class TestGaussianGatesInFock:
     def test_phase_convention_matches_gaussian(self):
         # x-squeezed state rotated by pi/2 must become p-squeezed
-        st = fk.squeezed_vacuum_fock(0.7, cutoff=40)
+        st = fk.squeeze_fock(fk.vacuum_fock(1, 40), 0, 0.7)
         st = fk.phase_fock(st, 0, np.pi / 2)
         _, cov = fk.covariance_of(st)
         assert cov[1, 1] == pytest.approx(np.exp(-1.4) / 2, abs=1e-6)
@@ -133,7 +133,7 @@ class TestNonGaussianGates:
         # exp(i lam x^2) maps p -> p + 2 lam x: covariance transforms with
         # the symplectic shear [[1, 0], [2 lam, 1]]
         lam = 0.3
-        st0 = fk.squeezed_vacuum_fock(0.4, cutoff=60)
+        st0 = fk.squeeze_fock(fk.vacuum_fock(1, 60), 0, 0.4)
         _, cov0 = fk.covariance_of(st0)
         st = fk.apply_x_phase(st0, 0, [0.0, 0.0, lam], leakage_budget=None)
         _, cov = fk.covariance_of(st)
@@ -239,6 +239,42 @@ class TestMeasurements:
                 got, got_post = fk.homodyne_fock(st, mode, theta, seed)
                 assert got == out
                 np.testing.assert_allclose(got_post.amps, post, atol=1e-12)
+
+
+class TestHermiteFunctions:
+    @pytest.mark.parametrize("n, x", [(799, 40.0), (599, 36.0), (99, 15.0)])
+    def test_matches_mpmath(self, n, x):
+        # the first two points pass the turning point sqrt(2n + 1), where
+        # the unenveloped recurrence would overflow a double
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            xm = mp.mpf(x)
+            ref = float(mp.exp(-xm * xm / 2) * mp.hermite(n, xm) / mp.sqrt(
+                mp.mpf(2) ** n * mp.factorial(n) * mp.sqrt(mp.pi)))
+        got = fk.hermite_functions(np.array([-x, x]), n + 1)[n]
+        np.testing.assert_allclose(got, [(-1) ** n * ref, ref],
+                                   rtol=1e-12, atol=0)
+
+    def test_plain_recurrence_where_nothing_is_rescaled(self):
+        xs = np.linspace(-12.0, 12.0, 801)
+        h = np.zeros((100, xs.size))
+        h[0] = np.pi ** -0.25
+        h[1] = np.sqrt(2.0) * xs * h[0]
+        for n in range(2, 100):
+            h[n] = (xs * np.sqrt(2.0 / n) * h[n - 1]
+                    - np.sqrt((n - 1) / n) * h[n - 2])
+        assert np.array_equal(fk.hermite_functions(xs, 100),
+                              h * np.exp(-xs ** 2 / 2.0))
+
+    def test_finite_and_orthonormal_at_large_cutoff(self):
+        assert np.isfinite(
+            fk.hermite_functions(np.linspace(-70, 70, 1001), 1500)).all()
+        # products of levels below 800 oscillate slower than 2 sqrt(1601),
+        # so a 0.02 trapezoid grid integrates them to rounding
+        xs = np.linspace(-50.0, 50.0, 5001)
+        h = fk.hermite_functions(xs, 800)
+        gram = (h * (xs[1] - xs[0])) @ h.T
+        assert np.abs(gram - np.eye(800)).max() < 1e-12
 
 
 class TestWigner:

@@ -84,7 +84,7 @@ class TestSynthesis:
     def test_large_delta_approaches_squeezed_vacuum(self):
         p = GkpParams(1.2, 60)
         state = gkp.gkp_state(0, p)
-        ref = fock.squeezed_vacuum_fock(-math.log(1.2), 60)
+        ref = fock.squeeze_fock(fock.vacuum_fock(1, 60), 0, -math.log(1.2))
         assert fock.fidelity_fock(state, ref) > 0.99
         # fidelity to plain vacuum: sech(ln delta) = 2 delta / (1 + delta^2)
         fids = []
@@ -94,6 +94,137 @@ class TestSynthesis:
             assert abs(fid - 2 * delta / (1 + delta ** 2)) < 2e-3
             fids.append(fid)
         assert fids[0] > fids[1] > fids[2]
+
+
+# (|0>, |1>) site counts of the peak sums, as the site policy chose them
+# when each peak was built with Fock gates in a larger box; projecting
+# onto the Hermite functions keeps every one.
+SITE_COUNTS = {
+    (0.2, 100): (1, 2), (0.2, 120): (9, 8), (0.2, 150): (9, 10),
+    (0.25, 100): (7, 8), (0.3, 100): (7, 8), (0.35, 100): (7, 8),
+    (0.3, 60): (7, 6), (0.3, 200): (11, 12), (0.3, 300): (11, 12),
+    (0.5, 40): (5, 4), (0.15, 200): (9, 10), (1.0, 60): (3, 4),
+    (1.2, 60): (3, 2), (1.5, 60): (3, 2), (2.0, 60): (1, 2),
+}
+
+
+class TestProjection:
+    @pytest.mark.parametrize("delta, cutoff", sorted(SITE_COUNTS))
+    def test_site_counts_and_leakage(self, delta, cutoff):
+        params = GkpParams(delta, cutoff)
+        counts = tuple(len(gkp.lattice_sites(j, params)[0]) for j in (0, 1))
+        assert counts == SITE_COUNTS[delta, cutoff]
+        for j in (0, 1):
+            assert 0.0 <= gkp.synthesis_leakage(j, params) < 1e-4
+
+    @pytest.mark.parametrize("delta, cutoff", [(0.3, 40), (0.1, 300)])
+    def test_cutoffs_below_the_central_peak_raise(self, delta, cutoff):
+        with pytest.raises(ValueError, match="too small"):
+            gkp.gkp_state(0, GkpParams(delta, cutoff))
+
+    def test_amplitudes_match_mpmath_quadrature(self):
+        # three peaks; the norm deficit at this cutoff is far below 1e-20,
+        # so the analytic Gram norm normalizes the projection
+        mp = pytest.importorskip("mpmath")
+        params = GkpParams(1.0, 60)
+        mus, ws = gkp.lattice_sites(0, params)
+        assert len(mus) == 3
+        amps = gkp.gkp_state(0, params).amps
+        with mp.workdps(20):
+            d = mp.mpf(params.delta)
+            peaks = [(mp.mpf(float(m)), mp.mpf(float(w)))
+                     for m, w in zip(mus, ws)]
+            norm = mp.sqrt(sum(wa * wb * mp.exp(-(a - b) ** 2 / (4 * d * d))
+                               for a, wa in peaks for b, wb in peaks))
+            for n in (0, 1, 2, 7, 30, 59):
+                scale = mp.sqrt(mp.mpf(2) ** n * mp.factorial(n)
+                                * mp.sqrt(mp.pi * mp.pi * d * d)) * norm
+
+                def integrand(x):
+                    return mp.hermite(n, x) * sum(
+                        w * mp.exp(-x * x / 2 - (x - m) ** 2 / (2 * d * d))
+                        for m, w in peaks)
+
+                ref = mp.quad(integrand, mp.linspace(-16, 16, 9),
+                              method="gauss-legendre") / scale
+                assert abs(amps[n] - float(ref)) < 1e-12
+
+    def test_no_fock_gate_is_run(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("GKP synthesis ran a Fock gate")
+
+        monkeypatch.setattr(fock, "displace_fock", refuse)
+        monkeypatch.setattr(fock, "squeeze_fock", refuse)
+        gkp._synthesis.cache_clear()
+        for j, count in enumerate(SITE_COUNTS[0.3, 100]):
+            assert len(gkp.lattice_sites(j, P03)[0]) == count
+            assert abs(gkp.gkp_state(j, P03).norm() - 1.0) < 1e-12
+            assert 0.0 <= gkp.synthesis_leakage(j, P03) < 1e-7
+
+    def test_one_basis_serves_both_logicals(self, monkeypatch):
+        calls = []
+        real = fock.hermite_functions
+
+        def counted(xs, cutoff):
+            calls.append(cutoff)
+            return real(xs, cutoff)
+
+        monkeypatch.setattr(fock, "hermite_functions", counted)
+        gkp._synthesis.cache_clear()
+        for j in (0, 1):
+            gkp.gkp_state(j, P03)
+            gkp.synthesis_leakage(j, P03)
+            gkp.lattice_sites(j, P03)
+        assert calls == [100]
+
+    @pytest.mark.parametrize("delta", [1e-3, 1e-6, 5e-324, 1e300])
+    def test_unfit_delta_raises_before_any_grid(self, delta, monkeypatch):
+        # the grid spacing follows delta, so a tiny delta must be turned
+        # away before a grid is laid out
+        def refuse(*args, **kwargs):
+            raise AssertionError("a grid was built")
+
+        monkeypatch.setattr(fock, "hermite_functions", refuse)
+        for j in (0, 1):
+            with pytest.raises(ValueError, match="too small"):
+                gkp.gkp_state(j, GkpParams(delta, 100))
+
+    @pytest.mark.parametrize("delta, cutoff", [(0.2, 100), (0.05, 100),
+                                               (0.3, 40), (1.7, 60)])
+    def test_central_peak_mass_is_squeezed_vacuum_sum(self, delta, cutoff):
+        # sum over 2k < c of tanh(r)^(2k) (2k)! / (4^k k!^2 cosh r)
+        r = -math.log(delta)
+        ref = sum(math.tanh(r) ** (2 * k) * math.comb(2 * k, k) / 4 ** k
+                  for k in range((cutoff + 1) // 2)) / math.cosh(r)
+        assert abs(gkp._mass_below(0.0, delta, cutoff) - ref) < 1e-14
+
+    @pytest.mark.parametrize("delta, cutoff", [(0.2, 100), (0.5, 40),
+                                               (2.0, 60)])
+    def test_peak_mass_matches_the_projection(self, delta, cutoff):
+        turn = math.sqrt(2 * cutoff + 1)
+        xs = np.arange(-turn - 8, turn + 8, min(delta, 1 / turn) / 4)
+        basis = fock.hermite_functions(xs, cutoff)
+        for mu in (0.0, ROOT_PI, 3 * ROOT_PI):
+            peak = basis @ np.exp(-(xs - mu) ** 2 / (2 * delta ** 2))
+            peak *= (math.pi * delta ** 2) ** -0.25 * (xs[1] - xs[0])
+            assert abs(gkp._mass_below(mu, delta, cutoff)
+                       - peak @ peak) < 1e-12
+
+    @pytest.mark.parametrize("delta, cutoff", [(0.2, 150), (0.3, 100),
+                                               (0.5, 40), (2.0, 60)])
+    def test_halving_the_grid_spacing_moves_no_amplitude(self, delta, cutoff):
+        turn = math.sqrt(2 * cutoff + 1)
+        xs = np.arange(-turn - 8, turn + 8, min(delta, 1 / turn) / 8)
+        basis = fock.hermite_functions(xs, cutoff)
+        params = GkpParams(delta, cutoff)
+        for j in (0, 1):
+            mus, ws = gkp.lattice_sites(j, params)
+            psi = sum(w * np.exp(-(xs - m) ** 2 / (2 * delta ** 2))
+                      for m, w in zip(mus, ws))
+            fine = basis @ psi
+            fine /= np.linalg.norm(fine)
+            got = gkp.gkp_state(j, params).amps
+            assert np.abs(got - fine).max() < 1e-11
 
 
 def logical_x(state):
