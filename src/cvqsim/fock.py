@@ -17,6 +17,9 @@ then a diagonal of phases between two cached eigenvector matrices.  The
 result is an exact unitary of the truncated space, so norms are
 preserved to machine precision and truncation error shows up as state
 distortion, tracked by `leakage`.
+
+Memory: the beam splitter and the homodyne each hold one state-sized
+scratch array; the homodyne adds O(cutoff x grid) for its density.
 """
 
 from __future__ import annotations
@@ -249,6 +252,8 @@ def beam_splitter_fock(state: FockState, mode_i: int, mode_j: int,
     cached real spectral form (_bs_block_eighs): D is one elementwise
     phase over the whole state, and v acts by real matrix products on
     the block's float view, so no per-angle matrix is built or kept.
+    Scratch memory is one state-sized array: every block is written
+    back into it and the phases are applied in place.
     """
     _check_mode(state, mode_i)
     _check_mode(state, mode_j)
@@ -260,18 +265,16 @@ def beam_splitter_fock(state: FockState, mode_i: int, mode_j: int,
     theta = float(np.arctan2(np.sqrt(1.0 - transmissivity), np.sqrt(transmissivity)))
 
     blocks, mu, phase = _bs_block_eighs(d)
-    work = np.moveaxis(state.amps, (mode_i, mode_j), (0, 1))
-    rest = work.shape[2:]
-    work = work.reshape(d * d, -1) * phase.conj()[:, None]
+    moved = np.moveaxis(state.amps, (mode_i, mode_j), (0, 1))
+    work = np.multiply(moved, phase.conj().reshape((d, d) + (1,) * (moved.ndim - 2)),
+                       order="C").reshape(d * d, -1)
     spin = np.exp(-1j * theta * mu)[:, None]
-    out = np.empty_like(work)
     for rows, v, part in blocks:
         vec = (v.T @ work[rows].view(float)).view(complex)
         vec *= spin[part]
-        out[rows] = (v @ vec.view(float)).view(complex)
-    out *= phase[:, None]
-    out = out.reshape((d, d) + rest)
-    return FockState(np.moveaxis(out, (0, 1), (mode_i, mode_j)))
+        work[rows] = (v @ vec.view(float)).view(complex)
+    work *= phase[:, None]
+    return FockState(np.moveaxis(work.reshape(moved.shape), (0, 1), (mode_i, mode_j)))
 
 
 # ---------------------------------------------------------------------------
@@ -364,45 +367,56 @@ def quadrature_wavefunction(state: FockState, xs: np.ndarray) -> np.ndarray:
     return state.amps @ psi
 
 
-def _quadrature_pdf(amps: np.ndarray, mode: int, psi: np.ndarray) -> np.ndarray:
+def _quadrature_pdf(rho: np.ndarray, psi: np.ndarray) -> np.ndarray:
     """x-quadrature density of one mode on the grid of psi (cutoff, grid).
 
-    Reads the mode's reduced density matrix rho, so memory is
-    cutoff x grid, not grid x cutoff**(modes - 1).  psi is real and the
-    imaginary part of rho antisymmetric, so only Re(rho) contributes.
+    rho is the real part of the mode's reduced density matrix: psi is
+    real and the imaginary part of rho antisymmetric, so only Re(rho)
+    contributes.
     """
-    moved = np.moveaxis(amps, mode, 0).reshape(amps.shape[mode], -1)
-    rho = moved @ moved.conj().T
-    return np.sum(psi * (rho.real @ psi), axis=0)
+    return np.einsum("ng,ng->g", psi, rho @ psi)
 
 
 def homodyne_fock(state: FockState, mode: int, theta: float, rng_seed
                   ) -> tuple[float, FockState]:
     """Sample the quadrature cos(theta) x + sin(theta) p of one mode.
 
-    The mode is rotated so the measured quadrature becomes x, the exact
-    probability density is evaluated on a uniform grid of
-    HOMODYNE_GRID_POINTS points spanning +- HOMODYNE_GRID_SIGMAS standard
-    deviations around the mean, the outcome is drawn by inverse CDF over
-    that grid, and the state is projected onto the sampled quadrature
-    eigenvector (mode removed, renormalized).
+    The amplitudes are read mode-first as a matrix M (cutoff x rest),
+    rotated by exp(-i theta n) so the measured quadrature becomes x.
+    Everything comes from the mode's reduced density matrix rho = M M^dag:
+    the mean Tr(rho x) and variance Tr(rho x^2) - mean^2 place a uniform
+    grid of HOMODYNE_GRID_POINTS points spanning +- HOMODYNE_GRID_SIGMAS
+    standard deviations, on which the exact density is evaluated.  The
+    outcome is drawn by inverse CDF over that grid, and M is projected
+    onto the sampled quadrature eigenvector (mode removed, renormalized).
+    Scratch memory is at most one state-sized array (M) plus
+    O(cutoff x grid).
 
     Raises:
         ValueError: grid does not capture the state (mass deficit).
     """
     _check_mode(state, mode)
     rng = as_rng(rng_seed)
-    work = phase_fock(state, mode, -theta) if theta != 0.0 else state
+    d = state.cutoff
+    moved = np.moveaxis(state.amps, mode, 0)
+    if theta != 0.0:
+        rot = np.exp(1j * -theta * np.arange(d))
+        moved = np.multiply(moved, rot.reshape((d,) + (1,) * (moved.ndim - 1)),
+                            order="C")
+    m = np.ascontiguousarray(moved).reshape(d, -1)
+    flat = m.view(float)
+    rho = flat @ flat.T  # Re(M M^dag), without a conjugated copy of M
 
-    mean, cov = covariance_of(work)
-    mu = mean[2 * mode]
-    sigma = np.sqrt(cov[2 * mode, 2 * mode])
+    x = position_op(d)
+    xrho = x @ rho
+    mu = np.trace(xrho)
+    sigma = np.sqrt(np.trace(x @ xrho) - mu ** 2)
     xs = np.linspace(mu - HOMODYNE_GRID_SIGMAS * sigma,
                      mu + HOMODYNE_GRID_SIGMAS * sigma, HOMODYNE_GRID_POINTS)
     dx = xs[1] - xs[0]
 
-    psi = hermite_functions(xs, work.cutoff)  # (cutoff, grid)
-    pdf = _quadrature_pdf(work.amps, mode, psi)
+    psi = hermite_functions(xs, d)  # (cutoff, grid)
+    pdf = _quadrature_pdf(rho, psi)
     mass = float(np.sum(pdf) * dx)
     if mass < 1.0 - HOMODYNE_MASS_TOL:
         raise ValueError(
@@ -415,8 +429,7 @@ def homodyne_fock(state: FockState, mode: int, theta: float, rng_seed
 
     idx = int(np.argmin(np.abs(xs - outcome)))
     outcome = float(xs[idx])
-    projected = np.tensordot(psi[:, idx], np.moveaxis(work.amps, mode, 0),
-                             axes=([0], [0]))
+    projected = (psi[:, idx] @ m).reshape(moved.shape[1:])
     return outcome, FockState(_renormalized(projected))
 
 
@@ -439,7 +452,10 @@ def covariance_of(state: FockState) -> tuple[np.ndarray, np.ndarray]:
     """Quadrature mean vector and covariance matrix of a Fock state.
 
     Output uses the interleaved (x0, p0, x1, p1, ...) ordering of the
-    Gaussian backend, enabling cross-backend comparisons.
+    Gaussian backend, enabling cross-backend comparisons.  It holds 2n
+    state-sized branches at once (108 MB extra at 3 modes and cutoff
+    100), so a one-mode reading should use that mode's reduced density
+    matrix instead, as homodyne_fock does.
     """
     n = state.n_modes
     if n == 0:
@@ -460,31 +476,6 @@ def covariance_of(state: FockState) -> tuple[np.ndarray, np.ndarray]:
             sym = np.real(np.vdot(branches[i], branches[j]))
             cov[i, j] = cov[j, i] = sym - mean[i] * mean[j]
     return mean, cov
-
-
-def wigner_grid(state: FockState, xs, ps) -> np.ndarray:
-    """Wigner function of a single-mode pure state on a grid.
-
-    W(x, p) = (1/pi) * integral dy e^{2ipy} psi(x - y) psi*(x + y),
-    normalized so that the full integral of W is 1 and the vacuum peaks
-    at 1/pi.
-
-    Returns a matrix W[i, j] = W(xs[i], ps[j]).
-    """
-    if state.n_modes != 1:
-        raise ValueError("wigner_grid expects a single-mode state")
-    xs = np.asarray(xs, dtype=float)
-    ps = np.asarray(ps, dtype=float)
-    half = np.sqrt(2.0 * state.cutoff) + 5.0
-    ys = np.linspace(-half, half, 2049)
-    dy = ys[1] - ys[0]
-    w = np.empty((xs.size, ps.size))
-    phase = np.exp(2j * np.outer(ys, ps))  # (y, p)
-    for i, x in enumerate(xs):
-        minus = quadrature_wavefunction(state, x - ys)
-        plus = np.conj(quadrature_wavefunction(state, x + ys))
-        w[i] = np.real((minus * plus) @ phase) * dy / np.pi
-    return w
 
 
 def _check_mode(state: FockState, mode: int) -> None:

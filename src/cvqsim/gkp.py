@@ -169,23 +169,25 @@ def lattice_mass(state: FockState, window: float = ROOT_PI / 4.0,
 
 
 def logical_error_prob(sigma: float) -> float:
-    """Probability a N(0, sigma) shift decodes to a logical flip."""
+    """Probability a N(0, sigma) shift decodes to a logical flip.
+
+    Sums the two-sided tails erfc(lo/sqrt 2) - erfc(hi/sqrt 2) of the
+    odd cells, which keeps full relative precision where a difference
+    of two CDFs near 1 would cancel to 0.
+    """
     if not 0 <= sigma < math.inf:
         raise ValueError("sigma must be finite and >= 0")
     if sigma == 0.0:
         return 0.0
-
-    def cdf(z):
-        return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
 
     p = 0.0
     k = 1
     while True:
         lo = (k - 0.5) * ROOT_PI / sigma
         hi = (k + 0.5) * ROOT_PI / sigma
-        term = cdf(hi) - cdf(lo)
-        p += 2.0 * term
-        if term < 1e-16 and lo > 1.0:
+        term = math.erfc(lo / math.sqrt(2.0)) - math.erfc(hi / math.sqrt(2.0))
+        p += term
+        if term <= 1e-17 * p and lo > 1.0:
             break
         k += 2
     return min(p, 0.5)
@@ -222,5 +224,5 @@ def error_curve_csv(sigmas, samples: int = 100000, rng_seed=0) -> str:
     for i, sigma in enumerate(sigmas):
         closed = logical_error_prob(float(sigma))
         mc, se = monte_carlo_error_prob(float(sigma), samples, [rng_seed, i])
-        out.write(f"{sigma},{closed:.8f},{mc:.8f},{se:.8f}\n")
+        out.write(f"{sigma},{closed!r},{mc!r},{se!r}\n")
     return out.getvalue()

@@ -155,19 +155,26 @@ def homodyne_fock_full_pdf(state, mode: int, theta: float, rng_seed):
 
     pdf(x) = sum over the other modes of |sum_n psi_n(x) amps[n, ...]|^2,
     built as the (grid, cutoff**(modes - 1)) matrix psi.T @ amps.  The
-    grid, the draw and the projection are those of homodyne_fock.
+    grid is placed, as in homodyne_fock, from the mean Tr(rho x) and the
+    variance Tr(rho x^2) - mean^2 of the mode's reduced density matrix
+    rho, here formed from the rotated state; the draw and the projection
+    are those of homodyne_fock.
     Returns (outcome, post-state amplitudes, pdf, grid).
     """
     rng = g.as_rng(rng_seed)
     work = fk.phase_fock(state, mode, -theta) if theta != 0.0 else state
-    mean, cov = fk.covariance_of(work)
-    mu = mean[2 * mode]
-    sigma = np.sqrt(cov[2 * mode, 2 * mode])
+    moved = np.ascontiguousarray(
+        np.moveaxis(work.amps, mode, 0)).reshape(work.cutoff, -1)
+    flat = moved.view(float)
+    rho = flat @ flat.T  # Re(moved moved^dag)
+    x = fk.position_op(work.cutoff)
+    xrho = x @ rho
+    mu = np.trace(xrho)
+    sigma = np.sqrt(np.trace(x @ xrho) - mu ** 2)
     span = fk.HOMODYNE_GRID_SIGMAS
     xs = np.linspace(mu - span * sigma, mu + span * sigma,
                      fk.HOMODYNE_GRID_POINTS)
     psi = fk.hermite_functions(xs, work.cutoff)
-    moved = np.moveaxis(work.amps, mode, 0).reshape(work.cutoff, -1)
     pdf = np.sum(np.abs(psi.T @ moved) ** 2, axis=1)
     cdf = np.cumsum(pdf)
     cdf /= cdf[-1]

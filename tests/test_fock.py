@@ -217,28 +217,86 @@ class TestMeasurements:
         o2, _ = fk.homodyne_fock(st, 0, 0.2, 77)
         assert o1 == o2
 
-    @pytest.mark.parametrize("n_modes", [2, 3])
-    def test_homodyne_pdf_from_reduced_density_matrix(self, n_modes):
-        st = fk.vacuum_fock(n_modes, cutoff=24 if n_modes == 2 else 14)
+    @staticmethod
+    def _mixed_state(n_modes, cutoff):
+        st = fk.vacuum_fock(n_modes, cutoff)
         for m in range(n_modes):
             st = fk.squeeze_fock(st, m, 0.3 * (-1) ** m)
             st = fk.displace_fock(st, m, 0.4, -0.2 * m)
         for m in range(n_modes - 1):
             st = fk.beam_splitter_fock(st, m, m + 1, 0.4)
-        st = fk.apply_cubic(st, 0, 0.05)
+        return fk.apply_cubic(st, 0, 0.05)
+
+    @pytest.mark.parametrize("n_modes", [2, 3])
+    def test_homodyne_pdf_from_reduced_density_matrix(self, n_modes):
+        st = self._mixed_state(n_modes, 24 if n_modes == 2 else 14)
         for mode in range(n_modes):
             for seed in (3, 4):
                 theta = 0.3 * mode
                 out, post, pdf, xs = oracles.homodyne_fock_full_pdf(
                     st, mode, theta, seed)
                 work = fk.phase_fock(st, mode, -theta) if theta else st
+                moved = np.moveaxis(work.amps, mode, 0).reshape(st.cutoff, -1)
+                rho = (moved @ moved.conj().T).real
                 psi = fk.hermite_functions(xs, st.cutoff)
                 np.testing.assert_allclose(
-                    fk._quadrature_pdf(work.amps, mode, psi), pdf,
-                    rtol=0, atol=1e-12)
+                    fk._quadrature_pdf(rho, psi), pdf, rtol=0, atol=1e-12)
                 got, got_post = fk.homodyne_fock(st, mode, theta, seed)
                 assert got == out
                 np.testing.assert_allclose(got_post.amps, post, atol=1e-12)
+
+    @pytest.mark.parametrize("n_modes, cutoff", [(2, 24), (3, 14)])
+    @pytest.mark.parametrize("theta", [0.0, 0.3, np.pi / 2, 2.5])
+    def test_grid_moments_match_covariance_of(self, monkeypatch, n_modes,
+                                              cutoff, theta):
+        # the grid homodyne_fock places from its reduced density matrix is
+        # the one covariance_of's moments of the rotated state would give
+        st = self._mixed_state(n_modes, cutoff)
+        grids = []
+
+        def spy(xs, n):
+            grids.append(xs)
+            return real_hermite(xs, n)
+
+        real_hermite = fk.hermite_functions
+        monkeypatch.setattr(fk, "hermite_functions", spy)
+        for mode in range(n_modes):
+            fk.homodyne_fock(st, mode, theta, 1)
+            mean, cov = fk.covariance_of(fk.phase_fock(st, mode, -theta))
+            lo, hi = grids[-1][0], grids[-1][-1]
+            span = fk.HOMODYNE_GRID_SIGMAS
+            assert abs((lo + hi) / 2 - mean[2 * mode]) < 1e-12
+            assert abs(((hi - lo) / (2 * span)) ** 2
+                       - cov[2 * mode, 2 * mode]) < 1e-12
+
+    def test_homodyne_reads_a_strided_state(self):
+        # the beam splitter returns a transposed view; reading mode 0 of it
+        # mode-first gives rows with a non-unit inner stride
+        st = fk.beam_splitter_fock(self._mixed_state(3, 14), 1, 2, 0.3)
+        assert not st.amps.flags.c_contiguous
+        for mode, theta in [(0, 0.0), (0, 0.4), (2, 0.0)]:
+            out, post, _, _ = oracles.homodyne_fock_full_pdf(st, mode, theta, 8)
+            got, got_post = fk.homodyne_fock(st, mode, theta, 8)
+            assert got == out
+            np.testing.assert_allclose(got_post.amps, post, atol=1e-12)
+
+    @pytest.mark.parametrize("call, bound", [
+        (lambda st: fk.homodyne_fock(st, 1, 0.7, 3), 4.0),
+        (lambda st: fk.beam_splitter_fock(st, 0, 2, 0.3), 1.5),
+    ], ids=["homodyne", "beam_splitter"])
+    def test_scratch_memory_is_one_state(self, call, bound):
+        # the homodyne through covariance_of peaked at 8.0x, the beam
+        # splitter with a second output array at 2.1x
+        st = self._mixed_state(3, 40)
+        call(st)                                   # fills the block cache
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            call(st)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * st.amps.nbytes
 
 
 class TestHermiteFunctions:
@@ -275,32 +333,6 @@ class TestHermiteFunctions:
         h = fk.hermite_functions(xs, 800)
         gram = (h * (xs[1] - xs[0])) @ h.T
         assert np.abs(gram - np.eye(800)).max() < 1e-12
-
-
-class TestWigner:
-    def test_vacuum_peak(self):
-        xs = np.linspace(-3, 3, 61)
-        w = fk.wigner_grid(fk.vacuum_fock(1, 20), xs, xs)
-        i0 = len(xs) // 2
-        assert w[i0, i0] == pytest.approx(1 / np.pi, rel=1e-4)
-        assert w.max() == pytest.approx(1 / np.pi, rel=1e-4)
-        dx = xs[1] - xs[0]
-        assert np.sum(w) * dx * dx == pytest.approx(1.0, abs=1e-3)
-
-    def test_single_photon_negative_at_origin(self):
-        xs = np.linspace(-2, 2, 41)
-        w = fk.wigner_grid(fk.fock_basis(1, 20), xs, xs)
-        i0 = len(xs) // 2
-        assert w[i0, i0] == pytest.approx(-1 / np.pi, rel=1e-3)
-
-    def test_coherent_peak_location(self):
-        st = fk.coherent_fock(1.0, cutoff=30)  # mean x = sqrt(2)
-        xs = np.linspace(-1, 3, 81)
-        ps = np.linspace(-2, 2, 81)
-        w = fk.wigner_grid(st, xs, ps)
-        i, j = np.unravel_index(np.argmax(w), w.shape)
-        assert xs[i] == pytest.approx(np.sqrt(2.0), abs=0.06)
-        assert ps[j] == pytest.approx(0.0, abs=0.06)
 
 
 class TestLeakage:

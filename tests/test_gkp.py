@@ -285,6 +285,21 @@ class TestCorrection:
         with pytest.raises(ValueError):
             gkp.logical_error_prob(-0.1)
 
+    @pytest.mark.parametrize("sigma, want", [
+        (0.2, 9.373853928926e-6), (0.15, 3.459089917567e-9),
+        (0.12, 1.521965046406e-13), (0.1, 7.840196524115e-19),
+        (0.08, 1.607088713094e-28)])
+    def test_small_sigma_tails_match_mpmath(self, sigma, want):
+        # a difference of two CDFs near 1 cancelled these to 0 below 0.1
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            cell = mp.sqrt(mp.pi) / (mp.mpf(sigma) * mp.sqrt(2))
+            ref = mp.fsum(mp.erfc((k - 0.5) * cell) - mp.erfc((k + 0.5) * cell)
+                          for k in range(1, 40, 2))
+        assert float(ref) == pytest.approx(want, rel=1e-12)
+        assert gkp.logical_error_prob(sigma) == pytest.approx(float(ref),
+                                                              rel=1e-13)
+
     @pytest.mark.parametrize("sigma", [0.1, 0.2, 0.3, 0.4, 0.5, 0.6])
     def test_closed_form_matches_monte_carlo(self, sigma):
         closed = gkp.logical_error_prob(sigma)
@@ -312,5 +327,5 @@ class TestReporting:
         for line, sigma in zip(lines[1:], (0.2, 0.4)):
             parts = line.split(",")
             assert float(parts[0]) == sigma
-            assert abs(float(parts[1]) - gkp.logical_error_prob(sigma)) < 1e-7
+            assert float(parts[1]) == gkp.logical_error_prob(sigma)
             assert 0.0 <= float(parts[2]) <= 0.5

@@ -51,7 +51,6 @@ def test_guard_flags_an_unused_import():
 # reason it stays.  Anything else without a caller is dead API.
 UNCALLED_API = {
     "dsl.pretty_print": "the DSL's canonical text form, parse(pretty_print(p)) == p",
-    "fock.wigner_grid": "phase-space view of a non-Gaussian Fock state",
     "gaussian.homodyne": "measurement that keeps the conditioned state",
     "loop.certificate_variances": "evaluates generate_entangled's certificates",
     "loop.generate_entangled": "perfbench entry point (loop job)",
