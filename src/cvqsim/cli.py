@@ -17,6 +17,14 @@ takes a mandatory --seed, a non-negative integer; identical inputs and
 seed give identical output bytes (the timings field aside).  A reader
 that closes stdout before the output is written ends the command
 quietly: nothing goes to stderr and the exit code is 0.
+
+Each `cvq` call is a fresh process whose start-up is mostly imports, so
+the top of this module imports the standard library only, and each
+subcommand imports what it runs and reads its defaults when it runs:
+`run` loads dsl, gaussian and fock (a `network` block adds tdm, a
+`schedule` loop and telegates), `loop` what a schedule run loads,
+`stream` gaussian and tdm, `gkp` gaussian, fock and gkp, and `budget`
+budget alone, without numpy.
 """
 
 from __future__ import annotations
@@ -26,15 +34,6 @@ import json
 import os
 import sys
 import warnings
-
-import numpy as np
-
-from . import budget as bd
-from . import dsl
-from . import fock as fk
-from . import gaussian as g
-from . import gkp
-from . import tdm
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -61,6 +60,7 @@ def _seed(text: str) -> int:
 
 def _squeezing(text: str) -> float:
     """A squeezing amount with its unit, e.g. 15dB or 0.8r, as r."""
+    from . import gaussian as g
     for suffix, to_r in (("dB", g.squeezing_db_to_r), ("r", float)):
         if text.endswith(suffix):
             try:
@@ -93,7 +93,7 @@ def _build_parser() -> _Parser:
                        default="gaussian")
     p_run.add_argument("--seed", type=_seed, required=True)
     p_run.add_argument("--shots", type=int, default=1)
-    p_run.add_argument("--cutoff", type=int, default=fk.DEFAULT_CUTOFF)
+    p_run.add_argument("--cutoff", type=int)    # fock.DEFAULT_CUTOFF
     p_run.add_argument("--out")
 
     p_loop = sub.add_parser("loop", help="run a schedule program")
@@ -124,34 +124,35 @@ def _build_parser() -> _Parser:
     p_budget.add_argument("--loss-db-km", type=float, required=True)
     p_budget.add_argument("--length-m", type=float, required=True)
     p_budget.add_argument("--pulse-ns", type=float, required=True)
-    p_budget.add_argument("--velocity", type=float,
-                          default=bd.GROUP_VELOCITY_SILICA)
+    p_budget.add_argument("--velocity", type=float)  # GROUP_VELOCITY_SILICA
     p_budget.add_argument("--format", choices=("json", "csv"),
                           default="json")
     p_budget.add_argument("--out")
     return parser
 
 
-def _render(payload) -> str:
-    # compact: an indented dump takes json's pure-Python encoder
+def _render(payload) -> tuple:
+    # compact: an indented dump takes json's pure-Python encoder; the
+    # newline is a part of its own, as appending it would copy the text
     if isinstance(payload, str):
-        return payload
-    return json.dumps(payload, sort_keys=True, allow_nan=False) + "\n"
+        return (payload,)
+    return json.dumps(payload, sort_keys=True, allow_nan=False), "\n"
 
 
-def _emit(text: str, out_path) -> None:
+def _emit(parts: tuple, out_path) -> None:
     if out_path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(parts)
         sys.stdout.flush()          # a closed reader raises here, not at exit
         return
     base = os.environ.get("CVQ_OUT_DIR")
     if base and not os.path.isabs(out_path):
         out_path = os.path.join(base, out_path)
     with open(out_path, "w") as fh:
-        fh.write(text)
+        fh.writelines(parts)
 
 
-def _load_program(path: str) -> dsl.CircuitProgram:
+def _load_program(path: str):
+    from . import dsl
     with open(path) as fh:
         text = fh.read()
     program = dsl.parse(text)
@@ -161,28 +162,31 @@ def _load_program(path: str) -> dsl.CircuitProgram:
 
 
 class _ProgramError(Exception):
-    def __init__(self, err: dsl.ParseError):
+    def __init__(self, err):        # a dsl.ParseError
         super().__init__(err.message)
         self.err = err
 
 
 def _shot_seed(seed: int, shot: int) -> int:
+    import numpy as np
     return int(np.random.SeedSequence([seed, shot])
                .generate_state(1, dtype=np.uint64)[0])
 
 
 def _cmd_run(args) -> dict:
+    from . import dsl, fock
     program = _load_program(args.program)
     if args.shots <= 0:
         raise _UsageError("--shots must be >= 1")
+    cutoff = fock.DEFAULT_CUTOFF if args.cutoff is None else args.cutoff
     if args.shots == 1:
         return dsl.run(program, args.backend, args.seed,
-                       cutoff=args.cutoff).to_dict()
+                       cutoff=cutoff).to_dict()
     shots = []
     total = 0.0
     for i in range(args.shots):
         rep = dsl.run(program, args.backend, _shot_seed(args.seed, i),
-                      cutoff=args.cutoff)
+                      cutoff=cutoff)
         total += rep.timings["run_s"]
         shots.append({"shot": i, "seed": rep.seed,
                       "outcomes": rep.outcomes, "reports": rep.reports})
@@ -191,6 +195,7 @@ def _cmd_run(args) -> dict:
 
 
 def _cmd_loop(args) -> dict:
+    from . import dsl
     program = _load_program(args.program)
     ops = [i.op for i in program.instructions]
     if ops != ["schedule"]:
@@ -199,6 +204,7 @@ def _cmd_loop(args) -> dict:
 
 
 def _cmd_stream(args) -> dict:
+    from . import tdm
     if args.spec == "2d":
         if args.width is None:
             raise _UsageError("--spec 2d needs --width")
@@ -212,6 +218,7 @@ def _cmd_stream(args) -> dict:
 
 
 def _cmd_gkp(args) -> dict | str:
+    from . import fock, gkp
     if args.curve:
         if args.seed is None:
             raise _UsageError("--curve samples shifts and needs --seed")
@@ -232,15 +239,18 @@ def _cmd_gkp(args) -> dict | str:
                   "one": len(gkp.lattice_sites(1, params)[0])},
         "synthesis_leakage": {"zero": gkp.synthesis_leakage(0, params),
                               "one": gkp.synthesis_leakage(1, params)},
-        "logical_overlap": abs(fk.overlap(zero, one)),
+        "logical_overlap": abs(fock.overlap(zero, one)),
         "lattice_mass": {"zero": gkp.lattice_mass(zero),
                          "one": gkp.lattice_mass(one)},
     }
 
 
 def _cmd_budget(args) -> dict | str:
+    from . import budget as bd
+    velocity = (bd.GROUP_VELOCITY_SILICA if args.velocity is None
+                else args.velocity)
     rep = bd.report(bd.BudgetInput(args.loss_db_km, args.length_m,
-                                   args.pulse_ns * 1e-9, args.velocity))
+                                   args.pulse_ns * 1e-9, velocity))
     return rep.to_csv() if args.format == "csv" else rep.to_dict()
 
 
@@ -277,13 +287,13 @@ def main(argv=None) -> int:
     usage = None
     with warnings.catch_warnings(record=True) as caught:
         try:
-            text = _render(_COMMANDS[args.subcommand](args))
+            parts = _render(_COMMANDS[args.subcommand](args))
         except _UsageError as exc:
             usage = str(exc)
         except FileNotFoundError as exc:
             usage = f"cvq: {exc}"
         except (ValueError, RuntimeError, _ProgramError) as exc:
-            sys.stderr.write(_render(_diagnostic(exc, caught)))
+            sys.stderr.writelines(_render(_diagnostic(exc, caught)))
             return EXIT_RUNTIME
     for w in caught:
         warnings.showwarning(w.message, w.category, w.filename, w.lineno,
@@ -292,7 +302,7 @@ def main(argv=None) -> int:
         print(usage, file=sys.stderr)
         return EXIT_USAGE
     try:
-        _emit(text, args.out)
+        _emit(parts, args.out)
     except BrokenPipeError:
         # the reader stopped early; point stdout at devnull so the
         # interpreter's final flush cannot raise again

@@ -25,14 +25,13 @@ import math
 import re
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
 from . import fock as fk
 from . import gaussian as g
-from . import loop as lp
-from . import tdm
 
 # ancilla / input squeezing for blocks that do not set `squeeze ...;`
 DEFAULT_BLOCK_SQUEEZE_DB = 15.0
@@ -509,10 +508,15 @@ class _Run:
         self.state = _VACUUM[backend](n, cutoff) if n else None
         self.index = {m: i for i, m in enumerate(program.modes)}
         self.gone = set()
-        self.seed, self.rng = seed, g.as_rng(seed)
+        self.seed = seed
         self.outcomes, self.reports = [], []
         self.measured = {}      # outcome id -> (mode, theta, value); fock: value
         self.wall = None        # a block's own time, when it keeps one
+
+    @cached_property
+    def rng(self):
+        # built at the first draw: a run without `hom` never loads numpy.random
+        return g.as_rng(self.seed)
 
     def __getitem__(self, name):
         return self.index[name]
@@ -621,6 +625,7 @@ def _report(r, a, backend):
 
 
 def _run_network(r, args):
+    from . import tdm
     s = _settings(_NETWORK, args)
     sq = s.get("squeeze", g.squeezing_db_to_r(DEFAULT_BLOCK_SQUEEZE_DB))
     if s["dim"] == 1:
@@ -634,6 +639,7 @@ def _run_network(r, args):
 
 
 def _run_schedule(r, args):
+    from . import loop as lp
     s = _settings(_SCHEDULE, args)
     sq = s.get("squeeze", g.squeezing_db_to_r(DEFAULT_BLOCK_SQUEEZE_DB))
     config = lp.LoopConfig(n_data=s["data"], m_anc=s.get("anc", 0))

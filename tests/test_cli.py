@@ -567,6 +567,50 @@ class TestNonFiniteFlags:
             assert json.loads(err)["error"]["type"] == "ValueError"
 
 
+HELP = Path(__file__).with_name("cli_help.txt")
+
+
+class TestDefaultsAndHelp:
+    """cli resolves --cutoff and --velocity defaults when the command
+    runs, from the module that defines each; the result and the help
+    text are what a parser default would give."""
+
+    def test_run_cutoff_defaults_to_fock_default(self, tmp_path, capsys):
+        from cvqsim import fock
+        prog = tmp_path / "sq.cvq"
+        prog.write_text("mode a; sq a 1.2r x; disp a dx=1.5 dp=0.0; "
+                        "report cov;\n")
+        base = ["run", str(prog), "--backend", "fock", "--seed", "3"]
+        outs = [strip_timings(run_cli(capsys, *base, *extra)[1])
+                for extra in ([], ["--cutoff", str(fock.DEFAULT_CUTOFF)],
+                              ["--cutoff", "20"])]
+        assert outs[0] == outs[1]
+        assert outs[0] != outs[2]       # the cutoff does reach the result
+
+    def test_budget_velocity_defaults_to_silica(self, capsys):
+        from cvqsim import budget
+        base = ["budget", "--loss-db-km", "0.2", "--length-m", "100",
+                "--pulse-ns", "50"]
+        outs = [run_cli(capsys, *base, *extra)[1]
+                for extra in ([], ["--velocity",
+                                   repr(budget.GROUP_VELOCITY_SILICA)],
+                              ["--velocity", "1e8"])]
+        assert outs[0] == outs[1]
+        assert outs[0] != outs[2]
+
+    def test_help_text_is_unchanged(self, capsys, monkeypatch):
+        # `cvq [SUB] --help` at 80 columns, for the top level and each
+        # subcommand, in the order of HELP; compared word by word, since
+        # Python 3.13 wraps long usage lines at other words
+        monkeypatch.setenv("COLUMNS", "80")
+        text = ""
+        for sub in ([], ["run"], ["loop"], ["stream"], ["gkp"], ["budget"]):
+            code, out, _ = run_cli(capsys, *sub, "--help")
+            assert code == 0
+            text += "$ " + " ".join(["cvq", *sub, "--help"]) + "\n" + out
+        assert text.split() == HELP.read_text().split()
+
+
 class TestTopLevel:
 
     def test_non_finite_payload_is_runtime_error(self, capsys, monkeypatch):

@@ -1,10 +1,11 @@
 """Every module-level import in the package is used (stdlib ast, no
 linter), every public function has a caller in the package or a stated
 reason to exist, every private module-level function has a caller, only
-cli writes JSON (apart from stated exceptions), and importing the
-package never loads scipy."""
+cli writes JSON (apart from stated exceptions), importing the package
+never loads scipy, and each `cvq` command loads only its own modules."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -143,7 +144,7 @@ def test_guard_flags_a_json_writer():
 
 
 def test_package_does_not_import_scipy():
-    # cli and telegates first: that is what `cvq` loads before a job runs
+    # cli and telegates first: the import that perfbench times as set-up
     names = ["cli", "telegates"] + [p.stem for p in MODULES
                                     if p.stem != "__init__"]
     code = ("import importlib, sys\n"
@@ -154,3 +155,70 @@ def test_package_does_not_import_scipy():
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+# What each `cvq` command loads, in a fresh interpreter.  cli imports a
+# module only inside the command that runs it, so a command pays for no
+# other command's code; a top-level import coming back shows up here.
+_FOOTPRINT = """
+import json, sys
+from cvqsim import cli
+argv = json.loads(sys.argv[1])
+code = cli.main(argv) if argv else 0
+print(json.dumps([code,
+                  sorted(m.partition(".")[2] for m in sys.modules
+                         if m.startswith("cvqsim.")),
+                  "numpy" in sys.modules, "numpy.random" in sys.modules]))
+"""
+
+GAUSSIAN_RUN = "mode a; sq a 3dB x; report cov;\n"
+HOMODYNE_RUN = "mode a b; sq a 3dB x; hom a theta=0 -> m; report cov;\n"
+SCHEDULE = "schedule { data 2; ps 0 0.3; }\n"
+
+FOOTPRINTS = {
+    "import": ([], [], False),
+    "stream": (["stream", "--spec", "1d", "--pulses", "100",
+                "--squeezing", "10dB"], ["gaussian", "tdm"], True),
+    "gkp": (["gkp", "--delta", "0.3"], ["fock", "gaussian", "gkp"], True),
+    "budget": (["budget", "--loss-db-km", "0.2", "--length-m", "100",
+                "--pulse-ns", "50"], ["budget"], False),
+    "run": (["run", "{dir}/run.cvq", "--seed", "1"],
+            ["dsl", "fock", "gaussian"], True),
+    "loop": (["loop", "{dir}/loop.cvq", "--seed", "1"],
+             ["dsl", "fock", "gaussian", "loop", "telegates"], True),
+}
+
+
+def _footprint(argv, tmp_path) -> tuple:
+    """(exit code, cvqsim modules, numpy loaded, numpy.random loaded)
+    after `cli.main(argv)` in a fresh interpreter."""
+    (tmp_path / "run.cvq").write_text(GAUSSIAN_RUN)
+    (tmp_path / "hom.cvq").write_text(HOMODYNE_RUN)
+    (tmp_path / "loop.cvq").write_text(SCHEDULE)
+    argv = [a.format(dir=tmp_path) for a in argv]
+    if argv:
+        argv += ["--out", str(tmp_path / "out.json")]
+    env = dict(os.environ, PYTHONPATH=str(Path(cvqsim.__file__).parent.parent))
+    proc = subprocess.run([sys.executable, "-c", _FOOTPRINT, json.dumps(argv)],
+                          env=env, capture_output=True, text=True, check=True)
+    return tuple(json.loads(proc.stdout))
+
+
+@pytest.mark.parametrize("command", FOOTPRINTS)
+def test_each_command_loads_only_its_modules(command, tmp_path):
+    argv, modules, numpy = FOOTPRINTS[command]
+    code, loaded, has_numpy, _ = _footprint(argv, tmp_path)
+    assert code == 0
+    assert loaded == sorted(["cli"] + modules)
+    assert has_numpy is numpy
+
+
+def test_run_without_hom_never_loads_numpy_random(tmp_path):
+    proc = subprocess.run([sys.executable, "-c", "import numpy, sys; "
+                           "print('numpy.random' in sys.modules)"],
+                          capture_output=True, text=True, check=True)
+    if proc.stdout.strip() == "True":
+        pytest.skip("this numpy imports numpy.random with numpy itself")
+    assert _footprint(FOOTPRINTS["run"][0], tmp_path)[3] is False
+    hom = ["run", "{dir}/hom.cvq", "--seed", "1"]
+    assert _footprint(hom, tmp_path)[3] is True
