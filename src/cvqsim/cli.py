@@ -19,12 +19,12 @@ that closes stdout before the output is written ends the command
 quietly: nothing goes to stderr and the exit code is 0.
 
 Each `cvq` call is a fresh process whose start-up is mostly imports, so
-the top of this module imports the standard library only, and each
-subcommand imports what it runs and reads its defaults when it runs:
-`run` loads dsl, gaussian and fock (a `network` block adds tdm, a
-`schedule` loop and telegates), `loop` what a schedule run loads,
-`stream` gaussian and tdm, `gkp` gaussian, fock and gkp, and `budget`
-budget alone, without numpy.
+the top of this module imports the standard library and the package's
+numpy-free root only, and each subcommand imports what it runs and reads
+its defaults when it runs: `run` loads dsl, gaussian and fock (a
+`network` block adds tdm, a `schedule` loop and telegates), `loop` what
+a schedule run loads, `gkp` gaussian, fock and gkp, and `stream` tdm
+alone and `budget` budget alone, both without numpy.
 """
 
 from __future__ import annotations
@@ -34,6 +34,8 @@ import json
 import os
 import sys
 import warnings
+
+from . import squeezing_db_to_r
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -60,11 +62,10 @@ def _seed(text: str) -> int:
 
 def _squeezing(text: str) -> float:
     """A squeezing amount with its unit, e.g. 15dB or 0.8r, as r."""
-    from . import gaussian as g
-    for suffix, to_r in (("dB", g.squeezing_db_to_r), ("r", float)):
+    for suffix, to_r in (("dB", squeezing_db_to_r), ("r", float)):
         if text.endswith(suffix):
             try:
-                return float(to_r(float(text[:-len(suffix)])))
+                return to_r(float(text[:-len(suffix)]))
             except ValueError:
                 break
     raise argparse.ArgumentTypeError(
@@ -226,22 +227,18 @@ def _cmd_gkp(args) -> dict | str:
                                    rng_seed=args.seed)
     if args.delta is None:
         raise _UsageError("gkp needs --delta or --curve")
-    params = gkp.GkpParams(args.delta, args.cutoff)
-    zero = gkp.gkp_state(0, params)
-    one = gkp.gkp_state(1, params)
+    zero, one = gkp.logicals(gkp.GkpParams(args.delta, args.cutoff))
     return {
         "delta": args.delta,
         "cutoff": args.cutoff,
         "squeezing_db": gkp.squeezing_db_of(args.delta),
         "threshold_db": gkp.THRESHOLD_DB,
         "threshold_margin_db": gkp.threshold_margin(args.delta),
-        "sites": {"zero": len(gkp.lattice_sites(0, params)[0]),
-                  "one": len(gkp.lattice_sites(1, params)[0])},
-        "synthesis_leakage": {"zero": gkp.synthesis_leakage(0, params),
-                              "one": gkp.synthesis_leakage(1, params)},
-        "logical_overlap": abs(fock.overlap(zero, one)),
-        "lattice_mass": {"zero": gkp.lattice_mass(zero),
-                         "one": gkp.lattice_mass(one)},
+        "sites": {"zero": len(zero.sites), "one": len(one.sites)},
+        "synthesis_leakage": {"zero": zero.leakage, "one": one.leakage},
+        "logical_overlap": abs(fock.overlap(zero.state, one.state)),
+        "lattice_mass": {"zero": gkp.lattice_mass(zero.state),
+                         "one": gkp.lattice_mass(one.state)},
     }
 
 

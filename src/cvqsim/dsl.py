@@ -32,6 +32,7 @@ import numpy as np
 
 from . import fock as fk
 from . import gaussian as g
+from . import squeezing_db_to_r
 
 # ancilla / input squeezing for blocks that do not set `squeeze ...;`
 DEFAULT_BLOCK_SQUEEZE_DB = 15.0
@@ -229,7 +230,7 @@ class _Parser:
         if t.suffix == "r":
             return t.value
         if t.suffix == "dB":
-            return float(g.squeezing_db_to_r(t.value))
+            return squeezing_db_to_r(t.value)
         self.fail(t, f"{what} needs a dB or r suffix")
 
     def expect_int(self, what="integer") -> int:
@@ -590,10 +591,12 @@ def _report(r, a, backend):
     live = r.live()
     if backend == "gaussian":
         state = moments = g.remove_modes(r.state, [r[m] for m in r.gone])
+        _check_finite(moments)
     else:
         state = r.state
-        moments = g.GaussianState(*fk.covariance_of(state))
-    _check_finite(moments)
+        if a[0] != "fidelity":      # a fidelity reads no moments
+            moments = g.GaussianState(*fk.covariance_of(state))
+            _check_finite(moments)
     if a[0] == "cov":
         entry = {"type": "cov", "modes": live, **moments.to_dict()}
     elif a[0] == "form":
@@ -618,6 +621,8 @@ def _report(r, a, backend):
     if a[0] == "fidelity":
         fidelity = g.fidelity if backend == "gaussian" else fk.fidelity_fock
         entry["value"] = float(fidelity(state, target))
+        if not math.isfinite(entry["value"]):
+            raise ValueError("reported fidelity is not finite")
     if backend == "fock":
         entry["leakage"] = state.leakage()
     r.reports.append(entry)
@@ -627,7 +632,7 @@ def _report(r, a, backend):
 def _run_network(r, args):
     from . import tdm
     s = _settings(_NETWORK, args)
-    sq = s.get("squeeze", g.squeezing_db_to_r(DEFAULT_BLOCK_SQUEEZE_DB))
+    sq = s.get("squeeze", squeezing_db_to_r(DEFAULT_BLOCK_SQUEEZE_DB))
     if s["dim"] == 1:
         stats = tdm.stream_1d(s["pulses"], sq)
     else:
@@ -641,7 +646,7 @@ def _run_network(r, args):
 def _run_schedule(r, args):
     from . import loop as lp
     s = _settings(_SCHEDULE, args)
-    sq = s.get("squeeze", g.squeezing_db_to_r(DEFAULT_BLOCK_SQUEEZE_DB))
+    sq = s.get("squeeze", squeezing_db_to_r(DEFAULT_BLOCK_SQUEEZE_DB))
     config = lp.LoopConfig(n_data=s["data"], m_anc=s.get("anc", 0))
     gates = [_SCHEDULE[e[0]].loop(e[1:], sq) for e in args
              if _SCHEDULE[e[0]].loop is not None]

@@ -409,14 +409,6 @@ def tensor(a: GaussianState, b: GaussianState) -> GaussianState:
 # Helpers
 
 
-def squeezing_db_to_r(db: float) -> float:
-    """Convert a squeezing level in dB to the squeeze parameter r.
-
-    dB = 10 log10(Var_vac / Var_squeezed) = (20 / ln 10) r.
-    """
-    return db * np.log(10.0) / 20.0
-
-
 def as_rng(rng_seed) -> np.random.Generator:
     """Accept an integer seed, a SeedSequence, or a Generator."""
     if isinstance(rng_seed, np.random.Generator):

@@ -19,6 +19,7 @@ import io
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,6 +43,15 @@ class GkpParams:
             raise ValueError("delta must be finite and positive")
         if self.cutoff < 8:
             raise ValueError("cutoff too small for a lattice state")
+
+
+class Logical(NamedTuple):
+    """One logical's peak positions, envelope weights, state and leakage."""
+
+    sites: np.ndarray
+    weights: np.ndarray
+    state: FockState
+    leakage: float
 
 
 def _peak(mu: float, delta: float, cutoff: int) -> np.ndarray:
@@ -73,7 +83,7 @@ def _peak(mu: float, delta: float, cutoff: int) -> np.ndarray:
 
 
 def _synthesis(delta: float, cutoff: int):
-    """Sites, weights, amplitudes and leakage of |0> and |1> (None if unfit).
+    """The Logical of |0> and of |1> (None if unfit).
 
     Each unit peak (pi delta^2)^(-1/4) exp(-(x - mu)^2 / (2 delta^2)) is
     built below the cutoff by its exact Fock recurrence (_peak), so its
@@ -112,18 +122,29 @@ def _synthesis(delta: float, cutoff: int):
         records.append(None)
         if groups:
             order = np.argsort(mus)
-            records[j] = (mus[order], weights[order], amps / np.linalg.norm(amps),
-                          max(0.0, 1.0 - kept))
+            records[j] = Logical(mus[order], weights[order],
+                                 FockState(amps / np.linalg.norm(amps)),
+                                 max(0.0, 1.0 - kept))
     return tuple(records)
 
 
-def _logical(j: int, params: GkpParams):
-    if j not in (0, 1):
-        raise ValueError("logical index must be 0 or 1")
-    record = _synthesis(params.delta, params.cutoff)[j]
+def _fit(record, params: GkpParams) -> Logical:
     if record is None:
         raise ValueError(f"cutoff {params.cutoff} too small for delta {params.delta}")
     return record
+
+
+def _logical(j: int, params: GkpParams) -> Logical:
+    if j not in (0, 1):
+        raise ValueError("logical index must be 0 or 1")
+    return _fit(_synthesis(params.delta, params.cutoff)[j], params)
+
+
+def logicals(params: GkpParams) -> tuple:
+    """The Logical of |0> and of |1> from one synthesis: what
+    lattice_sites, gkp_state and synthesis_leakage give for both."""
+    return tuple(_fit(record, params)
+                 for record in _synthesis(params.delta, params.cutoff))
 
 
 def lattice_sites(j: int, params: GkpParams):
@@ -133,7 +154,7 @@ def lattice_sites(j: int, params: GkpParams):
 
 def gkp_state(j: int, params: GkpParams) -> FockState:
     """Logical |j>: the peak sum projected to the cutoff, normalized."""
-    return FockState(_logical(j, params)[2])
+    return _logical(j, params).state
 
 
 def synthesis_leakage(j: int, params: GkpParams) -> float:
@@ -142,7 +163,7 @@ def synthesis_leakage(j: int, params: GkpParams) -> float:
     Exact to rounding (about 1e-16): the kept norm is the recurrence's
     amplitudes, the full norm the peaks' exact Gram matrix.
     """
-    return _logical(j, params)[3]
+    return _logical(j, params).leakage
 
 
 def x_density(state: FockState, xs: np.ndarray) -> np.ndarray:

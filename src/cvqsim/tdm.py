@@ -9,12 +9,16 @@ behind it.  Running the same pipeline every slot entangles neighbouring
 time bins into 1D or 2D cluster states of unbounded length.
 
 The pipeline has one model: the slot map, built by _run_slot, which
-pushes a row stack [arm quadratures; delay contents] through the stages
-with gaussian.beamsplitter_matrix for every splitter and a roll of the
-queue rows for every delay; _stage_plan builds those row indices and
-matrices once per network.  derive_squeezed_forms pushes each squeezed
-input row through it slot by slot, and emitted_covariance steps the
-one-slot matrix it makes; no whole-run matrix is built or inverted.
+pushes a list of rows [arm quadratures; delay contents] through the
+stages, mixing two arms' rows by the splitter's amplitudes sqrt(T) and
+sqrt(1 - T) for every splitter and moving the queue rows on by one
+pulse for every delay; _stage_plan builds those row indices and
+amplitudes once per network.  derive_squeezed_forms pushes each squeezed
+input row through it slot by slot as plain floats, and _slot_matrix the
+rows of the identity as numpy rows, for emitted_covariance to step; no
+whole-run matrix is built or inverted.  Only _slot_matrix, _fresh_cov
+and emitted_covariance import numpy, so a stream run, with or without
+csv_sink, never loads it.
 
 The engine never stores emitted pulses, nor the delay-line state.  Each
 form is one squeezed input quadrature read back through the passive
@@ -35,10 +39,6 @@ import math
 import sys
 import time
 from dataclasses import dataclass
-
-import numpy as np
-
-from . import gaussian as g
 
 BS_DEFAULT_T = 0.5
 # largest squeezing r whose anti-squeezed variance e^{2r}/2 is a float
@@ -146,7 +146,8 @@ class NullifierForm:
         return max(t[0] for t in self.terms) + 1
 
 
-def _fresh_cov(spec: NetworkSpec) -> np.ndarray:
+def _fresh_cov(spec: NetworkSpec):
+    import numpy as np
     diag = []
     for orient, r in spec.squeezers:
         lo, hi = math.exp(-2 * r) / 2, math.exp(2 * r) / 2
@@ -157,42 +158,48 @@ def _fresh_cov(spec: NetworkSpec) -> np.ndarray:
 def _stage_plan(spec: NetworkSpec) -> tuple:
     """Row indices and actions of every stage, for _run_slot.
 
-    A bs stage is ("bs", rows, B): its two arms' four rows and
-    gaussian.beamsplitter_matrix(T).  A delay stage is ("delay", rows,
-    src): the arm's two rows and its queue's rows (queues in stage order,
-    each oldest pulse first), and the same rows rolled by one pulse, so
-    the oldest pulse leaves on the arm and the arm's pulse joins the back.
+    A bs stage is ("bs", rows, (t, r)): its two arms' four rows and the
+    amplitudes sqrt(T) and sqrt(1 - T) of gaussian.beamsplitter_matrix.
+    A delay stage is ("delay", (x, p), (lo, hi)): the arm's two rows and
+    the slice of rows holding its queue (queues in stage order, each
+    oldest pulse first); a slot moves the oldest pulse out onto the arm
+    and the arm's pulse to the back of the queue.
     """
     plan = []
     offset = 2 * spec.n_arms
     for s in spec.stages:
         if s[0] == "bs":
             _, i, j, t = s
-            rows = np.array([2 * i, 2 * i + 1, 2 * j, 2 * j + 1])
-            plan.append(("bs", rows, g.beamsplitter_matrix(t)))
+            plan.append(("bs", (2 * i, 2 * i + 1, 2 * j, 2 * j + 1),
+                         (math.sqrt(t), math.sqrt(1.0 - t))))
         else:
             _, arm, d = s
-            rows = np.array([2 * arm, 2 * arm + 1, *range(offset, offset + 2 * d)])
-            plan.append(("delay", rows, np.roll(rows, -2)))
+            plan.append(("delay", (2 * arm, 2 * arm + 1),
+                         (offset, offset + 2 * d)))
             offset += 2 * d
     return tuple(plan)
 
 
-def _run_slot(plan: tuple, z: np.ndarray) -> np.ndarray:
-    """Push the row stack z = [arm quadratures; delay contents] through
-    one slot of a _stage_plan, in place, and return it."""
+def _run_slot(plan: tuple, z: list) -> list:
+    """Push the rows z = [arm quadratures; delay contents], floats or
+    numpy rows, through one slot of a _stage_plan, in place; return z."""
     for kind, rows, action in plan:
         if kind == "bs":
-            z[rows] = action @ z[rows]
+            (xi, pi, xj, pj), (t, r) = rows, action
+            z[xi], z[xj] = t * z[xi] + r * z[xj], t * z[xj] - r * z[xi]
+            z[pi], z[pj] = t * z[pi] + r * z[pj], t * z[pj] - r * z[pi]
         else:
-            z[rows] = z[action]
+            (x, p), (lo, hi) = rows, action
+            z[x], z[p], z[lo:hi] = (z[lo], z[lo + 1],
+                                    z[lo + 2:hi] + [z[x], z[p]])
     return z
 
 
-def _slot_matrix(spec: NetworkSpec) -> np.ndarray:
+def _slot_matrix(spec: NetworkSpec):
     """One-slot map M: [fresh arms; delay contents] -> [emitted; delay']."""
-    return _run_slot(_stage_plan(spec),
-                     np.eye(2 * (spec.n_arms + spec.n_delay_slots)))
+    import numpy as np
+    eye = np.eye(2 * (spec.n_arms + spec.n_delay_slots))
+    return np.array(_run_slot(_stage_plan(spec), list(eye)))
 
 
 def derive_squeezed_forms(spec: NetworkSpec) -> tuple:
@@ -213,15 +220,15 @@ def derive_squeezed_forms(spec: NetworkSpec) -> tuple:
     a2 = 2 * spec.n_arms
     forms = []
     for arm, (orient, r) in enumerate(spec.squeezers):
-        z = np.zeros(a2 + 2 * spec.n_delay_slots)
+        z = [0.0] * (a2 + 2 * spec.n_delay_slots)
         z[2 * arm + (0 if orient == "x" else 1)] = 1.0
         terms = []
         for offset in range(spec.max_delay + 2):
             _run_slot(plan, z)
-            for idx in np.nonzero(np.abs(z[:a2]) > 1e-10)[0]:
-                terms.append((offset, *divmod(int(idx), 2), float(z[idx])))
-            z[:a2] = 0.0                # no fresh input after slot 0
-        if np.abs(z[a2:]).max(initial=0.0) > 1e-10:
+            terms += [(offset, *divmod(idx, 2), z[idx])
+                      for idx in range(a2) if abs(z[idx]) > 1e-10]
+            z[:a2] = [0.0] * a2         # no fresh input after slot 0
+        if max(map(abs, z[a2:]), default=0.0) > 1e-10:
             raise RuntimeError("nullifier support leaks into the delay line")
         norm = sum(t[3] ** 2 for t in terms)
         if abs(norm - 1.0) > 1e-12:
@@ -347,6 +354,7 @@ def emitted_covariance(spec: NetworkSpec, n_slots: int):
     gives are the reference for the expected_var that _stream reports.
     Returns (cov, index_map) with index_map[(slot, arm)] -> mode.
     """
+    import numpy as np
     m = _slot_matrix(spec)
     a2 = 2 * spec.n_arms
     of, ow = m[:a2, :a2], m[:a2, a2:]

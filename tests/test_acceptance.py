@@ -13,10 +13,11 @@ import pytest
 
 import dslgen
 from cvqsim import budget, dsl, fock as fk, gaussian as g, gkp
+from cvqsim import squeezing_db_to_r
 from cvqsim import loop, tdm, telegates as tg
 from oracles import dense_network_run, random_mixed_state, random_pure_state
 
-R15 = float(g.squeezing_db_to_r(15.0))
+R15 = squeezing_db_to_r(15.0)
 
 
 def _announce(n, text):
@@ -183,12 +184,12 @@ def test_c08_cubic_gate_convergence():
     t0 = time.perf_counter()
     state = fk.vacuum_fock(1, 60)
     dbs = [5.0, 10.0, 15.0, 20.0]
-    fids = [tg.channel_fidelity(state, 0.1, float(g.squeezing_db_to_r(db)))
+    fids = [tg.channel_fidelity(state, 0.1, squeezing_db_to_r(db))
             for db in dbs]
     assert all(b > a for a, b in zip(fids, fids[1:]))
     assert fids[-1] >= 0.99
     # sampled runs at fixed seeds scatter around the channel value
-    r20 = float(g.squeezing_db_to_r(20.0))
+    r20 = squeezing_db_to_r(20.0)
     samples = [tg.tele_cubic(state, 0.1, r20, rng_seed=s).fidelity_vs_ideal
                for s in range(20)]
     se = np.std(samples, ddof=1) / math.sqrt(len(samples))

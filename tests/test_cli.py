@@ -10,9 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cvqsim import cli, gaussian as g, gkp
+from cvqsim import cli, gkp, squeezing_db_to_r
 
-R10 = float(g.squeezing_db_to_r(10.0))
+R10 = squeezing_db_to_r(10.0)
 
 EPR_PROGRAM = f"""# EPR pair and its correlation forms
 mode a b;
@@ -352,6 +352,21 @@ class TestGkpCommand:
         zero = json.loads(out)["sites"]["zero"]
         assert zero == len(gkp.lattice_sites(0, params)[0])
         assert zero > 2
+
+    def test_one_synthesis_feeds_every_field(self, capsys, monkeypatch):
+        calls = []
+        exact = gkp._synthesis
+        monkeypatch.setattr(gkp, "_synthesis",
+                            lambda *a: calls.append(a) or exact(*a))
+        code, out, _ = run_cli(capsys, "gkp", "--delta", "0.3")
+        assert code == 0 and calls == [(0.3, 100)]
+        params = gkp.GkpParams(0.3, 100)
+        payload = json.loads(out)
+        for j, name in enumerate(("zero", "one")):
+            assert payload["sites"][name] == len(
+                gkp.lattice_sites(j, params)[0])
+            assert payload["synthesis_leakage"][name] == (
+                gkp.synthesis_leakage(j, params))
 
     def test_large_cutoff_reports_finite_numbers(self, capsys):
         # past cutoff 600 the grid reaches where the Hermite recurrence

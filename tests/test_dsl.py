@@ -6,9 +6,10 @@ import pytest
 
 import dslgen
 import oracles
-from cvqsim import dsl, fock as fk, gaussian as g, telegates as tg
+from cvqsim import dsl, fock as fk, gaussian as g, squeezing_db_to_r
+from cvqsim import telegates as tg
 
-R15 = float(g.squeezing_db_to_r(15.0))
+R15 = squeezing_db_to_r(15.0)
 HALF_PI = math.pi / 2.0
 
 
@@ -110,7 +111,7 @@ class TestParse:
         entries = dict((e[0], e[1]) for e in p.instructions[0].args)
         assert entries["dim"] == 2 and entries["width"] == 3
         assert entries["squeeze"] == pytest.approx(
-            g.squeezing_db_to_r(10.0), abs=1e-15)
+            squeezing_db_to_r(10.0), abs=1e-15)
         p = parse_ok("schedule { data 3; anc 1; bs 0 2 t=0.5; sqz 1 0.7; }")
         assert ("bs", 0, 2, 0.5) in p.instructions[0].args
 
@@ -340,7 +341,7 @@ class TestRun:
     def test_epr_outcomes_follow_joint_distribution(self):
         # x of both arms of an EPR pair: the second reading must be drawn
         # given the first (the Fock backend collapses, so it already was)
-        r = g.squeezing_db_to_r(4.0)
+        r = squeezing_db_to_r(4.0)
         p = parse_ok("mode a b; sq a 4dB x; sq b 4dB p; bs a b t=0.5;"
                      " hom a theta=0 -> m0; hom b theta=0 -> m1;")
         values = [[o["value"] for o in dsl.run(p, "gaussian", seed).outcomes]
@@ -428,6 +429,24 @@ class TestRun:
         for rep in reports:
             assert 0.0 <= rep["leakage"] < 1e-4
 
+    def test_fock_fidelity_report_builds_no_moments(self, monkeypatch):
+        p = parse_ok("mode a b; sq a 3dB x; bs a b t=0.5;"
+                     " report fidelity vacuum; report cov;")
+        calls = []
+        exact = fk.covariance_of
+        monkeypatch.setattr(fk, "covariance_of",
+                            lambda st: calls.append(st) or exact(st))
+        reports = dsl.run(p, "fock", 0, cutoff=20).reports
+        assert [r["type"] for r in reports] == ["fidelity", "cov"]
+        assert len(calls) == 1           # the cov report's alone
+
+    def test_fock_fidelity_report_refuses_a_non_finite_value(self,
+                                                             monkeypatch):
+        p = parse_ok("mode a; sq a 3dB x; report fidelity vacuum;")
+        monkeypatch.setattr(fk, "fidelity_fock", lambda a, b: math.nan)
+        with pytest.raises(ValueError, match="fidelity is not finite"):
+            dsl.run(p, "fock", 0, cutoff=20)
+
     def test_fock_run_cubic_and_cphase(self):
         p = parse_ok("mode a b; cphase a b; cubic a gamma=0.05; report cov;")
         rep = dsl.run(p, "fock", 0, cutoff=30)
@@ -461,7 +480,7 @@ class TestRun:
         assert rep.reports[0]["survivors"] == [0, 1]
 
     def test_schedule_sqz_matches_tele_squeeze(self):
-        r = float(g.squeezing_db_to_r(12.0))
+        r = squeezing_db_to_r(12.0)
         p = parse_ok(f"schedule {{ data 1; anc 1; squeeze {r}r; sqz 0 0.7; }}")
         rep = dsl.run(p, "gaussian", 4)
         expected = tg.tele_squeeze(g.vacuum(1), 0.7, r).output

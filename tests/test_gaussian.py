@@ -1,9 +1,11 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
 from cvqsim import gaussian as g
+from cvqsim import squeezing_db_to_r
 
 import oracles
 
@@ -37,9 +39,17 @@ class TestSqueeze:
 
     def test_15db_variance(self):
         # 15 dB of squeezing: Var(x) = 0.5 * 10^-1.5
-        r = g.squeezing_db_to_r(15.0)
+        r = squeezing_db_to_r(15.0)
         st = g.squeeze(g.vacuum(1), 0, r)
         assert st.cov[0, 0] == pytest.approx(0.5 * 10 ** -1.5, abs=1e-12)
+
+    def test_db_conversion_is_numpys_to_the_bit(self):
+        # squeezing_db_to_r uses math.log(10.0), so it stays numpy-free;
+        # numpy's log gives the same bits
+        assert math.log(10.0) == np.log(10.0)
+        dbs = np.random.default_rng(20).uniform(-400.0, 400.0, 200_000)
+        assert ([squeezing_db_to_r(db) for db in dbs.tolist()]
+                == (dbs * np.log(10.0) / 20.0).tolist())
 
     def test_phase_shift_rotates_squeezing(self):
         st = g.squeeze(g.vacuum(1), 0, 1.0)
@@ -162,7 +172,7 @@ class TestHomodyne:
         assert outcome == np.random.default_rng(17).normal(mu, np.sqrt(var))
 
     def test_zero_variance_quadrature_rejected(self):
-        st = g.squeeze(g.vacuum(1), 0, g.squeezing_db_to_r(400.0))
+        st = g.squeeze(g.vacuum(1), 0, squeezing_db_to_r(400.0))
         with pytest.raises(ValueError, match="zero variance"):
             g.sample_quadrature(st, 0, 0.0, 1)
         with pytest.raises(ValueError, match="zero variance"):

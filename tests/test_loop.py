@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 
 from cvqsim import gaussian as g
-from cvqsim import loop, telegates
+from cvqsim import loop, squeezing_db_to_r, telegates
 from cvqsim.loop import LoopConfig, LoopProgram, LoopScheduleError, ScheduleStep
 
 import oracles
 
-R15 = g.squeezing_db_to_r(15.0)
+R15 = squeezing_db_to_r(15.0)
 
 
 def apply_gates_direct(state, gates):
@@ -132,7 +132,7 @@ class TestValidation:
         prog = LoopProgram(
             steps=(ScheduleStep(slot=0, homodyne=0.0, outcome_id="m"),),
             outcome_ids=("m",))
-        state = g.squeeze(g.vacuum(1), 0, g.squeezing_db_to_r(400.0))
+        state = g.squeeze(g.vacuum(1), 0, squeezing_db_to_r(400.0))
         with pytest.raises(ValueError, match="zero variance"):
             loop.simulate(cfg, prog, state)
 
@@ -268,7 +268,7 @@ class TestEngine:
     def test_epr_outcomes_follow_joint_distribution(self):
         # mix an x- and a p-squeezed pulse, then read x on both: the
         # second reading must be drawn given the first
-        r = g.squeezing_db_to_r(4.0)
+        r = squeezing_db_to_r(4.0)
         cfg = LoopConfig(n_data=2)
         bs = loop.compile_gates(cfg, [("bs", 0, 1, 0.5)])
         prog = LoopProgram(

@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 
 from cvqsim import gaussian as g
-from cvqsim import tdm
+from cvqsim import squeezing_db_to_r, tdm
 
-from oracles import csv_reference, dense_network_run
+from oracles import csv_reference, dense_network_run, embed
 
-R15 = g.squeezing_db_to_r(15.0)
+R15 = squeezing_db_to_r(15.0)
 
 
 def _dense_form_var(form, slot, state, index_map):
@@ -75,6 +75,38 @@ class TestSlotMap:
         m = tdm._slot_matrix(make())
         assert np.abs(m.T @ m - np.eye(len(m))).max() < 1e-12
 
+    @pytest.mark.parametrize("arms", [(0, 1), (1, 0), (2, 0), (1, 3)])
+    def test_one_splitter_is_the_gaussian_beamsplitter(self, arms):
+        # the slot map's splitter amplitudes against the one matrix of
+        # the Gaussian backend, embedded on the splitter's two arms
+        for t in [0.0, 1.0, *np.linspace(0.0, 1.0, 19)[1:-1].tolist(), 1e-300]:
+            spec = tdm.NetworkSpec(squeezers=(("x", 0.0),) * 4,
+                                   stages=(("bs", *arms, t),))
+            want = embed(g.beamsplitter_matrix(t), arms, 4)
+            assert np.array_equal(tdm._slot_matrix(spec), want)
+
+    def test_float_rows_and_numpy_rows_agree_bit_for_bit(self):
+        # derive_squeezed_forms pushes floats through _run_slot and
+        # _slot_matrix numpy rows: a form's first-slot terms are the
+        # slot matrix's column of that input, exactly
+        rng = np.random.default_rng(7)
+        checked = 0
+        for _ in range(200):
+            spec = _random_network(rng)
+            try:
+                forms = tdm.derive_squeezed_forms(spec)
+            except RuntimeError:
+                continue
+            m = tdm._slot_matrix(spec)
+            a2 = 2 * spec.n_arms
+            for form in forms:
+                q = 2 * int(form.name[1:]) + (form.name[0] == "p")
+                want = [(0, *divmod(i, 2), float(m[i, q]))
+                        for i in range(a2) if abs(m[i, q]) > 1e-10]
+                assert [t for t in form.terms if t[0] == 0] == want
+                checked += 1
+        assert checked > 200
+
     def test_support_beyond_the_window_is_rejected(self):
         # two delays in series on one arm emit a pulse 5 slots after it
         # enters, past the max_delay + 2 = 5 slots (offsets 0-4) followed
@@ -123,9 +155,13 @@ class TestDeriveForms:
                                                       abs=1e-12)
 
     def test_non_orthogonal_slot_map_is_rejected(self, monkeypatch):
-        exact = g.beamsplitter_matrix
-        monkeypatch.setattr(g, "beamsplitter_matrix",
-                            lambda t: 1.01 * exact(t))
+        exact = tdm._stage_plan
+
+        def scaled(spec):      # every splitter's amplitudes 1.01x too big
+            return tuple((kind, rows, tuple(1.01 * a for a in action))
+                         if kind == "bs" else (kind, rows, action)
+                         for kind, rows, action in exact(spec))
+        monkeypatch.setattr(tdm, "_stage_plan", scaled)
         with pytest.raises(RuntimeError, match="squared norm"):
             tdm.derive_squeezed_forms(tdm.network_1d(R15))
 

@@ -7,6 +7,7 @@ import pytest
 
 from cvqsim import fock as fk
 from cvqsim import gaussian as g
+from cvqsim import squeezing_db_to_r
 from cvqsim import telegates as tg
 
 from oracles import random_mixed_state, random_pure_state
@@ -214,14 +215,14 @@ class TestTeleCubic:
     def test_channel_fidelity_monotone_in_resource_squeezing(self):
         state = fk.vacuum_fock(1, 60)
         dbs = [5.0, 10.0, 15.0, 20.0]
-        fids = [tg.channel_fidelity(state, 0.1, g.squeezing_db_to_r(db))
+        fids = [tg.channel_fidelity(state, 0.1, squeezing_db_to_r(db))
                 for db in dbs]
         assert all(b > a for a, b in zip(fids, fids[1:]))
         assert fids[-1] >= 0.99
 
     def test_sampled_mean_agrees_with_quadrature_mean(self):
         state = fk.vacuum_fock(1, 40)
-        r = g.squeezing_db_to_r(10.0)
+        r = squeezing_db_to_r(10.0)
         fids = [tg.tele_cubic(state, 0.1, r, rng_seed=s).fidelity_vs_ideal
                 for s in range(200)]
         want = tg.channel_fidelity(state, 0.1, r)
