@@ -17,17 +17,16 @@ Conventions used throughout the package:
 
 All operations are pure functions: they return a new GaussianState and
 never mutate their argument.  Every linear update of the moments, for
-gates, loss, feedforward, the teleportation gadgets and the loop's
-composed channels alike, goes through apply_local, with feedforward
-blocks built by feedforward_matrix; a channel's added noise, such as
-the vacuum noise of loss (loss_channel), is apply_local's `noise`
-term.  apply_local rewrites only the touched rows and columns and
-symmetrizes only the touched block, and homodyne conditioning updates
-the covariance by a symmetric expression, so covariances are symmetric
-by construction.  Every homodyne outcome, in this module, telegates,
-the loop and the DSL, is drawn by sample_quadrature, conditioned on the
-run's earlier outcomes; it rejects a zero-variance or non-finite
-quadrature.
+gates, loss, feedforward and the loop's composed channels alike, goes
+through apply_local, with feedforward blocks built by
+feedforward_matrix; a channel's added noise, such as the vacuum noise of
+loss (loss_channel), is apply_local's `noise` term.  apply_local
+rewrites only the touched rows and columns and symmetrizes only the
+touched block, and homodyne conditioning updates the covariance by a
+symmetric expression, so covariances are symmetric by construction.
+Every homodyne outcome, in this module, the loop and the DSL, is drawn
+by sample_quadrature, conditioned on the run's earlier outcomes; it
+rejects a zero-variance or non-finite quadrature.
 """
 
 from __future__ import annotations
@@ -393,16 +392,6 @@ def remove_modes(state: GaussianState, modes) -> GaussianState:
         _check_mode(state, m)
     keep = [i for i in range(2 * state.n_modes) if i // 2 not in drop]
     return GaussianState(state.mean[keep], state.cov[np.ix_(keep, keep)])
-
-
-def tensor(a: GaussianState, b: GaussianState) -> GaussianState:
-    """Product state of two uncorrelated states, modes of `a` first."""
-    na, nb = 2 * a.n_modes, 2 * b.n_modes
-    mean = np.concatenate([a.mean, b.mean])
-    cov = np.zeros((na + nb, na + nb))
-    cov[:na, :na] = a.cov
-    cov[na:, na:] = b.cov
-    return GaussianState(mean, cov)
 
 
 # ---------------------------------------------------------------------------

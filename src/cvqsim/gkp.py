@@ -46,7 +46,10 @@ class GkpParams:
 
 
 class Logical(NamedTuple):
-    """One logical's peak positions, envelope weights, state and leakage."""
+    """One logical: the peak positions and envelope weights entering the
+    state sum, the sum projected to the cutoff and normalized, and its
+    leakage, the norm lost beyond the cutoff, 1 - |P psi|^2 / |psi|^2,
+    clamped at 0."""
 
     sites: np.ndarray
     weights: np.ndarray
@@ -128,42 +131,12 @@ def _synthesis(delta: float, cutoff: int):
     return tuple(records)
 
 
-def _fit(record, params: GkpParams) -> Logical:
-    if record is None:
-        raise ValueError(f"cutoff {params.cutoff} too small for delta {params.delta}")
-    return record
-
-
-def _logical(j: int, params: GkpParams) -> Logical:
-    if j not in (0, 1):
-        raise ValueError("logical index must be 0 or 1")
-    return _fit(_synthesis(params.delta, params.cutoff)[j], params)
-
-
 def logicals(params: GkpParams) -> tuple:
-    """The Logical of |0> and of |1> from one synthesis: what
-    lattice_sites, gkp_state and synthesis_leakage give for both."""
-    return tuple(_fit(record, params)
-                 for record in _synthesis(params.delta, params.cutoff))
-
-
-def lattice_sites(j: int, params: GkpParams):
-    """Peak positions and envelope weights entering the state sum."""
-    return _logical(j, params)[:2]
-
-
-def gkp_state(j: int, params: GkpParams) -> FockState:
-    """Logical |j>: the peak sum projected to the cutoff, normalized."""
-    return _logical(j, params).state
-
-
-def synthesis_leakage(j: int, params: GkpParams) -> float:
-    """Norm lost beyond the cutoff, 1 - |P psi|^2 / |psi|^2, clamped at 0.
-
-    Exact to rounding (about 1e-16): the kept norm is the recurrence's
-    amplitudes, the full norm the peaks' exact Gram matrix.
-    """
-    return _logical(j, params).leakage
+    """The Logical of |0> and of |1>, from one synthesis."""
+    records = _synthesis(params.delta, params.cutoff)
+    if None in records:
+        raise ValueError(f"cutoff {params.cutoff} too small for delta {params.delta}")
+    return records
 
 
 def x_density(state: FockState, xs: np.ndarray) -> np.ndarray:

@@ -24,15 +24,16 @@ applied by a single gaussian.apply_local before a homodyne draw, before
 a displacement of a pulse the channel touches, when its noise factor is
 full, and at the end.
 
-Measurement semantics match the teleportation gates module: a homodyne
-plus its declared feedforward gains defines a deterministic affine
-channel, so the engine freezes the measured quadrature as a classical
-record, applies feedforward as an exact row operation
+Measurement semantics match the circuit language's: a homodyne plus its
+declared feedforward gains defines a deterministic affine channel, so
+the engine freezes the measured quadrature as a classical record,
+applies feedforward as an exact row operation
 (gaussian.feedforward_matrix), and traces the measured pulse out at the
 end.  Outcomes are still sampled for the log, each conditioned on the
 earlier ones (gaussian.sample_quadrature), so a run's outcomes follow
-their joint distribution.  The squeeze_tele gate takes its settings
-from telegates.squeeze_gadget.
+their joint distribution.  The squeeze_tele gate is the
+measurement-induced squeezer of Filip, Marek & Andersen (PRA 71,
+042308, 2005), with its settings from squeeze_gadget.
 
 compile_gates writes phase, beam-splitter and squeeze_tele gates as one
 circulation each.  generate_entangled decomposes its passive network by
@@ -51,7 +52,6 @@ import numpy as np
 
 from . import gaussian as g
 from .gaussian import as_rng
-from .telegates import squeeze_gadget
 
 
 class LoopScheduleError(RuntimeError):
@@ -368,6 +368,31 @@ class _Pulses:
 # Gate compilation
 
 
+def squeeze_gadget(y: float) -> tuple:
+    """Settings of the measurement-induced squeezing gate S(y).
+
+    Returns (transmissivity T, ancilla orientation, measured angle,
+    (gx, gp)).  For y < 1 the input meets an x-squeezed ancilla on a
+    beam splitter of transmissivity y^2 and the reflected arm is
+    measured in p; otherwise the ancilla is p-squeezed, T = 1/y^2 and
+    the measurement is in x.  The feedforward gain -sqrt((1-T)/T)
+    cancels the input contribution in the measured quadrature exactly,
+    leaving exp(-2 r_anc)-suppressed ancilla noise in the conjugate one
+    only.
+    """
+    if y <= 0:
+        raise ValueError("squeeze factor y must be positive")
+    transmissivity = y * y if y < 1.0 else 1.0 / (y * y)
+    ff = (-math.sqrt((1.0 - transmissivity) / transmissivity)
+          if transmissivity > 0.0 else -math.inf)
+    if not math.isfinite(ff):
+        raise ValueError(f"squeeze factor {y!r} is out of range: y^2 "
+                         "under- or overflows")
+    if y < 1.0:
+        return transmissivity, "x", math.pi / 2, (0.0, ff)
+    return transmissivity, "p", 0.0, (ff, 0.0)
+
+
 def compile_gates(config: LoopConfig, gates) -> LoopProgram:
     """Schedule a gate list sequentially on the loop hardware.
 
@@ -392,12 +417,18 @@ def compile_gates(config: LoopConfig, gates) -> LoopProgram:
     def circulate(i, k, **act):
         """Capture pulse i at its next arrival (at or after the cursor),
         put act k slots later, release pulse i one circulation on and
-        move the cursor past the release; return the act's slot."""
+        move the cursor past the release; return the act's slot.  An
+        act that falls on the release (k == length, a one-pulse loop)
+        shares its step: simulate acts on the inner pulse before the
+        swap releases it."""
         nonlocal cursor
         t1 = cursor + (i - cursor) % length
         put(t1, vbs_T=0.0)
-        put(t1 + k, **act)
-        put(t1 + length, vbs_T=0.0)
+        if k == length:
+            put(t1 + length, vbs_T=0.0, **act)
+        else:
+            put(t1 + k, **act)
+            put(t1 + length, vbs_T=0.0)
         cursor = t1 + length + 1
         return t1 + k
 

@@ -8,6 +8,8 @@ arbitrarily hostile input.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from cvqsim import gaussian as g
@@ -123,8 +125,9 @@ def network_text(rng) -> str:
     return "network {\n  " + "\n  ".join(body) + "\n}\n"
 
 
-def schedule_text(rng) -> str:
-    data = int(rng.integers(2, 5))
+def schedule_text(rng, min_data=2) -> str:
+    """A schedule block of min_data to 4 data pulses and 0 to 2 ancillas."""
+    data = int(rng.integers(min_data, 5))
     anc = int(rng.integers(0, 3))
     body = [f"data {data};", f"anc {anc};"]
     if rng.uniform() < 0.5:
@@ -146,6 +149,48 @@ def schedule_text(rng) -> str:
             body.append(f"sqz {i} {float(np.round(rng.uniform(0.5, 1.8), 4))};")
             n_sqz += 1
     return "schedule {\n  " + "\n  ".join(body) + "\n}\n"
+
+
+def random_input(rng, mode: str, mixed: bool = False) -> tuple:
+    """(statements preparing `mode`, the state they prepare): the state of
+    oracles.random_pure_state(1, rng), or of random_mixed_state(1, rng)
+    if `mixed`, from the same draws in the same order."""
+    r, theta = float(rng.uniform(-1.5, 1.5)), float(rng.uniform(0, 2 * np.pi))
+    dx, dp = float(rng.normal(0, 1)), float(rng.normal(0, 1))
+    text = (f"sq {mode} {abs(r)}r {'x' if r >= 0 else 'p'}; "
+            f"ps {mode} {theta}; disp {mode} dx={dx} dp={dp};")
+    state = g.displace(g.phase_shift(g.squeeze(g.vacuum(1), 0, r), 0, theta),
+                       0, dx, dp)
+    if mixed:
+        eta = float(rng.uniform(0.3, 1.0))
+        text += f" loss {mode} {eta};"
+        state = g.loss(state, 0, eta)
+    return text, state
+
+
+def teleport_text(prep: str, r: float, gain: float = 1.0,
+                  reports: str = "report cov;") -> str:
+    """The EPR teleporter of mode `in` onto mode `out`, as a program.
+
+    `prep` prepares `in`; two ancillas squeezed by r in x and in p meet
+    on a 50:50 splitter, `in` meets one half on a second, x and p are
+    read, and the feedforward displaces `out` by sqrt(2) gain times the
+    readings.  At unit gain the channel adds exp(-2r) of variance per
+    quadrature.
+    """
+    root2g = math.sqrt(2.0) * gain
+    return f"""
+        mode in a1 out;
+        {prep}
+        sq a1 {r}r x; sq out {r}r p;
+        bs a1 out t=0.5;
+        bs in a1 t=0.5;
+        hom a1 theta=0.0 -> mx;
+        hom in theta={math.pi / 2.0} -> mp;
+        ff mx out gx={-root2g} gp=0.0;
+        ff mp out gx=0.0 gp={root2g};
+        {reports}
+    """
 
 
 def _scramble(stmts, rng) -> str:

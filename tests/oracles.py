@@ -11,6 +11,7 @@ visiting every slot, one gate and one loss at a time.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -18,7 +19,7 @@ import scipy.linalg
 from cvqsim import fock as fk
 from cvqsim import gaussian as g
 from cvqsim.gaussian import as_rng
-from cvqsim.loop import LoopRunLog, LoopScheduleError
+from cvqsim.loop import LoopRunLog, LoopScheduleError, squeeze_gadget
 
 
 def embed(block: np.ndarray, modes, n_modes: int) -> np.ndarray:
@@ -478,3 +479,63 @@ def loop_slot_walk(config, program, input_state: g.GaussianState, rng_seed=0):
     survivors = [p for p in range(length) if not consumed[p]]
     return st, LoopRunLog(outcomes=outcomes, outer_passes=outer_passes,
                           inner_slots=inner_slots, survivors=survivors)
+
+
+def tensor(a: g.GaussianState, b: g.GaussianState) -> g.GaussianState:
+    """Product state of two uncorrelated states, modes of `a` first."""
+    na, nb = 2 * a.n_modes, 2 * b.n_modes
+    mean = np.concatenate([a.mean, b.mean])
+    cov = np.zeros((na + nb, na + nb))
+    cov[:na, :na] = a.cov
+    cov[na:, na:] = b.cov
+    return g.GaussianState(mean, cov)
+
+
+class SqueezeReport(NamedTuple):
+    output: g.GaussianState
+    outcomes: list
+    added_noise_x: float
+    added_noise_p: float
+    fidelity_vs_ideal: float
+
+
+def tele_squeeze(state: g.GaussianState, y: float, r_anc: float,
+                 rng_seed=0) -> SqueezeReport:
+    """Measurement-induced squeezing gate S(y): x -> y x, p -> p / y.
+
+    One ancilla, one beam splitter, one homodyne and one feedforward
+    displacement, set by squeeze_gadget(y).  y = 1 bypasses the gadget.
+    The loop's squeeze_tele reference: the circuit is composed into one
+    map before it touches the state, so the antisqueezed ancilla
+    variance cancels exactly even at r_anc = 12, where the loop, which
+    applies the splitter before the draw, keeps an error of order 1e-6.
+    """
+    if state.n_modes != 1:
+        raise ValueError("tele_squeeze expects a single-mode input")
+    transmissivity, orientation, theta, (gx, gp) = squeeze_gadget(y)
+    if y == 1.0:
+        return SqueezeReport(output=state, outcomes=[], added_noise_x=0.0,
+                             added_noise_p=0.0, fidelity_vs_ideal=1.0)
+    ideal = g.squeeze(state, 0, -math.log(y))
+
+    prep = tensor(state, g.vacuum(1))
+    prep = g.squeeze(prep, 1, r_anc if orientation == "x" else -r_anc)
+
+    work = g.beam_splitter(prep, 0, 1, transmissivity)
+    m = g.sample_quadrature(work, 1, theta, rng_seed)
+
+    # complete the output quadrature of the measured basis with the
+    # reading; compose first: applying the splitter and the feedforward
+    # one after the other cancels against the antisqueezed ancilla
+    # variance and loses precision
+    total = (g.feedforward_matrix(2, 0, 1, theta, gx, gp)
+             @ g.beamsplitter_matrix(transmissivity))
+    out = g.remove_modes(g.apply_local(prep, (0, 1), total), (1,))
+
+    return SqueezeReport(
+        output=out,
+        outcomes=[m],
+        added_noise_x=float(out.cov[0, 0] - ideal.cov[0, 0]),
+        added_noise_p=float(out.cov[1, 1] - ideal.cov[1, 1]),
+        fidelity_vs_ideal=g.fidelity(ideal, out),
+    )

@@ -15,7 +15,7 @@ import dslgen
 from cvqsim import budget, dsl, fock as fk, gaussian as g, gkp
 from cvqsim import squeezing_db_to_r
 from cvqsim import loop, tdm, telegates as tg
-from oracles import dense_network_run, random_mixed_state, random_pure_state
+from oracles import dense_network_run
 
 R15 = squeezing_db_to_r(15.0)
 
@@ -39,29 +39,34 @@ def test_c01_fiber_budget():
 
 
 def test_c02_teleportation_noise_law():
+    # the circuit-language teleporter, as `cvq run` runs it
+    def teleport(prep, r, reports="report cov;"):
+        program = dsl.parse(dslgen.teleport_text(prep, r, reports=reports))
+        return dsl.run(program, "gaussian", 0).reports[0]
+
     t0 = time.perf_counter()
     rng = np.random.default_rng(202)
     rs = [0.0, 0.5, 1.15, 2.3]
     for k in range(50):
-        state = (random_pure_state(1, rng) if k % 2
-                 else random_mixed_state(1, rng))
+        prep, state = dslgen.random_input(rng, "in", mixed=k % 2 == 0)
         for r in rs:
-            rep = tg.teleport(state, r)
-            added = rep.output.cov - state.cov
+            out = teleport(prep, r)
+            added = np.array(out["cov"]) - state.cov
             target = math.exp(-2 * r) * np.eye(2)
             assert np.abs(added - target).max() < 1e-9
-            assert np.abs(rep.output.mean - state.mean).max() < 1e-9
+            assert np.abs(np.array(out["mean"]) - state.mean).max() < 1e-9
     for r in rs:
-        rep = tg.teleport(g.coherent(0.7, -0.3), r)
+        fidelity = teleport("disp in dx=0.7 dp=-0.3;", r, reports=(
+            "report fidelity coherent dx=0.7 dp=-0.3;"))["value"]
         want = 1.0 / (1.0 + math.exp(-2 * r))
-        assert rep.fidelity_vs_ideal == pytest.approx(want, abs=1e-9)
+        assert fidelity == pytest.approx(want, abs=1e-9)
         if r == 0.0:
-            assert rep.fidelity_vs_ideal == pytest.approx(0.5, abs=1e-9)
+            assert fidelity == pytest.approx(0.5, abs=1e-9)
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0
-    _announce(2, f"unit-gain teleportation adds exp(-2r) per quadrature on "
-                 f"50 random inputs x 4 squeezing levels; coherent fidelity "
-                 f"1/(1+exp(-2r)) ({elapsed:.2f} s)")
+    _announce(2, f"unit-gain teleportation program adds exp(-2r) per "
+                 f"quadrature on 50 random inputs x 4 squeezing levels; "
+                 f"coherent fidelity 1/(1+exp(-2r)) ({elapsed:.2f} s)")
 
 
 def test_c03_stream_1d_million_pulses():
@@ -210,8 +215,8 @@ def test_c09_gkp_code():
         assert abs(closed - mc) <= 3 * se + 1e-12, sigma
 
     params = gkp.GkpParams(0.2, 100)
-    overlap = abs(fk.overlap(gkp.gkp_state(0, params),
-                             gkp.gkp_state(1, params)))
+    zero, one = gkp.logicals(params)
+    overlap = abs(fk.overlap(zero.state, one.state))
     assert overlap <= 1e-3
 
     assert gkp.THRESHOLD_DB == 20.5

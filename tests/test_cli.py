@@ -350,7 +350,7 @@ class TestGkpCommand:
         assert code == 0
         params = gkp.GkpParams(0.2, 150)
         zero = json.loads(out)["sites"]["zero"]
-        assert zero == len(gkp.lattice_sites(0, params)[0])
+        assert zero == len(gkp.logicals(params)[0].sites)
         assert zero > 2
 
     def test_one_synthesis_feeds_every_field(self, capsys, monkeypatch):
@@ -362,11 +362,9 @@ class TestGkpCommand:
         assert code == 0 and calls == [(0.3, 100)]
         params = gkp.GkpParams(0.3, 100)
         payload = json.loads(out)
-        for j, name in enumerate(("zero", "one")):
-            assert payload["sites"][name] == len(
-                gkp.lattice_sites(j, params)[0])
-            assert payload["synthesis_leakage"][name] == (
-                gkp.synthesis_leakage(j, params))
+        for logical, name in zip(gkp.logicals(params), ("zero", "one")):
+            assert payload["sites"][name] == len(logical.sites)
+            assert payload["synthesis_leakage"][name] == logical.leakage
 
     def test_large_cutoff_reports_finite_numbers(self, capsys):
         # past cutoff 600 the grid reaches where the Hermite recurrence

@@ -7,10 +7,8 @@ import pytest
 import dslgen
 import oracles
 from cvqsim import dsl, fock as fk, gaussian as g, squeezing_db_to_r
-from cvqsim import telegates as tg
 
 R15 = squeezing_db_to_r(15.0)
-HALF_PI = math.pi / 2.0
 
 
 def parse_ok(text):
@@ -380,23 +378,15 @@ class TestRun:
             dsl.run(p, "gaussian", 1)
 
     def test_teleport_program_matches_channel(self):
-        text = f"""
-            mode in a1 out;
-            disp in dx=0.7 dp=-0.4;
-            sq a1 {R15}r x; sq out {R15}r p;
-            bs a1 out t=0.5;
-            bs in a1 t=0.5;
-            hom a1 theta=0.0 -> mx;
-            hom in theta={HALF_PI} -> mp;
-            ff mx out gx={-math.sqrt(2.0)} gp=0.0;
-            ff mp out gx=0.0 gp={math.sqrt(2.0)};
-            report cov;
-        """
-        expected = tg.teleport(g.coherent(0.7, -0.4), R15).output
+        text = dslgen.teleport_text("disp in dx=0.7 dp=-0.4;", R15)
+        # unit gain adds exp(-2r) of variance per quadrature
+        expected = (0.5 + math.exp(-2 * R15)) * np.eye(2)
         for seed in (0, 1, 17):
             rep = dsl.run(parse_ok(text), "gaussian", seed)
             cov = np.array(rep.reports[0]["cov"])
-            assert np.max(np.abs(cov - expected.cov)) < 1e-9
+            assert np.max(np.abs(cov - expected)) < 1e-9
+            assert rep.reports[0]["mean"] == pytest.approx([0.7, -0.4],
+                                                           abs=1e-9)
             assert [o["id"] for o in rep.outcomes] == ["mx", "mp"]
 
     def test_determinism_per_seed(self):
@@ -479,11 +469,24 @@ class TestRun:
                              - direct.cov)) < 1e-9
         assert rep.reports[0]["survivors"] == [0, 1]
 
+    def test_every_valid_schedule_runs(self):
+        # one-pulse loops included: whatever validate accepts, run runs
+        rng = np.random.default_rng(4400)
+        ran = 0
+        for _ in range(300):
+            p = parse_ok(dslgen.schedule_text(rng, min_data=1))
+            if dsl.validate(p, "gaussian"):
+                continue
+            rep = dsl.run(p, "gaussian", 0)
+            assert rep.reports[-1]["type"] == "loop"
+            ran += 1
+        assert ran >= 200
+
     def test_schedule_sqz_matches_tele_squeeze(self):
         r = squeezing_db_to_r(12.0)
         p = parse_ok(f"schedule {{ data 1; anc 1; squeeze {r}r; sqz 0 0.7; }}")
         rep = dsl.run(p, "gaussian", 4)
-        expected = tg.tele_squeeze(g.vacuum(1), 0.7, r).output
+        expected = oracles.tele_squeeze(g.vacuum(1), 0.7, r).output
         assert np.max(np.abs(np.array(rep.reports[0]["cov"])
                              - expected.cov)) < 1e-9
         assert len(rep.outcomes) == 1

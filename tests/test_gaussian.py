@@ -64,7 +64,7 @@ class TestBeamSplitter:
         # coherent (1, 0) in mode 0: transmitted amplitude sqrt(T) stays,
         # reflected amplitude -sqrt(1-T) appears on mode 1
         t = 0.7
-        st = g.tensor(g.coherent(1.0, 0.0), g.vacuum(1))
+        st = oracles.tensor(g.coherent(1.0, 0.0), g.vacuum(1))
         st = g.beam_splitter(st, 0, 1, t)
         np.testing.assert_allclose(
             st.mean, [np.sqrt(t), 0, -np.sqrt(1 - t), 0], atol=ALG_TOL)
@@ -149,7 +149,8 @@ class TestHomodyne:
         assert outs.var() == pytest.approx(0.5, rel=0.05)
 
     def test_conditioning_on_product_state_is_trivial(self):
-        st = g.tensor(g.coherent(0.3, -0.2), g.squeeze(g.vacuum(1), 0, 0.5))
+        st = oracles.tensor(g.coherent(0.3, -0.2),
+                            g.squeeze(g.vacuum(1), 0, 0.5))
         _, post = g.homodyne(st, 1, 0.1, 5)
         np.testing.assert_allclose(post.mean, [0.3, -0.2], atol=1e-12)
         np.testing.assert_allclose(post.cov, np.eye(2) * 0.5, atol=1e-12)
@@ -275,7 +276,7 @@ class TestBookkeeping:
         st2 = g.remove_modes(st, [0, 2])
         assert st2.n_modes == 1
         assert st2.cov[0, 0] == pytest.approx(np.exp(-1.8) / 2)
-        st3 = g.tensor(st2, g.vacuum(2))
+        st3 = oracles.tensor(st2, g.vacuum(2))
         assert st3.n_modes == 3
         np.testing.assert_allclose(st3.cov[2:, 2:], np.eye(4) * 0.5)
 

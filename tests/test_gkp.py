@@ -14,14 +14,12 @@ P03 = GkpParams(0.3, 100)
 
 
 def envelope_xx_fidelity(params):
-    _, w = gkp.lattice_sites(0, params)
-    w = np.asarray(w)
+    w = gkp.logicals(params)[0].weights
     return float((np.sum(w[:-1] * w[1:]) / np.sum(w * w)) ** 2)
 
 
 def envelope_x_swap_fidelity(params):
-    m0, w0 = gkp.lattice_sites(0, params)
-    m1, w1 = gkp.lattice_sites(1, params)
+    (m0, w0, *_), (m1, w1, *_) = gkp.logicals(params)
     amp = 0.0
     for mu, w in zip(np.asarray(m0) + ROOT_PI, w0):
         hits = np.isclose(np.asarray(m1), mu, atol=1e-9)
@@ -37,20 +35,19 @@ class TestSynthesis:
             GkpParams(0.0, 100)
         with pytest.raises(ValueError):
             GkpParams(0.2, 4)
-        with pytest.raises(ValueError):
-            gkp.gkp_state(2, P25)
 
     def test_states_are_normalized(self):
-        for j in (0, 1):
-            assert abs(gkp.gkp_state(j, P25).norm() - 1.0) < 1e-12
+        for logical in gkp.logicals(P25):
+            assert abs(logical.state.norm() - 1.0) < 1e-12
 
     def test_density_peaks_sit_on_the_right_sublattice(self):
         even = np.array([0.0, 2 * ROOT_PI, -2 * ROOT_PI])
         odd = np.array([ROOT_PI, -ROOT_PI, 3 * ROOT_PI])
-        d0_even = gkp.x_density(gkp.gkp_state(0, P25), even)
-        d0_odd = gkp.x_density(gkp.gkp_state(0, P25), odd)
-        d1_even = gkp.x_density(gkp.gkp_state(1, P25), even)
-        d1_odd = gkp.x_density(gkp.gkp_state(1, P25), odd)
+        zero, one = gkp.logicals(P25)
+        d0_even = gkp.x_density(zero.state, even)
+        d0_odd = gkp.x_density(zero.state, odd)
+        d1_even = gkp.x_density(one.state, even)
+        d1_odd = gkp.x_density(one.state, odd)
         assert d0_even.min() > 100 * d0_odd.max()
         assert d1_odd.min() > 100 * d1_even.max()
 
@@ -58,38 +55,38 @@ class TestSynthesis:
         overlaps = []
         for delta in (0.35, 0.3, 0.25):
             p = GkpParams(delta, 100)
-            overlaps.append(abs(fock.overlap(gkp.gkp_state(0, p),
-                                             gkp.gkp_state(1, p))))
+            zero, one = gkp.logicals(p)
+            overlaps.append(abs(fock.overlap(zero.state, one.state)))
         assert overlaps[0] > overlaps[1] > overlaps[2]
-        z0 = gkp.gkp_state(0, P02)
-        z1 = gkp.gkp_state(1, P02)
-        assert abs(fock.overlap(z0, z1)) <= 1e-3
+        zero, one = gkp.logicals(P02)
+        assert abs(fock.overlap(zero.state, one.state)) <= 1e-3
 
     @pytest.mark.parametrize("delta", [0.2, 0.25, 0.3])
     @pytest.mark.parametrize("cutoff", [100, 120])
     def test_synthesis_leakage_budget(self, delta, cutoff):
         params = GkpParams(delta, cutoff)
-        for j in (0, 1):
-            assert gkp.synthesis_leakage(j, params) < 1e-4
+        for logical in gkp.logicals(params):
+            assert logical.leakage < 1e-4
 
     def test_mass_concentrates_near_the_lattice(self):
-        assert gkp.lattice_mass(gkp.gkp_state(0, P25)) > 0.98
-        assert gkp.lattice_mass(gkp.gkp_state(1, P25)) > 0.98
-        assert gkp.lattice_mass(gkp.gkp_state(0, P02)) > 0.99
+        for logical in gkp.logicals(P25):
+            assert gkp.lattice_mass(logical.state) > 0.98
+        assert gkp.lattice_mass(gkp.logicals(P02)[0].state) > 0.99
 
     def test_cutoff_too_small_raises(self):
+        assert gkp._synthesis(0.2, 40)[0] is None
         with pytest.raises(ValueError, match="too small"):
-            gkp.gkp_state(0, GkpParams(0.2, 40))
+            gkp.logicals(GkpParams(0.2, 40))
 
     def test_large_delta_approaches_squeezed_vacuum(self):
         p = GkpParams(1.2, 60)
-        state = gkp.gkp_state(0, p)
+        state = gkp.logicals(p)[0].state
         ref = fock.squeeze_fock(fock.vacuum_fock(1, 60), 0, -math.log(1.2))
         assert fock.fidelity_fock(state, ref) > 0.99
         # fidelity to plain vacuum: sech(ln delta) = 2 delta / (1 + delta^2)
         fids = []
         for delta in (1.0, 1.5, 2.0):
-            state = gkp.gkp_state(0, GkpParams(delta, 60))
+            state = gkp.logicals(GkpParams(delta, 60))[0].state
             fid = fock.fidelity_fock(state, fock.vacuum_fock(1, 60))
             assert abs(fid - 2 * delta / (1 + delta ** 2)) < 2e-3
             fids.append(fid)
@@ -114,24 +111,26 @@ class TestProjection:
     @pytest.mark.parametrize("delta, cutoff", sorted(SITE_COUNTS))
     def test_site_counts_and_leakage(self, delta, cutoff):
         params = GkpParams(delta, cutoff)
-        counts = tuple(len(gkp.lattice_sites(j, params)[0]) for j in (0, 1))
+        logicals = gkp.logicals(params)
+        counts = tuple(len(logical.sites) for logical in logicals)
         assert counts == SITE_COUNTS[delta, cutoff]
-        for j in (0, 1):
-            assert 0.0 <= gkp.synthesis_leakage(j, params) < 1e-4
+        for logical in logicals:
+            assert 0.0 <= logical.leakage < 1e-4
 
     @pytest.mark.parametrize("delta, cutoff", [(0.3, 40), (0.1, 300)])
     def test_cutoffs_below_the_central_peak_raise(self, delta, cutoff):
+        assert gkp._synthesis(delta, cutoff)[0] is None
         with pytest.raises(ValueError, match="too small"):
-            gkp.gkp_state(0, GkpParams(delta, cutoff))
+            gkp.logicals(GkpParams(delta, cutoff))
 
     def test_amplitudes_match_mpmath_quadrature(self):
         # three peaks; the norm deficit at this cutoff is far below 1e-20,
         # so the analytic Gram norm normalizes the projection
         mp = pytest.importorskip("mpmath")
         params = GkpParams(1.0, 60)
-        mus, ws = gkp.lattice_sites(0, params)
+        mus, ws, zero, _ = gkp.logicals(params)[0]
         assert len(mus) == 3
-        amps = gkp.gkp_state(0, params).amps
+        amps = zero.amps
         with mp.workdps(20):
             d = mp.mpf(params.delta)
             peaks = [(mp.mpf(float(m)), mp.mpf(float(w)))
@@ -158,10 +157,10 @@ class TestProjection:
         monkeypatch.setattr(fock, "displace_fock", refuse)
         monkeypatch.setattr(fock, "squeeze_fock", refuse)
         monkeypatch.setattr(fock, "hermite_functions", refuse)
-        for j, count in enumerate(SITE_COUNTS[0.3, 100]):
-            assert len(gkp.lattice_sites(j, P03)[0]) == count
-            assert abs(gkp.gkp_state(j, P03).norm() - 1.0) < 1e-12
-            assert 0.0 <= gkp.synthesis_leakage(j, P03) < 1e-7
+        for logical, count in zip(gkp.logicals(P03), SITE_COUNTS[0.3, 100]):
+            assert len(logical.sites) == count
+            assert abs(logical.state.norm() - 1.0) < 1e-12
+            assert 0.0 <= logical.leakage < 1e-7
 
     @pytest.mark.parametrize("delta", [1e-3, 1e-6, 5e-324, 1e300])
     def test_unfit_delta_raises_before_any_grid(self, delta, monkeypatch):
@@ -171,9 +170,9 @@ class TestProjection:
             raise AssertionError("a grid was built")
 
         monkeypatch.setattr(fock, "hermite_functions", refuse)
-        for j in (0, 1):
-            with pytest.raises(ValueError, match="too small"):
-                gkp.gkp_state(j, GkpParams(delta, 100))
+        assert gkp._synthesis(delta, 100) == (None, None)
+        with pytest.raises(ValueError, match="too small"):
+            gkp.logicals(GkpParams(delta, 100))
 
     @pytest.mark.parametrize("delta, cutoff", [(0.2, 100), (0.05, 100),
                                                (0.3, 40), (1.7, 60)])
@@ -216,13 +215,12 @@ class TestProjection:
         xs = np.arange(-turn - 8, turn + 8, min(delta, 1 / turn) / 8)
         basis = fock.hermite_functions(xs, cutoff)
         params = GkpParams(delta, cutoff)
-        for j in (0, 1):
-            mus, ws = gkp.lattice_sites(j, params)
+        for mus, ws, state, _ in gkp.logicals(params):
             psi = sum(w * np.exp(-(xs - m) ** 2 / (2 * delta ** 2))
                       for m, w in zip(mus, ws))
             fine = basis @ psi
             fine /= np.linalg.norm(fine)
-            got = gkp.gkp_state(j, params).amps
+            got = state.amps
             assert np.abs(got - fine).max() < 1e-11
 
 
@@ -236,15 +234,15 @@ def logical_z(state):
 
 class TestPaulis:
     def test_x_swaps_the_logicals(self):
-        x0 = logical_x(gkp.gkp_state(0, P25))
-        fid = fock.fidelity_fock(x0, gkp.gkp_state(1, P25))
+        zero, one = gkp.logicals(P25)
+        fid = fock.fidelity_fock(logical_x(zero.state), one.state)
         assert abs(fid - envelope_x_swap_fidelity(P25)) < 1e-3
         assert fid > 0.85
 
     @pytest.mark.parametrize("delta", [0.25, 0.3, 0.35])
     def test_double_x_matches_envelope_oracle(self, delta):
         params = GkpParams(delta, 100)
-        state = gkp.gkp_state(0, params)
+        state = gkp.logicals(params)[0].state
         back = logical_x(logical_x(state))
         fid = fock.fidelity_fock(back, state)
         assert abs(fid - envelope_xx_fidelity(params)) < 1e-3
@@ -253,13 +251,13 @@ class TestPaulis:
         fids = []
         for delta in (0.35, 0.3, 0.25):
             params = GkpParams(delta, 100)
-            state = gkp.gkp_state(0, params)
+            state = gkp.logicals(params)[0].state
             back = logical_x(logical_x(state))
             fids.append(fock.fidelity_fock(back, state))
         assert fids[0] < fids[1] < fids[2]
 
     def test_z_preserves_x_density_exactly(self):
-        state = gkp.gkp_state(0, P25)
+        state = gkp.logicals(P25)[0].state
         shifted = logical_z(state)
         _, vecs = np.linalg.eigh(fock.position_op(state.cutoff))
         before = np.abs(vecs.conj().T @ state.amps) ** 2
@@ -267,8 +265,7 @@ class TestPaulis:
         assert np.abs(before - after).max() < 1e-12
 
     def test_z_phases_the_two_logicals_oppositely(self):
-        z0 = gkp.gkp_state(0, P25)
-        z1 = gkp.gkp_state(1, P25)
+        z0, z1 = (logical.state for logical in gkp.logicals(P25))
         ev0 = fock.overlap(z0, logical_z(z0))
         ev1 = fock.overlap(z1, logical_z(z1))
         assert ev0.real > 0.85 and abs(ev0.imag) < 1e-9

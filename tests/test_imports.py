@@ -53,18 +53,12 @@ def test_guard_flags_an_unused_import():
 UNCALLED_API = {
     "dsl.pretty_print": "the DSL's canonical text form, parse(pretty_print(p)) == p",
     "gaussian.homodyne": "measurement that keeps the conditioned state",
-    # one logical's view; `cvq gkp` takes both logicals from gkp.logicals
-    "gkp.gkp_state": "one logical's state, the library's GKP constructor",
-    "gkp.lattice_sites": "one logical's peak sum, read by the tests' oracles",
-    "gkp.synthesis_leakage": "one logical's leakage, for library callers",
     "loop.certificate_variances": "evaluates generate_entangled's certificates",
     "loop.generate_entangled": "perfbench entry point (loop job)",
     "tdm.csv_sink": "perfbench entry point (recorded stream job)",
     "tdm.emitted_covariance": "perfbench entry point",
     "telegates.channel_fidelity": "perfbench entry point",
     "telegates.tele_cubic": "perfbench entry point",
-    "telegates.tele_squeeze": "reference for the loop's squeeze_tele tests",
-    "telegates.teleport": "reference for the DSL and acceptance teleporter tests",
 }
 
 
@@ -192,7 +186,7 @@ FOOTPRINTS = {
     "run": (["run", "{dir}/run.cvq", "--seed", "1"],
             ["dsl", "fock", "gaussian"], True),
     "loop": (["loop", "{dir}/loop.cvq", "--seed", "1"],
-             ["dsl", "fock", "gaussian", "loop", "telegates"], True),
+             ["dsl", "fock", "gaussian", "loop"], True),
 }
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from cvqsim import gaussian as g
-from cvqsim import loop, squeezing_db_to_r, telegates
+from cvqsim import loop, squeezing_db_to_r
 from cvqsim.loop import LoopConfig, LoopProgram, LoopScheduleError, ScheduleStep
 
 import oracles
@@ -241,12 +241,35 @@ class TestEngine:
             assert np.abs(out.cov - ref.cov).max() < 1e-9
             assert np.abs(out.mean - ref.mean).max() < 1e-9
 
+    @pytest.mark.parametrize("eta", [(1.0, 1.0), (0.9, 0.8)])
+    def test_one_pulse_loop_runs_phase_gates(self, eta):
+        # with one pulse a phase falls on its own release slot; the two
+        # share a step, the phase acting on the inner pulse before the swap
+        cfg = LoopConfig(n_data=1, eta_outer=eta[0], eta_inner=eta[1])
+        gates = [("phase", 0, 0.3), ("displace", 0, 0.5, -0.2),
+                 ("phase", 0, 0.4)]
+        prog = loop.compile_gates(cfg, gates)
+        assert [(s.slot, s.vbs_T, s.vps_theta) for s in prog.steps
+                if s.eom is None] == [(0, 0.0, 0.0), (1, 0.0, 0.3),
+                                      (3, 0.0, 0.0), (4, 0.0, 0.4)]
+        state = g.displace(g.squeeze(g.vacuum(1), 0, 0.5), 0, 0.3, -0.2)
+        out, log = loop.simulate(cfg, prog, state)
+        ref, ref_log = oracles.loop_slot_walk(cfg, prog, state)
+        assert log.inner_slots == ref_log.inner_slots == {0: 2}
+        _assert_close(out.mean, ref.mean, "mean")
+        _assert_close(out.cov, ref.cov, "cov")
+        if eta == (1.0, 1.0):
+            direct = apply_gates_direct(state, gates)
+            assert np.array_equal(out.cov, direct.cov)
+            assert np.array_equal(out.mean, direct.mean)
+
     @staticmethod
     def _squeeze_tele_run(data, seed):
         cfg = LoopConfig(n_data=1, m_anc=1)
         prog = loop.compile_gates(cfg, [("squeeze_tele", 0, 0.6, 1.0)])
         anc = g.squeeze(g.vacuum(1), 0, 1.0)
-        return loop.simulate(cfg, prog, g.tensor(data, anc), rng_seed=seed)
+        return loop.simulate(cfg, prog, oracles.tensor(data, anc),
+                             rng_seed=seed)
 
     def test_teleport_output_independent_of_seed(self):
         data = g.coherent(1.0, 2.0)
@@ -292,8 +315,9 @@ class TestEngine:
         assert prog.ancilla_prep == ((1, "x" if y < 1 else "p"),)
         data = g.squeeze(g.coherent(0.3, 0.9), 0, -0.2)
         anc = g.squeeze(g.vacuum(1), 0, R15 if y < 1 else -R15)
-        out, log = loop.simulate(cfg, prog, g.tensor(data, anc), rng_seed=3)
-        ref = telegates.tele_squeeze(data, y, R15)
+        out, log = loop.simulate(cfg, prog, oracles.tensor(data, anc),
+                                 rng_seed=3)
+        ref = oracles.tele_squeeze(data, y, R15)
         assert np.abs(out.cov - ref.output.cov).max() < 1e-9
         assert np.abs(out.mean - ref.output.mean).max() < 1e-9
         assert log.survivors == [0]
@@ -306,7 +330,7 @@ class TestEngine:
         prog = loop.compile_gates(cfg, gates)
         rng = np.random.default_rng(5)
         data = random_input(2, rng)
-        inp = g.tensor(data, g.squeeze(g.vacuum(1), 0, r))
+        inp = oracles.tensor(data, g.squeeze(g.vacuum(1), 0, r))
         out, log = loop.simulate(cfg, prog, inp, rng_seed=1)
 
         ref = g.beam_splitter(inp, 0, 1, 0.4)

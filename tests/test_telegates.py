@@ -1,16 +1,35 @@
-"""Teleportation-based gates: noise laws, feedforward closure, limits."""
+"""Teleportation-based gates: noise laws, feedforward closure, limits.
+
+The Gaussian gadgets are tested where `cvq` runs them: the teleporter
+as the circuit-language program dslgen.teleport_text, and the squeezer
+as the loop's squeeze_tele gate.
+"""
 
 import math
 
 import numpy as np
 import pytest
 
+import dslgen
+import oracles
+from cvqsim import dsl, loop
 from cvqsim import fock as fk
 from cvqsim import gaussian as g
 from cvqsim import squeezing_db_to_r
 from cvqsim import telegates as tg
+from cvqsim.loop import LoopConfig
 
-from oracles import random_mixed_state, random_pure_state
+
+def teleport(prep, r, seed=0, gain=1.0, reports="report cov;"):
+    """The DSL teleporter of the state `prep` makes: its RunReport."""
+    program = dsl.parse(dslgen.teleport_text(prep, r, gain, reports))
+    return dsl.run(program, "gaussian", seed)
+
+
+def coherent_fidelity(dx, dp, r):
+    reports = f"report fidelity coherent dx={dx} dp={dp};"
+    return teleport(f"disp in dx={dx} dp={dp};", r,
+                    reports=reports).reports[0]["value"]
 
 
 class TestTeleport:
@@ -18,45 +37,53 @@ class TestTeleport:
     def test_unit_gain_adds_exactly_exp_minus_2r(self, r):
         rng = np.random.default_rng(11)
         for k in range(12):
-            state = (random_pure_state(1, rng) if k % 2 == 0
-                     else random_mixed_state(1, rng))
-            rep = tg.teleport(state, r, rng_seed=k)
+            prep, state = dslgen.random_input(rng, "in", mixed=k % 2 == 1)
+            out = teleport(prep, r, seed=k).reports[0]
             expected = state.cov + math.exp(-2 * r) * np.eye(2)
-            assert np.allclose(rep.output.cov, expected, atol=1e-9)
-            assert np.allclose(rep.output.mean, state.mean, atol=1e-9)
+            assert np.allclose(out["cov"], expected, atol=1e-9)
+            assert np.allclose(out["mean"], state.mean, atol=1e-9)
+
+    def test_random_inputs_are_the_oracle_states(self):
+        for mixed in (False, True):
+            rng, ref_rng = (np.random.default_rng(11) for _ in range(2))
+            for _ in range(6):
+                _, state = dslgen.random_input(rng, "in", mixed)
+                ref = (oracles.random_mixed_state(1, ref_rng) if mixed
+                       else oracles.random_pure_state(1, ref_rng))
+                assert np.array_equal(state.cov, ref.cov)
+                assert np.array_equal(state.mean, ref.mean)
 
     def test_coherent_fidelity_closed_form(self):
         for r in [0.0, 0.5, 1.15, 2.3]:
             for alpha in [(0.0, 0.0), (1.3, -0.4), (-2.0, 2.5)]:
-                state = g.coherent(*alpha)
-                rep = tg.teleport(state, r, rng_seed=3)
                 want = 1.0 / (1.0 + math.exp(-2 * r))
-                assert rep.fidelity_vs_ideal == pytest.approx(want, abs=1e-9)
+                assert coherent_fidelity(*alpha, r) == pytest.approx(
+                    want, abs=1e-9)
 
     def test_output_independent_of_measurement_record(self):
-        state = g.coherent(0.7, -1.1)
-        a = tg.teleport(state, 0.8, rng_seed=1)
-        b = tg.teleport(state, 0.8, rng_seed=99)
+        prep = "disp in dx=0.7 dp=-1.1;"
+        a = teleport(prep, 0.8, seed=1)
+        b = teleport(prep, 0.8, seed=99)
         assert a.outcomes != b.outcomes
-        assert np.array_equal(a.output.mean, b.output.mean)
-        assert np.array_equal(a.output.cov, b.output.cov)
+        assert a.reports == b.reports
 
     def test_classical_limit_is_two_units_of_vacuum_noise(self):
-        rep = tg.teleport(g.vacuum(1), 0.0, rng_seed=0)
-        assert np.allclose(rep.output.cov, 1.5 * np.eye(2), atol=1e-12)
-        assert rep.fidelity_vs_ideal == pytest.approx(0.5, abs=1e-12)
+        out = teleport("", 0.0).reports[0]
+        assert np.allclose(out["cov"], 1.5 * np.eye(2), atol=1e-12)
+        assert coherent_fidelity(0.0, 0.0, 0.0) == pytest.approx(0.5,
+                                                                 abs=1e-12)
 
     def test_added_noise_fields(self):
-        rep = tg.teleport(g.vacuum(1), 1.15, rng_seed=0)
-        assert rep.added_noise_x == pytest.approx(math.exp(-2.3), abs=1e-12)
-        assert rep.added_noise_p == pytest.approx(math.exp(-2.3), abs=1e-12)
-        assert rep.added_noise_x >= 0 and rep.added_noise_p >= 0
+        rep = teleport("", 1.15)
+        added = np.diag(rep.reports[0]["cov"]) - 0.5
+        assert added == pytest.approx([math.exp(-2.3)] * 2, abs=1e-12)
+        assert (added >= 0).all()
         assert len(rep.outcomes) == 2
 
     def test_zero_gain_erases_the_input(self):
-        state = g.coherent(3.0, -2.0)
-        rep = tg.teleport(state, 1.0, gain=0.0, rng_seed=5)
-        assert np.allclose(rep.output.mean, 0.0, atol=1e-12)
+        out = teleport("disp in dx=3.0 dp=-2.0;", 1.0, seed=5,
+                       gain=0.0).reports[0]
+        assert np.allclose(out["mean"], 0.0, atol=1e-12)
 
     def test_channel_matches_conditional_ensemble(self):
         # Independent route: sample outcomes, condition, apply the same
@@ -67,7 +94,7 @@ class TestTeleport:
         means = []
         covs = []
         for _ in range(4000):
-            prep = g.tensor(state, g.vacuum(2))
+            prep = oracles.tensor(state, g.vacuum(2))
             prep = g.squeeze(prep, 1, r)
             prep = g.squeeze(prep, 2, -r)
             prep = g.beam_splitter(prep, 1, 2, 0.5)
@@ -80,17 +107,28 @@ class TestTeleport:
         means = np.array(means)
         avg_mean = means.mean(axis=0)
         avg_cov = np.mean(covs, axis=0) + np.cov(means.T, bias=True)
-        rep = tg.teleport(state, r, rng_seed=0)
-        assert np.allclose(avg_mean, rep.output.mean, atol=0.1)
-        assert np.allclose(avg_cov, rep.output.cov, atol=0.1)
+        out = teleport("disp in dx=0.9 dp=0.4;", r).reports[0]
+        assert np.allclose(avg_mean, out["mean"], atol=0.1)
+        assert np.allclose(avg_cov, out["cov"], atol=0.1)
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            tg.teleport(g.vacuum(2), 1.0)
-        with pytest.raises(ValueError):
-            tg.teleport(g.vacuum(1), -0.1)
-        with pytest.raises(ValueError):
-            tg.teleport(g.vacuum(1), 1.0, gain=2.5)
+
+def loop_squeeze(state, y, r, seed=0):
+    """S(y) on a one-mode state by the loop's squeeze_tele gate:
+    (program, output over the surviving pulses, run log)."""
+    cfg = LoopConfig(n_data=1, m_anc=1)
+    prog = loop.compile_gates(cfg, [("squeeze_tele", 0, y, r)])
+    (_, orientation), = prog.ancilla_prep
+    anc = g.squeeze(g.vacuum(1), 0, r if orientation == "x" else -r)
+    out, log = loop.simulate(cfg, prog, oracles.tensor(state, anc),
+                             rng_seed=seed)
+    return prog, out, log
+
+
+def added_noise(state, y, r, seed=0):
+    """(x, p) variance the loop's S(y) adds to the ideal squeeze."""
+    _, out, _ = loop_squeeze(state, y, r, seed)
+    ideal = g.squeeze(state, 0, -math.log(y))
+    return out.cov[0, 0] - ideal.cov[0, 0], out.cov[1, 1] - ideal.cov[1, 1]
 
 
 class TestTeleSqueeze:
@@ -99,35 +137,35 @@ class TestTeleSqueeze:
         rng = np.random.default_rng(7)
         r = 1.0
         for k in range(8):
-            state = random_mixed_state(1, rng)
-            rep = tg.tele_squeeze(state, y, r, rng_seed=k)
+            state = oracles.random_mixed_state(1, rng)
+            noise_x, noise_p = added_noise(state, y, r, seed=k)
             excess = (1 - y * y) * math.exp(-2 * r) / 2
-            assert rep.added_noise_x == pytest.approx(excess, abs=1e-9)
-            assert rep.added_noise_p == pytest.approx(0.0, abs=1e-9)
+            assert noise_x == pytest.approx(excess, abs=1e-9)
+            assert noise_p == pytest.approx(0.0, abs=1e-9)
 
     @pytest.mark.parametrize("y", [1.5, 2.5])
     def test_stretching_branch_noise_budget(self, y):
         rng = np.random.default_rng(8)
         r = 1.0
         for k in range(8):
-            state = random_mixed_state(1, rng)
-            rep = tg.tele_squeeze(state, y, r, rng_seed=k)
+            state = oracles.random_mixed_state(1, rng)
+            noise_x, noise_p = added_noise(state, y, r, seed=k)
             t = 1.0 / (y * y)
             excess = (1 - t) * math.exp(-2 * r) / 2
-            assert rep.added_noise_p == pytest.approx(excess, abs=1e-9)
-            assert rep.added_noise_x == pytest.approx(0.0, abs=1e-9)
+            assert noise_p == pytest.approx(excess, abs=1e-9)
+            assert noise_x == pytest.approx(0.0, abs=1e-9)
 
     def test_vacuum_halving_with_ten_db_ancilla(self):
-        rep = tg.tele_squeeze(g.vacuum(1), 0.5, 1.1513, rng_seed=0)
+        _, out, _ = loop_squeeze(g.vacuum(1), 0.5, 1.1513)
         excess = 0.75 * math.exp(-2 * 1.1513) / 2
-        assert rep.output.cov[0, 0] == pytest.approx(0.125 + excess, abs=1e-9)
-        assert rep.output.cov[1, 1] == pytest.approx(2.0, abs=1e-9)
+        assert out.cov[0, 0] == pytest.approx(0.125 + excess, abs=1e-9)
+        assert out.cov[1, 1] == pytest.approx(2.0, abs=1e-9)
 
     def test_matches_dense_propagation_oracle(self):
         # Same circuit, built in the test from scratch as one big matrix.
         rng = np.random.default_rng(21)
         for y in [0.3, 0.8, 1.6, 2.8]:
-            state = random_mixed_state(1, rng)
+            state = oracles.random_mixed_state(1, rng)
             r = 1.2
             if y < 1:
                 t, anc_r = y * y, r
@@ -153,18 +191,20 @@ class TestTeleSqueeze:
                 [state.cov, np.zeros((2, 2))],
                 [np.zeros((2, 2)), 0.5 * np.eye(2)],
             ]) @ total.T
-            rep = tg.tele_squeeze(state, y, r, rng_seed=0)
-            assert np.allclose(rep.output.mean, mean4[:2], atol=1e-9)
-            assert np.allclose(rep.output.cov, cov4[:2, :2], atol=1e-9)
+            _, out, _ = loop_squeeze(state, y, r)
+            assert np.allclose(out.mean, mean4[:2], atol=1e-9)
+            assert np.allclose(out.cov, cov4[:2, :2], atol=1e-9)
 
     def test_infinite_squeezing_recovers_unitary_squeeze(self):
+        # on the composed reference: at r = 12 the loop, which applies
+        # its splitter before the draw, is off by about 3e-6
         rng = np.random.default_rng(13)
         for k in range(100):
-            state = random_pure_state(1, rng)
+            state = oracles.random_pure_state(1, rng)
             y = float(rng.uniform(0.3, 3.0))
             if abs(y - 1) < 0.05:
                 continue
-            rep = tg.tele_squeeze(state, y, 12.0, rng_seed=k)
+            rep = oracles.tele_squeeze(state, y, 12.0, rng_seed=k)
             ideal = g.squeeze(state, 0, -math.log(y))
             assert np.allclose(rep.output.cov, ideal.cov, atol=1e-9)
             assert np.allclose(rep.output.mean, ideal.mean, atol=1e-9)
@@ -172,23 +212,27 @@ class TestTeleSqueeze:
 
     def test_fidelity_improves_with_ancilla_squeezing(self):
         state = g.coherent(1.0, 0.0)
-        fids = [tg.tele_squeeze(state, 0.5, r, rng_seed=0).fidelity_vs_ideal
+        ideal = g.squeeze(state, 0, -math.log(0.5))
+        fids = [g.fidelity(ideal, loop_squeeze(state, 0.5, r)[1])
                 for r in [0.3, 0.8, 1.5, 2.5]]
         assert all(b > a for a, b in zip(fids, fids[1:]))
 
     def test_unity_factor_bypasses_gadget(self):
         state = g.coherent(0.3, 0.9)
-        rep = tg.tele_squeeze(state, 1.0, 1.0, rng_seed=0)
-        assert rep.output is state
-        assert rep.outcomes == []
+        prog, out, log = loop_squeeze(state, 1.0, 1.0)
+        assert prog.steps == () and log.outcomes == []
+        data = g.remove_modes(out, (1,))     # the unused ancilla survives
+        assert np.array_equal(data.mean, state.mean)
+        assert np.array_equal(data.cov, state.cov)
 
     def test_validation(self):
+        cfg = LoopConfig(n_data=1, m_anc=1)
+        for y in (-0.5, 0.0):
+            with pytest.raises(ValueError):
+                loop.compile_gates(cfg, [("squeeze_tele", 0, y, 1.0)])
+        prog = loop.compile_gates(cfg, [("squeeze_tele", 0, 0.5, 1.0)])
         with pytest.raises(ValueError):
-            tg.tele_squeeze(g.vacuum(1), -0.5, 1.0)
-        with pytest.raises(ValueError):
-            tg.tele_squeeze(g.vacuum(1), 0.0, 1.0)
-        with pytest.raises(ValueError):
-            tg.tele_squeeze(g.vacuum(2), 0.5, 1.0)
+            loop.simulate(cfg, prog, g.vacuum(3))
 
 
 class TestTeleCubic:
