@@ -803,7 +803,10 @@ def run(program: CircuitProgram, backend: str, seed: int,
         cutoff: int = fk.DEFAULT_CUTOFF) -> RunReport:
     """Validate and execute; raises ValueError on an invalid program.
 
-    A ValueError raised while an instruction runs carries the
+    On the Fock backend every instruction but a block is followed by the
+    one check of the state's `leakage` against `fock.LEAKAGE_BUDGET`;
+    over it, run raises `fock.LeakageError`.  A ValueError or
+    LeakageError raised while an instruction runs carries the
     instruction's position in its `line` and `column` attributes.
     """
     errors = validate(program, backend)
@@ -816,7 +819,13 @@ def run(program: CircuitProgram, backend: str, seed: int,
         op = _OPS[ins.op]
         try:
             r.state = getattr(op, backend)(r, ins.args)
-        except ValueError as exc:
+            if backend == "fock" and op.entries is None:
+                leak = r.state.leakage()
+                if leak > fk.LEAKAGE_BUDGET:
+                    raise fk.LeakageError(
+                        f"leakage {leak:.2e} exceeds budget "
+                        f"{fk.LEAKAGE_BUDGET:.0e}; raise the cutoff (--cutoff)")
+        except (ValueError, fk.LeakageError) as exc:
             exc.line, exc.column = ins.line, ins.column
             raise
     elapsed = time.perf_counter() - start if r.wall is None else r.wall

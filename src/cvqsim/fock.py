@@ -16,7 +16,9 @@ beam splitter), eigendecomposed once per cutoff and cached; a gate is
 then a diagonal of phases between two cached eigenvector matrices.  The
 result is an exact unitary of the truncated space, so norms are
 preserved to machine precision and truncation error shows up as state
-distortion, tracked by `leakage`.
+distortion, tracked by `leakage`.  No gate checks it: `dsl.run` compares
+`leakage` with LEAKAGE_BUDGET after every instruction and raises
+LeakageError over it.
 
 Memory: the beam splitter and the homodyne each hold one state-sized
 scratch array; the homodyne adds O(cutoff x grid) for its density.
@@ -32,7 +34,7 @@ import numpy as np
 from .gaussian import as_rng
 
 DEFAULT_CUTOFF = 60
-DEFAULT_LEAKAGE_BUDGET = 1e-4
+LEAKAGE_BUDGET = 1e-4
 NORM_TOL = 1e-6
 MAX_MODES = 3
 
@@ -42,7 +44,7 @@ HOMODYNE_MASS_TOL = 1e-6
 
 
 class LeakageError(RuntimeError):
-    """Raised when probability mass near the cutoff exceeds the budget."""
+    """Probability mass near the cutoff exceeds LEAKAGE_BUDGET."""
 
 
 @dataclass(frozen=True)
@@ -281,16 +283,12 @@ def beam_splitter_fock(state: FockState, mode_i: int, mode_j: int,
 # Non-Gaussian gates
 
 
-def apply_x_phase(state: FockState, mode: int, coeffs,
-                  leakage_budget: float | None = DEFAULT_LEAKAGE_BUDGET) -> FockState:
+def apply_x_phase(state: FockState, mode: int, coeffs) -> FockState:
     """Apply exp(i sum_k coeffs[k] x^k) to one mode.
 
     Realized as a spectral function of the truncated x operator, hence
-    exactly unitary.  coeffs[0] is a global phase and is ignored.
-
-    Raises:
-        LeakageError: resulting top-level probability mass exceeds the
-            budget (pass None to disable the check).
+    exactly unitary.  coeffs[0] is a global phase and is ignored.  Like
+    every gate here it checks no leakage budget; `dsl.run` does.
     """
     lam, vec = _position_eigh(state.cutoff)
     poly = np.zeros_like(lam)
@@ -299,18 +297,12 @@ def apply_x_phase(state: FockState, mode: int, coeffs,
             continue
         poly = poly + ck * lam ** k
     u = (vec * np.exp(1j * poly)) @ vec.T
-    out = apply_single_mode(state, mode, u)
-    if leakage_budget is not None and out.leakage() > leakage_budget:
-        raise LeakageError(
-            f"leakage {out.leakage():.2e} exceeds budget {leakage_budget:.0e}; "
-            "raise the cutoff")
-    return out
+    return apply_single_mode(state, mode, u)
 
 
-def apply_cubic(state: FockState, mode: int, gamma: float,
-                leakage_budget: float | None = DEFAULT_LEAKAGE_BUDGET) -> FockState:
+def apply_cubic(state: FockState, mode: int, gamma: float) -> FockState:
     """Cubic phase gate exp(i gamma x^3)."""
-    return apply_x_phase(state, mode, [0.0, 0.0, 0.0, gamma], leakage_budget)
+    return apply_x_phase(state, mode, [0.0, 0.0, 0.0, gamma])
 
 
 def controlled_phase(state: FockState, mode_i: int, mode_j: int) -> FockState:

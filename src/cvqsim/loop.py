@@ -462,8 +462,6 @@ def compile_gates(config: LoopConfig, gates) -> LoopProgram:
             anc = next_anc
             next_anc += 1
             ancilla_prep.append((anc, orientation))
-            if y == 1.0:
-                continue
             oid = f"m{len(outcome_ids)}"
             outcome_ids.append(oid)
             t_h = circulate(i, (anc - i) % length, vbs_T=t_bs) + length

@@ -226,6 +226,34 @@ class TestRunCommand:
         assert code == 0
         assert json.loads(out)["reports"][0]["type"] == "cov"
 
+    def test_fock_leakage_over_budget_exits_2_at_the_instruction(
+            self, tmp_path, capsys):
+        prog = tmp_path / "sq15.cvq"
+        prog.write_text("mode q0; sq q0 15dB x; report cov;\n")
+        base = ["run", str(prog), "--backend", "fock", "--seed", "1"]
+        code, out, err = run_cli(capsys, *base)
+        assert code == 2 and out == ""
+        entry = json.loads(err)["error"]
+        assert entry["type"] == "LeakageError"
+        assert "--cutoff" in entry["message"]
+        assert (entry["line"], entry["column"]) == (1, 10)
+        assert run_cli(capsys, *base, "--cutoff", "200")[0] == 0
+
+    @pytest.mark.parametrize("cutoff, want", [(40, 2), (45, 0)])
+    def test_fock_leakage_budget_boundary(self, tmp_path, capsys, cutoff,
+                                          want):
+        # EPR_PROGRAM's worst leakage follows its first sq (line 3):
+        # 1.2e-4 at cutoff 40, 3.3e-5 at 45, against the budget of 1e-4
+        prog = tmp_path / "epr.cvq"
+        prog.write_text(EPR_PROGRAM)
+        code, _, err = run_cli(capsys, "run", str(prog), "--backend", "fock",
+                               "--seed", "1", "--cutoff", str(cutoff))
+        assert code == want
+        if want:
+            entry = json.loads(err)["error"]
+            assert (entry["type"], entry["line"], entry["column"]) == (
+                "LeakageError", 3, 1)
+
     def test_shots_fan_out_and_stay_ordered(self, tmp_path, capsys):
         prog = tmp_path / "epr.cvq"
         prog.write_text(EPR_PROGRAM)
@@ -425,7 +453,7 @@ _RENDERED = {
     "run": ("run", "{epr}", "--seed", "5"),
     "run_shots": ("run", "{epr}", "--seed", "5", "--shots", "2"),
     "run_fock": ("run", "{epr}", "--seed", "5", "--backend", "fock",
-                 "--cutoff", "20"),
+                 "--cutoff", "60"),
     "loop": ("loop", "{sched}", "--seed", "5"),
     "stream_1d": ("stream", "--spec", "1d", "--pulses", "2000",
                   "--squeezing", "10dB"),
@@ -483,7 +511,7 @@ class TestDeterminism:
             ("gkp", "--delta", "0.3"),
             ("run", str(epr), "--seed", "5"),
             ("run", str(epr), "--seed", "5", "--backend", "fock",
-             "--cutoff", "20"),
+             "--cutoff", "60"),
             ("loop", str(sched), "--seed", "5"),
         ]
         for argv in commands:
@@ -596,7 +624,7 @@ class TestDefaultsAndHelp:
         base = ["run", str(prog), "--backend", "fock", "--seed", "3"]
         outs = [strip_timings(run_cli(capsys, *base, *extra)[1])
                 for extra in ([], ["--cutoff", str(fock.DEFAULT_CUTOFF)],
-                              ["--cutoff", "20"])]
+                              ["--cutoff", "80"])]
         assert outs[0] == outs[1]
         assert outs[0] != outs[2]       # the cutoff does reach the result
 

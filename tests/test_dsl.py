@@ -442,6 +442,22 @@ class TestRun:
         rep = dsl.run(p, "fock", 0, cutoff=30)
         assert rep.reports[0]["type"] == "cov"
 
+    def test_fock_leakage_over_budget_raises_at_the_instruction(self):
+        p = parse_ok("mode q0; sq q0 15dB x; report cov;")
+        with pytest.raises(fk.LeakageError, match="--cutoff") as err:
+            dsl.run(p, "fock", 1)
+        assert (err.value.line, err.value.column) == (1, 10)
+        leakage = dsl.run(p, "fock", 1, cutoff=200).reports[0]["leakage"]
+        assert leakage < fk.LEAKAGE_BUDGET
+
+    @pytest.mark.parametrize("text", [
+        "network { dim 1; pulses 10; }",
+        "schedule { data 2; anc 1; ps 0 0.3; sqz 1 0.8; }"])
+    def test_blocks_run_on_fock_backend(self, text):
+        # a block keeps no Fock state, so it has no leakage to check
+        rep = dsl.run(parse_ok(text), "fock", 0)
+        assert rep.reports[0]["type"] in ("stream", "loop")
+
     def test_network_program_runs_stream(self):
         p = parse_ok(f"network {{ dim 1; pulses 400; squeeze {R15}r; }}")
         rep = dsl.run(p, "gaussian", 0)

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from cvqsim import dsl
 from cvqsim import fock as fk
 from cvqsim import gaussian as g
 
@@ -126,8 +127,12 @@ class TestNonGaussianGates:
         assert st.norm() == pytest.approx(1.0, abs=1e-12)
 
     def test_cubic_leakage_error(self):
-        with pytest.raises(fk.LeakageError):
-            fk.apply_cubic(fk.coherent_fock(2.0, cutoff=10), 0, 1.5)
+        # the cubic is the program's first instruction over the budget
+        program = dsl.parse("mode q0;\ndisp q0 dx=1.0 dp=0.0;\n"
+                            "cubic q0 gamma=0.3;\nreport cov;\n")
+        with pytest.raises(fk.LeakageError) as err:
+            dsl.run(program, "fock", 0, cutoff=20)
+        assert (err.value.line, err.value.column) == (3, 1)
 
     def test_quadratic_x_phase_is_shear(self):
         # exp(i lam x^2) maps p -> p + 2 lam x: covariance transforms with
@@ -135,15 +140,14 @@ class TestNonGaussianGates:
         lam = 0.3
         st0 = fk.squeeze_fock(fk.vacuum_fock(1, 60), 0, 0.4)
         _, cov0 = fk.covariance_of(st0)
-        st = fk.apply_x_phase(st0, 0, [0.0, 0.0, lam], leakage_budget=None)
+        st = fk.apply_x_phase(st0, 0, [0.0, 0.0, lam])
         _, cov = fk.covariance_of(st)
         shear = np.array([[1.0, 0.0], [2 * lam, 1.0]])
         np.testing.assert_allclose(cov, shear @ cov0 @ shear.T, atol=1e-6)
 
     def test_linear_x_phase_is_p_displacement(self):
         beta = 0.45
-        st = fk.apply_x_phase(fk.vacuum_fock(1, 40), 0, [0.0, beta],
-                              leakage_budget=None)
+        st = fk.apply_x_phase(fk.vacuum_fock(1, 40), 0, [0.0, beta])
         mean, _ = fk.covariance_of(st)
         np.testing.assert_allclose(mean, [0.0, beta], atol=1e-8)
 
@@ -155,8 +159,7 @@ class TestNonGaussianGates:
                            0, gam)
         b = fk.displace_fock(
             fk.apply_x_phase(fk.vacuum_fock(1, d), 0,
-                             [0.0, 3 * gam * dx ** 2, 3 * gam * dx, gam],
-                             leakage_budget=None),
+                             [0.0, 3 * gam * dx ** 2, 3 * gam * dx, gam]),
             0, dx, 0.0)
         assert abs(fk.overlap(a, b)) == pytest.approx(1.0, abs=1e-7)
 
