@@ -623,8 +623,6 @@ def _report(r, a, backend):
         entry["value"] = float(fidelity(state, target))
         if not math.isfinite(entry["value"]):
             raise ValueError("reported fidelity is not finite")
-    if backend == "fock":
-        entry["leakage"] = state.leakage()
     r.reports.append(entry)
     return r.state
 
@@ -805,7 +803,8 @@ def run(program: CircuitProgram, backend: str, seed: int,
 
     On the Fock backend every instruction but a block is followed by the
     one check of the state's `leakage` against `fock.LEAKAGE_BUDGET`;
-    over it, run raises `fock.LeakageError`.  A ValueError or
+    over it, run raises `fock.LeakageError`.  A report's entry carries
+    the leakage that check computed.  A ValueError or
     LeakageError raised while an instruction runs carries the
     instruction's position in its `line` and `column` attributes.
     """
@@ -821,6 +820,8 @@ def run(program: CircuitProgram, backend: str, seed: int,
             r.state = getattr(op, backend)(r, ins.args)
             if backend == "fock" and op.entries is None:
                 leak = r.state.leakage()
+                if ins.op == "report":
+                    r.reports[-1]["leakage"] = leak
                 if leak > fk.LEAKAGE_BUDGET:
                     raise fk.LeakageError(
                         f"leakage {leak:.2e} exceeds budget "

@@ -25,11 +25,12 @@ form is one squeezed input quadrature read back through the passive
 network, so its variance is that input's e^{-2r}/2 in every slot, exact
 by construction: a stream run computes only the forms' support, their
 coefficients and the boundary slots, and costs O(1) whatever the number
-of pulses; with a sink, which receives one record per slot, it costs
-O(n_pulses).  csv_sink writes one row per slot but formats each distinct
-row once: a repeated slot repeats the previous row's text with only its
-slot number changed.  emitted_covariance, the one slot-by-slot recursion
-of the delay-line covariance, is the tests' reference for them.
+of pulses.  Every slot of a run reads the same forms, so a sink receives
+one record per run of identical slots: at most two, the boundary slots
+and then the steady slots.  csv_sink formats each run's row tail once
+and writes its rows, one per slot, in chunks of bounded size: O(n_pulses)
+output in constant memory.  emitted_covariance, the one slot-by-slot
+recursion of the delay-line covariance, is the tests' reference for them.
 """
 
 from __future__ import annotations
@@ -43,6 +44,8 @@ from dataclasses import dataclass
 BS_DEFAULT_T = 0.5
 # largest squeezing r whose anti-squeezed variance e^{2r}/2 is a float
 _MAX_SQUEEZE_R = math.log(sys.float_info.max) / 2
+# rows per csv_sink write: bounds each write, and so memory, at any length
+_CSV_CHUNK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -249,7 +252,8 @@ class StreamStats:
 
     variances holds each form's variance, the same in every slot: its
     expected_var, through the loss map when there is one; count the
-    non-boundary slots, each of which evaluates every form.
+    non-boundary slots, each of which evaluates every form (the length
+    of the steady run a sink receives).
     When count is 0, to_dict gives each form mean_var 0.0 and min_var
     and max_var None.
     """
@@ -300,7 +304,10 @@ def _stream(spec: NetworkSpec, n_slots: int, sink=None,
     """Stream n_slots slots of spec.  Each form reports its expected_var;
     loss is a transmission applied to every form (a form of vacuum
     variance v becomes eta var + (1 - eta) v).  A sink, when given,
-    receives one record {"slot", "boundary", "forms"} per slot."""
+    receives one record {"slots", "boundary", "forms"} per run of
+    identical slots, slots a range: the boundary run range(0, boundary)
+    and then the steady run range(boundary, n_eval), each only when not
+    empty, so at most two calls."""
     if loss is not None and not 0.0 < loss <= 1.0:
         raise ValueError("loss transmission must be in (0, 1]")
     start = time.perf_counter()
@@ -314,8 +321,11 @@ def _stream(spec: NetworkSpec, n_slots: int, sink=None,
     n_eval = max(0, n_slots - max(f.support for f in forms) + 1)
     boundary = min(n_eval, spec.max_delay)
     if sink is not None:
-        for k in range(n_eval):
-            sink({"slot": k, "boundary": k < boundary, "forms": dict(vals)})
+        for slots, in_boundary in ((range(boundary), True),
+                                   (range(boundary, n_eval), False)):
+            if slots:
+                sink({"slots": slots, "boundary": in_boundary,
+                      "forms": dict(vals)})
 
     return StreamStats(
         variances=vals,
@@ -390,27 +400,22 @@ def emitted_covariance(spec: NetworkSpec, n_slots: int):
 def csv_sink(fh):
     """Sink writing one CSV row per slot: slot, boundary, then form vars.
 
-    The columns are the first record's form names, sorted.  A row's tail
-    (boundary and variances) is formatted only when it differs from the
-    previous record's, so each steady-state slot costs one comparison
-    and one write.  Only the last tail is kept, so memory stays constant
-    whether or not the run reaches steady state.  Rows holding a zero
-    are never reused, because 0.0 == -0.0 yet they print differently.
+    The columns are the first record's form names, sorted.  Each record's
+    row tail (boundary and variances) is formatted once, and its run of
+    slots is written _CSV_CHUNK_ROWS rows per write, so memory stays
+    constant however long the run.
     """
     names = None
-    last_boundary, last_forms, last_tail = None, None, ""
 
     def sink(record):
-        nonlocal names, last_boundary, last_forms, last_tail
-        forms, boundary = record["forms"], record["boundary"]
+        nonlocal names
+        forms, slots = record["forms"], record["slots"]
         if names is None:
             names = sorted(forms)
             fh.write(f"slot,boundary,{','.join(names)}\n")
-        if boundary != last_boundary or forms != last_forms:
-            values = [forms[n] for n in names]
-            vals = ",".join(f"{v:.12g}" for v in values)
-            last_tail = f",{int(boundary)},{vals}\n"
-            last_boundary = boundary
-            last_forms = None if 0 in values else dict(forms)
-        fh.write(f"{record['slot']}{last_tail}")
+        vals = ",".join(f"{forms[n]:.12g}" for n in names)
+        row = f"%d,{int(record['boundary'])},{vals}\n"   # a float prints no %
+        for lo in range(slots.start, slots.stop, _CSV_CHUNK_ROWS):
+            hi = min(lo + _CSV_CHUNK_ROWS, slots.stop)
+            fh.write(row * (hi - lo) % tuple(range(lo, hi)))
     return sink

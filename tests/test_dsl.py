@@ -419,6 +419,17 @@ class TestRun:
         for rep in reports:
             assert 0.0 <= rep["leakage"] < 1e-4
 
+    def test_fock_leakage_is_computed_once_per_instruction(self,
+                                                           monkeypatch):
+        p = parse_ok("mode a; sq a 3dB x; report cov; report cov;")
+        seen = []
+        exact = fk.FockState.leakage
+        monkeypatch.setattr(fk.FockState, "leakage",
+                            lambda st: seen.append(exact(st)) or seen[-1])
+        reports = dsl.run(p, "fock", 0, cutoff=20).reports
+        assert len(seen) == len(p.instructions) == 4
+        assert [rep["leakage"] for rep in reports] == seen[2:]
+
     def test_fock_fidelity_report_builds_no_moments(self, monkeypatch):
         p = parse_ok("mode a b; sq a 3dB x; bs a b t=0.5;"
                      " report fidelity vacuum; report cov;")

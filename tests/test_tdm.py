@@ -15,6 +15,13 @@ from oracles import csv_reference, dense_network_run, embed
 R15 = squeezing_db_to_r(15.0)
 
 
+def _per_slot(records):
+    """Expand a sink's run records {"slots", "boundary", "forms"} into one
+    {"slot", "boundary", "forms"} record per slot, in order."""
+    return [{"slot": k, "boundary": rec["boundary"], "forms": rec["forms"]}
+            for rec in records for k in rec["slots"]]
+
+
 def _dense_form_var(form, slot, state, index_map):
     vec = np.zeros(2 * state.n_modes)
     for off, arm, quad, coef in form.terms:
@@ -200,7 +207,7 @@ class TestStream1D:
         dense, imap = dense_network_run(
             list(spec.stages), 2, 6, list(spec.squeezers))
         assert records                  # includes boundary slots
-        for rec in records:
+        for rec in _per_slot(records):
             for form in forms:
                 want = _dense_form_var(form, rec["slot"], dense, imap)
                 assert rec["forms"][form.name] == pytest.approx(want,
@@ -209,6 +216,7 @@ class TestStream1D:
     def test_boundary_slots_flagged_and_excluded(self):
         records = []
         stats = tdm.stream_1d(50, R15, sink=records.append)
+        records = _per_slot(records)
         assert stats.boundary_slots == 1
         assert records[0]["boundary"] is True
         counted = sum(1 for rec in records if not rec["boundary"])
@@ -237,7 +245,7 @@ class TestStream2D:
         dense, imap = dense_network_run(
             list(spec.stages), 4, 4, list(spec.squeezers))
         checked = 0
-        for rec in records:
+        for rec in _per_slot(records):
             for form in forms:
                 want = _dense_form_var(form, rec["slot"], dense, imap)
                 assert rec["forms"][form.name] == pytest.approx(want,
@@ -291,8 +299,9 @@ class TestStreamingEqualsDense:
 
 class TestSinkAndStats:
     def test_sink_receives_slots_in_order(self):
-        slots = []
-        tdm.stream_1d(20, 1.0, sink=lambda rec: slots.append(rec["slot"]))
+        records = []
+        tdm.stream_1d(20, 1.0, sink=records.append)
+        slots = [rec["slot"] for rec in _per_slot(records)]
         assert slots == list(range(19))   # last slot starts no new form
 
     def test_sink_failure_propagates(self):
@@ -340,7 +349,8 @@ def _assert_same_csv(text, records):
 
 
 class TestCsvSink:
-    """csv_sink reuses repeated rows; its bytes must not show it."""
+    """csv_sink writes each run of slots from one formatted tail, in
+    chunks; its bytes must not show it."""
 
     RUNS = [
         pytest.param(lambda s: tdm.stream_1d(3000, R15, sink=s), id="1d"),
@@ -366,7 +376,7 @@ class TestCsvSink:
             write(record)
         run(sink)
         assert records
-        _assert_same_csv(buf.getvalue(), records)
+        _assert_same_csv(buf.getvalue(), _per_slot(records))
 
     def test_short_run_never_reaches_steady_state(self):
         # every evaluated slot is a boundary slot
@@ -381,37 +391,77 @@ class TestCsvSink:
         b = {"x0": 0.5, "p1": 1e-30}
         zero = {"x0": 0.0, "p1": 2.0}
         neg_zero = {"x0": -0.0, "p1": 2.0}
-        seq = [(a, True), (a, True), (b, True), (a, True),
-               (a, False), (a, False), (a, True), (zero, False),
-               (neg_zero, False), (neg_zero, False), (zero, False)]
+        runs = [(a, True, 2), (b, True, 1), (a, True, 1), (a, False, 3),
+                (a, True, 1), (zero, False, 1), (neg_zero, False, 2),
+                (zero, False, 1)]
         buf = io.StringIO()
         sink = tdm.csv_sink(buf)
         shared = {}                   # one dict, rewritten for every record
         records = []
-        for k, (forms, bd) in enumerate(seq):
+        first = 0
+        for forms, bd, length in runs:
+            slots = range(first, first + length)
             shared.clear()
             shared.update(forms)
-            sink({"slot": k, "boundary": bd, "forms": shared})
-            records.append({"slot": k, "boundary": bd, "forms": dict(forms)})
-        _assert_same_csv(buf.getvalue(), records)
+            sink({"slots": slots, "boundary": bd, "forms": shared})
+            records.append({"slots": slots, "boundary": bd,
+                            "forms": dict(forms)})
+            first += length
+        _assert_same_csv(buf.getvalue(), _per_slot(records))
 
     def test_repeated_rows_are_formatted_once(self):
         names = ("x0", "p1", "x2", "p3")
         buf = io.StringIO()
         sink = tdm.csv_sink(buf)
         _CountingFloat.formats = 0
-        for k in range(1000):
-            sink({"slot": k, "boundary": False,
+        for run, bd in enumerate((True, False)):
+            sink({"slots": range(1000 * run, 1000 * (run + 1)),
+                  "boundary": bd,
                   "forms": {n: _CountingFloat(0.125) for n in names}})
-        assert _CountingFloat.formats <= len(names)
-        assert len(buf.getvalue().splitlines()) == 1001
+            assert _CountingFloat.formats == len(names) * (run + 1)
+        assert len(buf.getvalue().splitlines()) == 2001
+
+    CHUNK = tdm._CSV_CHUNK_ROWS
+
+    @pytest.mark.parametrize("length", [CHUNK - 1, CHUNK, CHUNK + 1,
+                                        2 * CHUNK + 1])
+    @pytest.mark.parametrize("first", [0, 3, CHUNK - 1])
+    def test_chunk_edges_match_reference(self, first, length):
+        records = [{"slots": range(first), "boundary": True,
+                    "forms": {"x0": 0.75, "p1": -0.0}},
+                   {"slots": range(first, first + length), "boundary": False,
+                    "forms": {"x0": 1e-300, "p1": 2.5}}]
+        buf = io.StringIO()
+        sink = tdm.csv_sink(buf)
+        for rec in records:
+            if rec["slots"]:
+                sink(rec)
+        _assert_same_csv(buf.getvalue(), _per_slot(records))
+
+    def test_writes_stay_bounded_for_a_million_slots(self):
+        class Recorder:
+            def __init__(self):
+                self.rows = self.largest = 0
+
+            def write(self, text):
+                self.rows += text.count("\n")
+                self.largest = max(self.largest, len(text))
+
+        fh = Recorder()
+        stats = tdm.stream_1d(10 ** 6 + 1, R15, sink=tdm.csv_sink(fh))
+        n_eval = stats.boundary_slots + stats.count
+        assert n_eval == 10 ** 6
+        assert fh.rows == 1 + n_eval
+        forms = ",".join(f"{v:.12g}" for v in stats.variances.values())
+        longest_row = len(f"{n_eval - 1},0,{forms}\n")
+        assert fh.largest <= tdm._CSV_CHUNK_ROWS * longest_row
 
     def test_sink_mutation_does_not_reach_later_records(self):
         def snapshots(mutate):
             seen = []
 
             def sink(record):
-                seen.append((record["slot"], record["boundary"],
+                seen.append((record["slots"], record["boundary"],
                              dict(record["forms"])))
                 if mutate:
                     record["forms"].clear()
@@ -451,6 +501,7 @@ class TestClosedFormEqualsPerSlot:
             closed = tdm._stream(spec, n_slots, loss=loss)
             records = []
             per = tdm._stream(spec, n_slots, loss=loss, sink=records.append)
+            records = _per_slot(records)
             assert closed.boundary_slots == per.boundary_slots == min(
                 spec.max_delay, len(records))
             assert closed.variances == per.variances
@@ -458,6 +509,35 @@ class TestClosedFormEqualsPerSlot:
             assert closed.count == per.count == len(counted)
             for rec in counted:
                 assert rec["forms"] == closed.variances
+
+
+class TestSinkRuns:
+    """A sink receives one record per run of identical slots: the
+    boundary run, then the steady run, each only when not empty."""
+
+    @pytest.mark.parametrize("make,loss", TestClosedFormEqualsPerSlot.NETWORKS)
+    def test_at_most_two_runs_cover_every_slot(self, make, loss):
+        spec = make()
+        for n_slots in TestClosedFormEqualsPerSlot._slot_counts(spec):
+            records = []
+            stats = tdm._stream(spec, n_slots, loss=loss,
+                                sink=records.append)
+            n_eval = stats.boundary_slots + stats.count
+            want = [(range(stats.boundary_slots), True),
+                    (range(stats.boundary_slots, n_eval), False)]
+            assert len(records) <= 2
+            assert [(rec["slots"], rec["boundary"]) for rec in records] == [
+                (slots, bd) for slots, bd in want if slots]
+            assert [rec["slot"] for rec in _per_slot(records)] == list(
+                range(n_eval))
+
+    def test_no_evaluable_slot_gives_no_record(self):
+        spec = tdm.NetworkSpec(squeezers=(("x", 0.0), ("p", 0.0)),
+                               stages=(("delay", 0, 3),))
+        records = []
+        stats = tdm._stream(spec, 3, sink=records.append)
+        assert stats.boundary_slots == stats.count == 0
+        assert records == []
 
 
 def _random_network(rng):
@@ -488,6 +568,7 @@ class TestFormVarianceIsSlotInvariant:
         n_slots = support + spec.max_delay + 2
         records = []
         tdm._stream(spec, n_slots, sink=records.append, loss=loss)
+        records = _per_slot(records)
         cov, imap = tdm.emitted_covariance(spec, n_slots)
         assert len(records) == n_slots - support + 1
         assert records[0]["boundary"] == (spec.max_delay > 0)
