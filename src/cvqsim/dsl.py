@@ -806,12 +806,15 @@ def run(program: CircuitProgram, backend: str, seed: int,
     over it, run raises `fock.LeakageError`.  A report's entry carries
     the leakage that check computed.  A ValueError or
     LeakageError raised while an instruction runs carries the
-    instruction's position in its `line` and `column` attributes.
+    instruction's position in its `line` and `column` attributes; the
+    ValueError of an invalid program carries its first error's.
     """
     errors = validate(program, backend)
     if errors:
-        raise ValueError("invalid program: "
+        exc = ValueError("invalid program: "
                          + "; ".join(str(e) for e in errors))
+        exc.line, exc.column = errors[0].line, errors[0].column
+        raise exc
     start = time.perf_counter()
     r = _Run(program, backend, seed, cutoff)
     for ins in program.instructions:

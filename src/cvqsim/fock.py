@@ -35,7 +35,6 @@ from .gaussian import as_rng
 
 DEFAULT_CUTOFF = 60
 LEAKAGE_BUDGET = 1e-4
-NORM_TOL = 1e-6
 MAX_MODES = 3
 
 HOMODYNE_GRID_POINTS = 2048
@@ -68,13 +67,6 @@ class FockState:
     @property
     def cutoff(self) -> int:
         return self.amps.shape[0] if self.amps.ndim else 0
-
-    def norm(self) -> float:
-        return float(np.sqrt(np.sum(np.abs(self.amps) ** 2)))
-
-    def validate(self) -> None:
-        if self.n_modes and abs(self.norm() - 1.0) > NORM_TOL:
-            raise ValueError(f"state norm {self.norm():.8f} deviates from 1")
 
     def leakage(self) -> float:
         """Largest per-mode probability mass in the top 10% of levels."""
@@ -349,14 +341,6 @@ def hermite_functions(xs: np.ndarray, cutoff: int) -> np.ndarray:
             env = np.exp(log_env)
         h[n] = cur * env
     return h
-
-
-def quadrature_wavefunction(state: FockState, xs: np.ndarray) -> np.ndarray:
-    """Position wavefunction of a single-mode state on a grid."""
-    if state.n_modes != 1:
-        raise ValueError("wavefunction is defined for single-mode states")
-    psi = hermite_functions(xs, state.cutoff)
-    return state.amps @ psi
 
 
 def _quadrature_pdf(rho: np.ndarray, psi: np.ndarray) -> np.ndarray:

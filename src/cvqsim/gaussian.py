@@ -22,11 +22,11 @@ through apply_local, with feedforward blocks built by
 feedforward_matrix; a channel's added noise, such as the vacuum noise of
 loss (loss_channel), is apply_local's `noise` term.  apply_local
 rewrites only the touched rows and columns and symmetrizes only the
-touched block, and homodyne conditioning updates the covariance by a
-symmetric expression, so covariances are symmetric by construction.
-Every homodyne outcome, in this module, the loop and the DSL, is drawn
-by sample_quadrature, conditioned on the run's earlier outcomes; it
-rejects a zero-variance or non-finite quadrature.
+touched block, so covariances are symmetric by construction.  Every
+homodyne outcome, in the loop, the DSL and the tests, is drawn by
+sample_quadrature, conditioned on the run's earlier outcomes, and
+leaves the state as it is; it rejects a zero-variance or non-finite
+quadrature.
 """
 
 from __future__ import annotations
@@ -242,14 +242,20 @@ def quadrature_row(n_modes: int, mode: int, theta: float) -> np.ndarray:
     return c
 
 
-def _quadrature_moments(state: GaussianState, mode: int, theta: float,
-                        given=()) -> tuple[float, float]:
-    """Mean and variance of cos(theta) x + sin(theta) p of one mode,
-    conditioned on the earlier outcomes `given` (see sample_quadrature).
+def sample_quadrature(state: GaussianState, mode: int, theta: float,
+                      rng, given=()) -> float:
+    """Draw one homodyne outcome of cos(theta) x + sin(theta) p of a mode.
 
+    `given` lists a run's earlier outcomes as (mode, theta, value) whose
+    quadratures are still in the state, unchanged: a homodyne that
+    freezes its quadrature instead of collapsing the state.  The draw is
+    conditioned on them, so a run's outcomes follow their joint normal
+    distribution; with nothing given it is one draw from the marginal.
     The marginal is quad_stats of the full-width row; the conditioning
-    reads only the measured modes' 2 x 2 blocks.  A non-finite or
-    (numerically) zero variance raises ValueError.
+    reads only the measured modes' 2 x 2 blocks.  The state is left as
+    it is.  A non-finite or (numerically) zero variance raises
+    ValueError, since a draw would be meaningless or only return the
+    mean.
     """
     _check_mode(state, mode)
     mu, var = quad_stats(state, quadrature_row(state.n_modes, mode, theta))
@@ -269,57 +275,7 @@ def _quadrature_moments(state: GaussianState, mode: int, theta: float,
         raise ValueError("measured quadrature has a non-finite mean or variance")
     if var <= 1e-30:
         raise ValueError("measured quadrature has (numerically) zero variance")
-    return mu, var
-
-
-def homodyne(state: GaussianState, mode: int, theta: float,
-             rng_seed) -> tuple[float, GaussianState]:
-    """Measure the quadrature cos(theta) x + sin(theta) p of one mode.
-
-    The outcome is sampled from the exact marginal normal distribution.
-    The remaining modes are conditioned on the outcome and the measured
-    mode is removed from the state.
-
-    Args:
-        state: input state.
-        mode: index of the measured mode.
-        theta: quadrature angle (0 measures x, pi/2 measures p).
-        rng_seed: integer seed or numpy Generator.
-
-    Returns:
-        (outcome, conditioned state with the measured mode removed)
-    """
-    outcome = sample_quadrature(state, mode, theta, rng_seed)
-    return outcome, condition_on_outcome(state, mode, theta, outcome)
-
-
-def sample_quadrature(state: GaussianState, mode: int, theta: float,
-                      rng, given=()) -> float:
-    """Draw one homodyne outcome of cos(theta) x + sin(theta) p of a mode.
-
-    `given` lists a run's earlier outcomes as (mode, theta, value) whose
-    quadratures are still in the state, unchanged: a homodyne that
-    freezes its quadrature instead of collapsing the state.  The draw is
-    conditioned on them, so a run's outcomes follow their joint normal
-    distribution; with nothing given it is one draw from the marginal.
-    The state is left as it is.  A non-finite or (numerically) zero
-    variance raises ValueError, since a draw would be meaningless or
-    only return the mean.
-    """
-    mu, var = _quadrature_moments(state, mode, theta, given)
     return float(as_rng(rng).normal(mu, np.sqrt(var)))
-
-
-def condition_on_outcome(state: GaussianState, mode: int, theta: float,
-                         outcome: float) -> GaussianState:
-    """Like homodyne, but condition on a given outcome instead of sampling."""
-    mu_q, var_q = _quadrature_moments(state, mode, theta)
-    c = quadrature_row(state.n_modes, mode, theta)
-    keep = [i for i in range(2 * state.n_modes) if i // 2 != mode]
-    cross = state.cov[keep] @ c  # Cov(R, q) for every kept quadrature R
-    mean = state.mean[keep] + cross * ((outcome - mu_q) / var_q)
-    cov = state.cov[np.ix_(keep, keep)] - np.outer(cross, cross) / var_q
-    return GaussianState(mean, cov)
 
 
 def quad_stats(state: GaussianState, form) -> tuple[float, float]:
@@ -340,22 +296,20 @@ def is_pure(state: GaussianState, tol: float = 1e-9) -> bool:
 
 
 def fidelity(a: GaussianState, b: GaussianState) -> float:
-    """Fidelity between two Gaussian states.
+    """Fidelity between two Gaussian states, one of them pure.
 
-    Supported cases: either argument pure (any mode count), where
-    F = <psi| rho |psi> follows from the Gaussian overlap integral, or
-    two arbitrary single-mode states via the closed form.
+    With either argument pure (any mode count), F = <psi| rho |psi>
+    follows from the Gaussian overlap integral.  A DSL fidelity target,
+    vacuum or coherent, is always pure.
 
     Raises:
-        ValueError: both states mixed with more than one mode.
+        ValueError: both states mixed, at any mode count.
     """
     if a.n_modes != b.n_modes:
         raise ValueError("states must have the same number of modes")
     if is_pure(a) or is_pure(b):
         return _overlap(a, b)
-    if a.n_modes == 1:
-        return _fidelity_single_mode(a, b)
-    raise ValueError("fidelity of two mixed multimode states is not supported")
+    raise ValueError("fidelity of two mixed states is not supported")
 
 
 def _overlap(a: GaussianState, b: GaussianState) -> float:
@@ -365,20 +319,6 @@ def _overlap(a: GaussianState, b: GaussianState) -> float:
     expo = -0.5 * delta @ np.linalg.solve(vsum, delta)
     det = np.linalg.det(vsum)
     return float(np.exp(expo) / np.sqrt(det))
-
-
-def _fidelity_single_mode(a: GaussianState, b: GaussianState) -> float:
-    # Closed form for one mode.  Work in units where the vacuum covariance
-    # is the identity (scale covariances by 2, means by sqrt 2).
-    va, vb = 2.0 * a.cov, 2.0 * b.cov
-    delta = np.sqrt(2.0) * (a.mean - b.mean)
-    vsum = va + vb
-    big_delta = np.linalg.det(vsum)
-    lam = (np.linalg.det(va) - 1.0) * (np.linalg.det(vb) - 1.0)
-    lam = max(lam, 0.0)
-    expo = -0.5 * delta @ np.linalg.solve(vsum, delta)
-    denom = np.sqrt(big_delta + lam) - np.sqrt(lam)
-    return float(2.0 * np.exp(expo) / denom)
 
 
 # ---------------------------------------------------------------------------

@@ -139,15 +139,11 @@ def logicals(params: GkpParams) -> tuple:
     return records
 
 
-def x_density(state: FockState, xs: np.ndarray) -> np.ndarray:
-    return np.abs(fock.quadrature_wavefunction(state, xs)) ** 2
-
-
 def lattice_mass(state: FockState) -> float:
     """Fraction of x-quadrature mass within sqrt(pi)/4 of any lattice point."""
     half = math.sqrt(2.0 * state.cutoff) + 4.0
     xs = np.linspace(-half, half, 4001)
-    dens = x_density(state, xs)
+    dens = np.abs(state.amps @ fock.hermite_functions(xs, state.cutoff)) ** 2
     frac = xs / ROOT_PI
     dist = np.abs(frac - np.round(frac)) * ROOT_PI
     total = np.trapezoid(dens, xs)

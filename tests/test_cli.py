@@ -124,12 +124,20 @@ class TestRunCommand:
         assert entry["line"] == 2 and entry["column"] == 4
 
     def test_invalid_program_diagnostic(self, tmp_path, capsys):
-        prog = tmp_path / "cubic.cvq"
-        prog.write_text("mode q0; cubic q0 gamma=0.1;\n")
-        code, _, err = run_cli(capsys, "run", str(prog), "--seed", "1")
-        assert code == 2
-        assert "non-Gaussian op on Gaussian backend" in \
-            json.loads(err)["error"]["message"]
+        # the diagnostic names the first validation error's position
+        cases = [("mode q0; cubic q0 gamma=0.1;\n",
+                  "invalid program: 1:10: non-Gaussian op on Gaussian backend",
+                  1, 10),
+                 ("mode a b;\nbs a b t=1.5;\n",
+                  "invalid program: 2:1: transmissivity out of [0, 1]", 2, 1)]
+        prog = tmp_path / "invalid.cvq"
+        for text, message, line, column in cases:
+            prog.write_text(text)
+            code, out, err = run_cli(capsys, "run", str(prog), "--seed", "1")
+            assert code == 2 and out == ""
+            assert json.loads(err) == {"error": {
+                "message": message, "type": "ValueError",
+                "line": line, "column": column}}
 
     def test_zero_variance_homodyne_diagnostic(self, tmp_path, capsys):
         prog = tmp_path / "zero_var.cvq"

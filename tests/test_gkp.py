@@ -38,16 +38,20 @@ class TestSynthesis:
 
     def test_states_are_normalized(self):
         for logical in gkp.logicals(P25):
-            assert abs(logical.state.norm() - 1.0) < 1e-12
+            assert abs(np.linalg.norm(logical.state.amps) - 1.0) < 1e-12
 
     def test_density_peaks_sit_on_the_right_sublattice(self):
         even = np.array([0.0, 2 * ROOT_PI, -2 * ROOT_PI])
         odd = np.array([ROOT_PI, -ROOT_PI, 3 * ROOT_PI])
         zero, one = gkp.logicals(P25)
-        d0_even = gkp.x_density(zero.state, even)
-        d0_odd = gkp.x_density(zero.state, odd)
-        d1_even = gkp.x_density(one.state, even)
-        d1_odd = gkp.x_density(one.state, odd)
+
+        def density(state, xs):
+            return np.abs(state.amps @ fock.hermite_functions(xs, state.cutoff)) ** 2
+
+        d0_even = density(zero.state, even)
+        d0_odd = density(zero.state, odd)
+        d1_even = density(one.state, even)
+        d1_odd = density(one.state, odd)
         assert d0_even.min() > 100 * d0_odd.max()
         assert d1_odd.min() > 100 * d1_even.max()
 
@@ -159,7 +163,7 @@ class TestProjection:
         monkeypatch.setattr(fock, "hermite_functions", refuse)
         for logical, count in zip(gkp.logicals(P03), SITE_COUNTS[0.3, 100]):
             assert len(logical.sites) == count
-            assert abs(logical.state.norm() - 1.0) < 1e-12
+            assert abs(np.linalg.norm(logical.state.amps) - 1.0) < 1e-12
             assert 0.0 <= logical.leakage < 1e-7
 
     @pytest.mark.parametrize("delta", [1e-3, 1e-6, 5e-324, 1e300])

@@ -1,6 +1,7 @@
 """Every module-level import in the package is used (stdlib ast, no
-linter), every public function has a caller in the package or a stated
-reason to exist, every private module-level function has a caller, only
+linter), every public function and every method has a caller in the
+package or a stated reason to exist, every private module-level function
+has a caller, only
 cli writes JSON (apart from stated exceptions), importing the package
 never loads scipy, and each `cvq` command loads only its own modules."""
 
@@ -52,7 +53,6 @@ def test_guard_flags_an_unused_import():
 # reason it stays.  Anything else without a caller is dead API.
 UNCALLED_API = {
     "dsl.pretty_print": "the DSL's canonical text form, parse(pretty_print(p)) == p",
-    "gaussian.homodyne": "measurement that keeps the conditioned state",
     "loop.certificate_variances": "evaluates generate_entangled's certificates",
     "loop.generate_entangled": "perfbench entry point (loop job)",
     "tdm.csv_sink": "perfbench entry point (recorded stream job)",
@@ -112,6 +112,71 @@ def test_guard_flags_an_uncalled_function():
     }
     assert _uncalled_functions(sources) == {"a.dead", "a._private",
                                             "b.dead", "__init__.unused"}
+
+
+# Methods of package classes that nothing in the package calls, each
+# with the reason it stays.
+UNCALLED_METHODS = {
+    "cli._Parser.error": "overrides argparse.ArgumentParser.error, which "
+                         "argparse calls",
+    "gaussian.GaussianState.validate": "physicality check for the trust "
+                                       "boundaries (ROADMAP item 7)",
+    "tdm.StreamStats.ratios": "the README's stream example",
+    "tdm.StreamStats.to_json": "perfbench entry point (recorded stream job)",
+}
+
+
+def _uncalled_methods(sources: dict) -> set:
+    """`module.Class.method` for each non-dunder method of a module-level
+    class in `sources` (module name -> text) whose name appears nowhere
+    in `sources` as an attribute or as the name string of a `getattr`.
+    Names are matched alone, so a method is called when any object's
+    attribute of that name is."""
+    trees = {mod: ast.parse(text) for mod, text in sources.items()}
+    defined = {(mod, node.name, item.name) for mod, tree in trees.items()
+               for node in tree.body if isinstance(node, ast.ClassDef)
+               for item in node.body
+               if isinstance(item, ast.FunctionDef)
+               and not (item.name.startswith("__")
+                        and item.name.endswith("__"))}
+    refs = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                refs.add(node.attr)
+            elif (isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Name)
+                  and node.func.id == "getattr" and len(node.args) > 1
+                  and isinstance(node.args[1], ast.Constant)):
+                refs.add(node.args[1].value)
+    return {f"{mod}.{cls}.{name}" for mod, cls, name in defined
+            if name not in refs}
+
+
+def test_every_method_has_a_caller_or_a_reason():
+    uncalled = _uncalled_methods({p.stem: p.read_text() for p in MODULES})
+    assert sorted(uncalled - UNCALLED_METHODS.keys()) == [], "dead method"
+    assert sorted(UNCALLED_METHODS.keys() - uncalled) == [], "stale allowlist"
+
+
+def test_guard_flags_an_uncalled_method():
+    sources = {
+        "a": "class A:\n"
+             "    def __init__(self): pass\n"
+             "    def used(self): pass\n"
+             "    @property\n    def size(self): return 0\n"
+             "    def by_name(self): pass\n"
+             "    def dead(self): pass\n"
+             "    def _private(self): pass\n"
+             "def validate(x): pass\n",
+        "b": "from .a import A, validate\n"
+             "class B:\n    def validate(self): pass\n"
+             "x = A().used()\ny = A().size\n"
+             "z = getattr(A(), 'by_name')\nvalidate(x)\n",
+    }
+    # a module-level function of the same name does not call the method
+    assert _uncalled_methods(sources) == {"a.A.dead", "a.A._private",
+                                          "b.B.validate"}
 
 
 # Modules that call json.dump or json.dumps, each with the reason.  The

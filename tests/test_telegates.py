@@ -99,8 +99,11 @@ class TestTeleport:
             prep = g.squeeze(prep, 2, -r)
             prep = g.beam_splitter(prep, 1, 2, 0.5)
             prep = g.beam_splitter(prep, 0, 1, 0.5)
-            m_x, prep = g.homodyne(prep, 1, 0.0, rng)
-            m_p, prep = g.homodyne(prep, 0, np.pi / 2, rng)
+            m_x = g.sample_quadrature(prep, 1, 0.0, rng)
+            prep = g.GaussianState(*oracles.condition_oracle(prep, 1, 0.0, m_x))
+            m_p = g.sample_quadrature(prep, 0, np.pi / 2, rng)
+            prep = g.GaussianState(*oracles.condition_oracle(prep, 0, np.pi / 2,
+                                                             m_p))
             out = g.displace(prep, 0, -math.sqrt(2) * m_x, math.sqrt(2) * m_p)
             means.append(out.mean)
             covs.append(out.cov)
