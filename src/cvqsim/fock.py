@@ -69,11 +69,14 @@ class FockState:
         return self.amps.shape[0] if self.amps.ndim else 0
 
     def leakage(self) -> float:
-        """Largest per-mode probability mass in the top 10% of levels."""
+        """Largest per-mode probability mass in the top 10% of levels,
+        and never fewer than the top two (one of each parity, as a
+        squeezer couples only levels of equal parity): the whole space
+        at cutoff <= 2."""
         if self.n_modes == 0:
             return 0.0
         prob = np.abs(self.amps) ** 2
-        edge = int(np.ceil(0.9 * self.cutoff))
+        edge = max(0, min(int(np.ceil(0.9 * self.cutoff)), self.cutoff - 2))
         worst = 0.0
         for axis in range(self.n_modes):
             marg = np.sum(prob, axis=tuple(i for i in range(self.n_modes)

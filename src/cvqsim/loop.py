@@ -20,9 +20,10 @@ operation last touched it, and that becomes one loss just before the
 next operation on it (pure-loss channels compose and commute with
 operations on other pulses).  The gates, feedforward and losses between
 two reads of the state compose into one pending Gaussian channel,
-applied by a single gaussian.apply_local before a homodyne draw, before
-a displacement of a pulse the channel touches, when its noise factor is
-full, and at the end.
+applied by a single gaussian.apply_local before a displacement of a
+pulse the channel touches, when its noise factor is full, and at the
+end.  A homodyne draw reads its moments through the pending channel,
+so a gate's splitter and feedforward compose before they act.
 
 Measurement semantics match the circuit language's: a homodyne plus its
 declared feedforward gains defines a deterministic affine channel, so
@@ -158,7 +159,8 @@ def simulate(config: LoopConfig, program: LoopProgram,
     outer = list(range(length))       # pulse id per outer slot, None if gone
     inner = None
     measured = {}                     # outcome id -> (pulse, basis)
-    given = []                        # (pulse, basis, value) per homodyne
+    read = []                         # measured pulses, in order
+    given = []                        # (index in read, basis, value)
     consumed = [False] * length
     waiting = {}                      # target slot -> [(src, gx, gp)]
     outcomes = []
@@ -222,11 +224,12 @@ def simulate(config: LoopConfig, program: LoopProgram,
                     raise LoopScheduleError(
                         f"slot {t}: homodyne addresses a consumed slot")
                 run.touch(pulse, s, t)
-                run.flush()
                 theta = step.homodyne
-                value = g.sample_quadrature(run.state, pulse, theta, rng, given)
+                value = g.sample_quadrature(run.marginal(read + [pulse]),
+                                            len(read), theta, rng, given)
                 measured[step.outcome_id] = (pulse, theta)
-                given.append((pulse, theta, value))
+                given.append((len(read), theta, value))
+                read.append(pulse)
                 consumed[pulse] = True
                 outcomes.append({"id": step.outcome_id, "slot": t,
                                  "pulse": pulse, "basis": theta,
@@ -288,8 +291,9 @@ class _Pulses:
     rows of `touched`: a gate multiplies their rows of X and F, and a
     loss scales its pulse's rows and adds two columns to F, its vacuum
     noise.  flush() applies the channel as one g.apply_local, before a
-    displacement of a touched pulse, before every homodyne draw, when F
-    is full, and at the end.
+    displacement of a touched pulse, when F is full, and at the end;
+    marginal() reads the pulses a homodyne draw needs through it,
+    X_R m and X_R V X_R^T + F_R F_R^T on their rows R.
     """
 
     def __init__(self, config: LoopConfig, state: g.GaussianState):
@@ -348,6 +352,14 @@ class _Pulses:
         used = self.x.shape[1] + self.columns
         self.xf[rows, :used] = block @ self.xf[rows, :used]
         self.touched.update(pulses)
+
+    def marginal(self, pulses) -> g.GaussianState:
+        """The moments of `pulses`, in that order, read through the
+        pending channel without applying it."""
+        rows = [q for p in pulses for q in (2 * p, 2 * p + 1)]
+        x, f = self.x[rows], self.f[rows, :self.columns]
+        return g.GaussianState(x @ self.state.mean,
+                               x @ self.state.cov @ x.T + f @ f.T)
 
     def flush(self) -> None:
         if not self.touched:

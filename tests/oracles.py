@@ -507,8 +507,8 @@ def tele_squeeze(state: g.GaussianState, y: float, r_anc: float,
     displacement, set by squeeze_gadget(y).  y = 1 bypasses the gadget.
     The loop's squeeze_tele reference: the circuit is composed into one
     map before it touches the state, so the antisqueezed ancilla
-    variance cancels exactly even at r_anc = 12, where the loop, which
-    applies the splitter before the draw, keeps an error of order 1e-6.
+    variance cancels even at r_anc = 12.  The loop composes the same
+    way, since its homodyne draws through the pending channel.
     """
     if state.n_modes != 1:
         raise ValueError("tele_squeeze expects a single-mode input")

@@ -224,7 +224,8 @@ class TestOpTable:
                     last.line, last.column, UNSUPPORTED[op, backend])]
             else:
                 assert errors == []
-                dsl.run(p, backend, 0, cutoff=12)
+                # sq a 0.5r p leaks 1.4e-4 at cutoff 12
+                dsl.run(p, backend, 0, cutoff=16 if op == "sq" else 12)
 
 
 class TestFuzz:
@@ -460,6 +461,14 @@ class TestRun:
         assert (err.value.line, err.value.column) == (1, 10)
         leakage = dsl.run(p, "fock", 1, cutoff=200).reports[0]["leakage"]
         assert leakage < fk.LEAKAGE_BUDGET
+
+    @pytest.mark.parametrize("cutoff", [1, 2, 10, 14])
+    def test_fock_leakage_is_seen_below_cutoff_20(self, cutoff):
+        # the window holds levels of both parities: a squeezer's mass
+        # piles up in the even ones, and cutoff <= 2 is all window
+        p = parse_ok("mode a; sq a 10dB x; report cov;")
+        with pytest.raises(fk.LeakageError):
+            dsl.run(p, "fock", 1, cutoff=cutoff)
 
     @pytest.mark.parametrize("text", [
         "network { dim 1; pulses 10; }",
