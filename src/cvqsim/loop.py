@@ -3,12 +3,13 @@
 The machine stores n_data + m_anc pulses in a long outer loop; a short
 inner loop of one slot sits behind a variable beam splitter (VBS).  One
 pulse arrives at the coupler per slot, so slot arithmetic is mod L with
-L the outer length.  Setting the VBS fully reflective moves the
-arriving pulse into the inner loop (and releases whatever was there);
-holding a pulse inside for k slots lets it meet the pulse k positions
-behind it, which is how non-adjacent pairs interact.  A phase shifter
-(VPS) acts on the inner content, an EOM displaces outgoing pulses, and
-a homodyne detector with feedforward closes the loop for
+L the outer length.  With one port empty, a fully reflective VBS
+captures the arriving pulse or releases the inner one; with both ports
+occupied, any setting T < 1 is gaussian.beamsplitter_matrix(T), T = 0
+included.  Holding a pulse inside for k slots lets it meet the pulse k
+positions behind it, which is how non-adjacent pairs interact.  A phase
+shifter (VPS) acts on the inner content, an EOM displaces outgoing
+pulses, and a homodyne detector with feedforward closes the loop for
 measurement-induced gates.
 
 simulate is event-driven: it jumps from one step's slot to the next,
@@ -37,9 +38,10 @@ measurement-induced squeezer of Filip, Marek & Andersen (PRA 71,
 042308, 2005), with its settings from squeeze_gadget.
 
 compile_gates writes phase, beam-splitter and squeeze_tele gates as one
-circulation each.  generate_entangled decomposes its passive network by
-a triangular Givens sweep (Reck et al., PRL 73, 58, 1994), checked by
-applying each gate to the rows it touches.
+circulation each.  generate_entangled takes a linear cluster's squeezers
+and passive network in closed form from the path graph's eigenmodes,
+and decomposes the network by a triangular Givens sweep (Reck et al.,
+PRL 73, 58, 1994), checked by applying each gate to the rows it touches.
 """
 
 from __future__ import annotations
@@ -196,7 +198,12 @@ def simulate(config: LoopConfig, program: LoopProgram,
                         f"slot {t}: phase scheduled on empty inner loop")
                 run.touch(inner, _INNER, t)
                 run.compose((inner,), g.rotation_matrix(step.vps_theta))
-            if step.vbs_T == 0.0:
+            if step.vbs_T < 1.0 and inner is not None and pulse is not None:
+                run.touch(inner, _INNER, t)
+                run.touch(pulse, s, t)
+                run.compose((inner, pulse), g.beamsplitter_matrix(step.vbs_T))
+            elif step.vbs_T == 0.0:
+                # one port empty: a capture or a release
                 if pulse is not None:
                     run.settle(pulse, s, t)
                 if inner is not None:
@@ -204,12 +211,8 @@ def simulate(config: LoopConfig, program: LoopProgram,
                 outer[s], inner = inner, pulse
                 pulse = outer[s]
             elif step.vbs_T < 1.0:
-                if inner is None or pulse is None:
-                    raise LoopScheduleError(
-                        f"slot {t}: beam splitter needs both ports occupied")
-                run.touch(inner, _INNER, t)
-                run.touch(pulse, s, t)
-                run.compose((inner, pulse), g.beamsplitter_matrix(step.vbs_T))
+                raise LoopScheduleError(
+                    f"slot {t}: beam splitter needs both ports occupied")
             if step.eom is not None:
                 if pulse is None:
                     raise LoopScheduleError(
@@ -497,14 +500,6 @@ def _check_slot(i: int, length: int):
 # Programmable entangled-state generation
 
 
-def _passive_to_unitary(q: np.ndarray) -> np.ndarray:
-    u = q[0::2, 0::2] + 1j * q[1::2, 0::2]
-    if not (np.allclose(q[0::2, 1::2], -q[1::2, 0::2], atol=1e-9)
-            and np.allclose(q[1::2, 1::2], q[0::2, 0::2], atol=1e-9)):
-        raise ValueError("matrix is not passive")
-    return u
-
-
 def _unitary_to_gates(u: np.ndarray, tol: float = 1e-11) -> list:
     """Decompose a unitary into phase and beam-splitter gates.
 
@@ -561,55 +556,21 @@ def _assert_gates_match(gates, u):
         raise RuntimeError("gate decomposition failed to reproduce the target")
 
 
-def _factor_pure_state(cov: np.ndarray):
-    """Split a pure covariance into squeezers plus a passive network.
-
-    Returns (r_list, q) with q orthogonal-symplectic so that applying
-    squeeze(r_k) per mode to vacuum followed by q reproduces cov.
-    """
-    n = cov.shape[0] // 2
-    # eigenvalues of the symmetric square root of 2 cov, on its eigenvectors
-    vals, vecs = np.linalg.eigh(2.0 * cov)
-    vals = np.sqrt(vals)
-    jmat = g.symplectic_form(n)
-    order = np.argsort(vals)[::-1]
-    cols = []
-    lambdas = []
-    used = np.zeros((2 * n, 0))
-    for idx in order:
-        lam = vals[idx]
-        if lam < 1.0 - 1e-9 or len(lambdas) == n:
-            continue
-        v = vecs[:, idx].copy()
-        if used.shape[1]:
-            v -= used @ (used.T @ v)
-            norm = np.linalg.norm(v)
-            if norm < 0.5:
-                continue
-            v /= norm
-        partner = -jmat @ v
-        cols.extend([v, partner])
-        lambdas.append(lam)
-        used = np.column_stack([used, v, partner])
-    if len(lambdas) != n:
-        raise RuntimeError("could not pair squeezing directions")
-    q = np.column_stack(cols)
-    d = np.diag([x for lam in lambdas for x in (lam, 1.0 / lam)])
-    if np.abs(q @ d @ d @ q.T / 2 - cov).max() > 1e-8:
-        raise RuntimeError("pure-state factorization failed")
-    rs = [-math.log(lam) for lam in lambdas]
-    return rs, q
-
-
-def _cluster_target(n: int, r: float) -> np.ndarray:
-    """Covariance of the n-mode linear cluster built from CZ gates."""
-    v0 = np.diag([x for _ in range(n)
-                  for x in (math.exp(2 * r) / 2, math.exp(-2 * r) / 2)])
-    c = np.eye(2 * n)
-    for i in range(n - 1):
-        c[2 * i + 1, 2 * (i + 1)] += 1.0       # p_i += x_{i+1}
-        c[2 * (i + 1) + 1, 2 * i] += 1.0       # p_{i+1} += x_i
-    return c @ v0 @ c.T
+def _path_eigenmodes(n: int, r: float):
+    """The n-mode linear cluster's input state (mode k squeezed by rho_k)
+    and network W diag(e^(i phi_k)), as generate_entangled says."""
+    k = np.arange(1, n + 1)
+    w = math.sqrt(2 / (n + 1)) * np.sin(np.outer(k, k) * math.pi / (n + 1))
+    state, phases = g.vacuum(n), []
+    for mode, lam in enumerate(2 * np.cos(k * math.pi / (n + 1))):
+        # S_k S_k^T = [[a, b], [b, d]] has determinant 1: its larger
+        # eigenvalue is a sum of positive terms; phi_k turns p onto its axis
+        a, b = math.exp(2 * r), lam * math.exp(2 * r)
+        d = lam * b + math.exp(-2 * r)
+        state = g.squeeze(state, mode,
+                          math.log((a + d + math.hypot(a - d, 2 * b)) / 2) / 2)
+        phases.append(math.atan2(2 * b, a - d) / 2 + math.pi / 2)
+    return state, w * np.exp(1j * np.array(phases))
 
 
 def generate_entangled(kind: str, n: int, r: float) -> LoopProgram:
@@ -618,6 +579,17 @@ def generate_entangled(kind: str, n: int, r: float) -> LoopProgram:
     The returned program carries the required input state (squeezed
     pulses) and the certificate forms; run it with simulate() and check
     certificate_variances() of the result.
+
+    EPR and GHZ squeeze every input by r.  CLUSTER_LINEAR is the CZ
+    chain on r-squeezed modes.  It acts on each eigenmode k of the path
+    graph's adjacency A = W diag(lam) W^T, lam_k = 2 cos(k pi/(n+1)),
+    W_jk = sqrt(2/(n+1)) sin(jk pi/(n+1)), alone, as S_k = [[1, 0],
+    [lam_k, 1]] diag(e^r, e^-r) (van Loock, Weedbrook & Gu, PRA 76,
+    032321, 2007): one squeezer of variance factor e^(2 rho_k), the
+    larger eigenvalue of S_k S_k^T, then one phase phi_k.  So the
+    cluster consumes more than r: its strongest input, about
+    (1 + lam_1^2) e^(2r), tends to r + 10 log10 5 = r + 7.0 dB as n
+    grows (21.98 dB of input for a 15 dB cluster of 64 modes).
     """
     if r < 0:
         raise ValueError("r must be >= 0")
@@ -655,11 +627,8 @@ def generate_entangled(kind: str, n: int, r: float) -> LoopProgram:
     elif kind == "CLUSTER_LINEAR":
         if n < 2:
             raise ValueError("cluster needs n >= 2")
-        rs, q = _factor_pure_state(_cluster_target(n, r))
-        state = g.vacuum(n)
-        for k, rk in enumerate(rs):
-            state = g.squeeze(state, k, rk)
-        gates = _unitary_to_gates(_passive_to_unitary(q))
+        state, u = _path_eigenmodes(n, r)
+        gates = _unitary_to_gates(u)
         certs = []
         for i in range(n):
             terms = [(i, 1, 1.0)]

@@ -4,8 +4,9 @@ Everything in this file deliberately avoids the production code paths it
 is used to check: linear maps are applied as dense whole-state products,
 conditioning is done with explicit block partitioning and pseudoinverses,
 fidelities with grid quadrature over Wigner functions, network
-streaming with a dense whole-network state, and the loop processor by
-visiting every slot, one gate and one loss at a time.
+streaming with a dense whole-network state, the loop processor by
+visiting every slot, one gate and one loss at a time, and the linear
+cluster by its CZ gates.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from cvqsim import fock as fk
 from cvqsim import gaussian as g
 from cvqsim.gaussian import as_rng
 from cvqsim.loop import LoopRunLog, LoopScheduleError, squeeze_gadget
+from cvqsim.tdm import NetworkSpec
 
 
 def embed(block: np.ndarray, modes, n_modes: int) -> np.ndarray:
@@ -185,65 +187,76 @@ def homodyne_fock_full_pdf(state, mode: int, theta: float, rng_seed):
     return float(xs[idx]), post / np.linalg.norm(post), pdf, xs
 
 
-def dense_network_run(stages, n_arms: int, n_slots: int, squeezers,
-                      delay_init_modes=None):
+def random_network(rng) -> NetworkSpec:
+    """A random tdm network: 2 or 4 arms, 1-7 stages, splitters at
+    T = 0, 1/2, 1 or uniform, delays of 1-4 slots."""
+    n_arms = int(rng.choice([2, 4]))
+    squeezers = tuple((str(rng.choice(["x", "p"])), float(rng.uniform(0, 4)))
+                      for _ in range(n_arms))
+    stages = []
+    for _ in range(int(rng.integers(1, 8))):
+        if rng.random() < 0.5:
+            i, j = (int(a) for a in rng.choice(n_arms, 2, replace=False))
+            t = rng.choice([0.0, 0.5, 1.0, float(rng.uniform())])
+            stages.append(("bs", i, j, float(t)))
+        else:
+            stages.append(("delay", int(rng.integers(n_arms)),
+                           int(rng.integers(1, 5))))
+    return NetworkSpec(squeezers=squeezers, stages=tuple(stages))
+
+
+def unroll_network(spec: NetworkSpec, n_slots: int):
+    """A tdm network over n_slots slots as one gate list on numbered pulses.
+
+    One pulse per arm per slot, pulse slot * n_arms + arm, squeezed as
+    the spec says; then one vacuum pulse per unit of delay, which primes
+    the delay's queue.  A delay is a FIFO of pulse ids and each bs stage
+    one ("bs", pulse_i, pulse_j, T) gate, stages in spec order within a
+    slot.  Returns (input state, gates, emitted), emitted[(slot, arm)]
+    the pulse that arm emits in that slot.
+    """
+    n_arms = spec.n_arms
+    n_fresh = n_arms * n_slots
+    st = g.vacuum(n_fresh + spec.n_delay_slots)
+    for slot in range(n_slots):
+        for arm, (orient, r) in enumerate(spec.squeezers):
+            st = g.squeeze(st, slot * n_arms + arm, r if orient == "x" else -r)
+    queues, primer = {}, n_fresh
+    for stage_id, s in enumerate(spec.stages):
+        if s[0] == "delay":
+            queues[stage_id] = list(range(primer, primer + s[2]))
+            primer += s[2]
+    gates, emitted = [], {}
+    for slot in range(n_slots):
+        current = [slot * n_arms + arm for arm in range(n_arms)]
+        for stage_id, s in enumerate(spec.stages):
+            if s[0] == "bs":
+                _, ai, aj, t = s
+                gates.append(("bs", current[ai], current[aj], t))
+            else:
+                queues[stage_id].append(current[s[1]])
+                current[s[1]] = queues[stage_id].pop(0)
+        for arm in range(n_arms):
+            emitted[(slot, arm)] = current[arm]
+    return st, gates, emitted
+
+
+def dense_network_run(spec: NetworkSpec, n_slots: int):
     """Dense whole-network TDM oracle.
 
     Creates one mode per (arm, slot) plus one vacuum mode per unit of
-    initial delay occupancy, then applies the pipeline slot by slot with
-    delays realized as explicit mode re-indexing.  Returns the final
-    GaussianState over emitted modes, ordered slot-major then arm, plus
-    the index map {(slot, arm): mode}.
-
-    `stages` entries: ("bs", arm_i, arm_j, T) or ("delay", arm, d).
-    `squeezers` entries per arm: (orientation, r) with orientation "x"|"p".
+    initial delay occupancy (unroll_network's pulses), then applies each
+    splitter to the whole state in turn, delays being the re-indexing of
+    modes.  Returns the final GaussianState over emitted modes, in mode
+    order, plus the index map {(slot, arm): mode}.
     """
-    # total fresh modes
-    n_fresh = n_arms * n_slots
-    delay_lengths = [(s[1], s[2]) for s in stages if s[0] == "delay"]
-    n_boundary = sum(d for _, d in delay_lengths)
-    total = n_fresh + n_boundary
-    st = g.vacuum(total)
-
-    def fresh_index(slot, arm):
-        return slot * n_arms + arm
-
-    # squeeze the fresh inputs
-    for slot in range(n_slots):
-        for arm in range(n_arms):
-            orient, r = squeezers[arm]
-            rr = r if orient == "x" else -r
-            st = g.squeeze(st, fresh_index(slot, arm), rr)
-
-    # delay queues start holding boundary vacuum modes
-    queues = {}
-    next_boundary = n_fresh
-    for stage_id, s in enumerate(stages):
-        if s[0] == "delay":
-            _, arm, d = s
-            queues[stage_id] = [next_boundary + k for k in range(d)]
-            next_boundary += d
-
-    emitted = {}
-    for slot in range(n_slots):
-        current = {arm: fresh_index(slot, arm) for arm in range(n_arms)}
-        for stage_id, s in enumerate(stages):
-            if s[0] == "bs":
-                _, ai, aj, t = s
-                st = g.beam_splitter(st, current[ai], current[aj], t)
-            else:
-                _, arm, d = s
-                q = queues[stage_id]
-                q.append(current[arm])
-                current[arm] = q.pop(0)
-        for arm in range(n_arms):
-            emitted[(slot, arm)] = current[arm]
-
-    keep_set = set(emitted.values())
-    st = g.remove_modes(st, [i for i in range(total) if i not in keep_set])
-    rank = {old: new for new, old in enumerate(sorted(keep_set))}
-    index_map = {key: rank[old] for key, old in emitted.items()}
-    return st, index_map
+    st, gates, emitted = unroll_network(spec, n_slots)
+    for _, i, j, t in gates:
+        st = g.beam_splitter(st, i, j, t)
+    keep = set(emitted.values())
+    st = g.remove_modes(st, [i for i in range(st.n_modes) if i not in keep])
+    rank = {old: new for new, old in enumerate(sorted(keep))}
+    return st, {key: rank[old] for key, old in emitted.items()}
 
 
 def dsl_gaussian_dense(program, seed):
@@ -428,14 +441,14 @@ def loop_slot_walk(config, program, input_state: g.GaussianState, rng_seed=0):
                     raise LoopScheduleError(
                         f"slot {t}: phase scheduled on empty inner loop")
                 st = g.phase_shift(st, inner, step.vps_theta)
-            if step.vbs_T == 0.0:
+            if step.vbs_T < 1.0 and inner is not None and pulse is not None:
+                st = g.beam_splitter(st, inner, pulse, step.vbs_T)
+            elif step.vbs_T == 0.0:
                 outer[s], inner = inner, outer[s]
                 pulse = outer[s]
             elif step.vbs_T < 1.0:
-                if inner is None or pulse is None:
-                    raise LoopScheduleError(
-                        f"slot {t}: beam splitter needs both ports occupied")
-                st = g.beam_splitter(st, inner, pulse, step.vbs_T)
+                raise LoopScheduleError(
+                    f"slot {t}: beam splitter needs both ports occupied")
             if step.eom is not None:
                 if pulse is None:
                     raise LoopScheduleError(
@@ -479,6 +492,18 @@ def loop_slot_walk(config, program, input_state: g.GaussianState, rng_seed=0):
     survivors = [p for p in range(length) if not consumed[p]]
     return st, LoopRunLog(outcomes=outcomes, outer_passes=outer_passes,
                           inner_slots=inner_slots, survivors=survivors)
+
+
+def cluster_target(n: int, r: float) -> np.ndarray:
+    """Covariance of the n-mode linear cluster built from CZ gates:
+    p_i += x_(i-1) + x_(i+1) on x-antisqueezed, p-squeezed vacua."""
+    v0 = np.diag([x for _ in range(n)
+                  for x in (math.exp(2 * r) / 2, math.exp(-2 * r) / 2)])
+    c = np.eye(2 * n)
+    for i in range(n - 1):
+        c[2 * i + 1, 2 * (i + 1)] += 1.0       # p_i += x_{i+1}
+        c[2 * (i + 1) + 1, 2 * i] += 1.0       # p_{i+1} += x_i
+    return c @ v0 @ c.T
 
 
 def tensor(a: g.GaussianState, b: g.GaussianState) -> g.GaussianState:

@@ -92,8 +92,7 @@ def test_c04_stream_2d_window_and_dense_oracle():
     spec = tdm.network_2d(R15, 2)
     n_slots = 4
     cov, _ = tdm.emitted_covariance(spec, n_slots)
-    dense, dmap = dense_network_run(list(spec.stages), 4, n_slots,
-                                    list(spec.squeezers))
+    dense, dmap = dense_network_run(spec, n_slots)
     order = [dmap[(k, a)] for k in range(n_slots) for a in range(4)]
     sel = np.array([[2 * i, 2 * i + 1] for i in order]).ravel()
     assert np.abs(cov - dense.cov[np.ix_(sel, sel)]).max() < 1e-9
@@ -114,9 +113,10 @@ def test_c05_loop_equivalence_and_certificates():
                 gates.append(("phase", int(rng.integers(n)),
                               float(rng.uniform(-3, 3))))
             elif kind == "bs":
+                # the closed range, both ends included
                 i, j = rng.choice(n, size=2, replace=False)
-                gates.append(("bs", int(i), int(j),
-                              float(rng.uniform(0.05, 0.95))))
+                gates.append(("bs", int(i), int(j), float(
+                    rng.choice([0.0, 1.0, rng.uniform()]))))
             else:
                 gates.append(("displace", int(rng.integers(n)),
                               float(rng.uniform(-2, 2)),

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from cvqsim import gaussian as g
-from cvqsim import loop, squeezing_db_to_r
+from cvqsim import dsl, loop, squeezing_db_to_r, tdm
 from cvqsim.loop import LoopConfig, LoopProgram, LoopScheduleError, ScheduleStep
 
 import oracles
@@ -422,17 +422,42 @@ class TestEntangled:
         assert abs(got["p0+p1"] - target) < 1e-9
 
     @pytest.mark.parametrize("r", [0.3, R15])
-    def test_pure_state_factor_matches_sqrtm(self, r):
-        cov = loop._cluster_target(64, r)
-        rs, q = loop._factor_pure_state(cov)
-        s0 = oracles.sqrtm_real(2.0 * cov)
-        d = np.diag([x for rk in rs for x in (math.exp(-rk), math.exp(rk))])
-        assert np.abs(q @ d @ q.T - s0).max() < 1e-10
-        top = np.sort(np.linalg.eigvalsh(s0))[64:]
-        assert np.abs(np.sort(rs) - np.sort(-np.log(top))).max() < 1e-10
-        jmat = g.symplectic_form(64)
-        assert np.abs(q.T @ q - np.eye(128)).max() < 1e-10
-        assert np.abs(q @ jmat @ q.T - jmat).max() < 1e-10
+    def test_closed_form_squeezers_match_sqrtm(self, r):
+        # the squeezers e^(rho_k) are the top half of the spectrum of
+        # sqrt(2 V) for the CZ cluster's covariance V
+        target = oracles.cluster_target(64, r)
+        out, prog = self.run("CLUSTER_LINEAR", 64, r)
+        rhos = 0.5 * np.log(2.0 * np.diag(prog.input_state.cov)[1::2])
+        top = np.sort(np.linalg.eigvalsh(oracles.sqrtm_real(2.0 * target)))[64:]
+        assert np.abs(np.sort(rhos) - np.log(top)).max() < 1e-10
+        assert np.abs(out.cov - target).max() < 1e-10 * np.abs(target).max()
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 16, 64])
+    @pytest.mark.parametrize("r", [0.0, 0.3, R15])
+    def test_cluster_equals_cz_covariance(self, n, r):
+        out, _ = self.run("CLUSTER_LINEAR", n, r)
+        target = oracles.cluster_target(n, r)
+        assert np.abs(out.mean).max() == 0.0
+        assert np.abs(out.cov - target).max() < 1e-10 * np.abs(target).max()
+
+    @staticmethod
+    def _input_db(prog):
+        """Each input pulse's squeezing in dB, from its variances."""
+        var = np.diag(prog.input_state.cov).reshape(-1, 2)
+        return 10 * np.log10(2.0 * var.max(axis=1))
+
+    def test_input_squeezing(self):
+        db = 10 * math.log10(math.exp(2 * R15))
+        for kind, n in (("EPR", 2), ("GHZ", 3), ("GHZ", 6)):
+            assert np.abs(self._input_db(
+                loop.generate_entangled(kind, n, R15)) - db).max() < 1e-12
+        # the cluster consumes more: r + 10 log10 5 dB in the limit
+        for n, want in ((2, 18.0), (3, 19.8), (5, 21.0), (16, 21.9),
+                        (64, 22.0)):
+            got = self._input_db(
+                loop.generate_entangled("CLUSTER_LINEAR", n, R15)).max()
+            assert abs(got - want) < 0.05, (n, got)
+            assert got < 15.0 + 10 * math.log10(5.0)
 
     def test_zero_squeezing_gives_vacuum_certificates(self):
         out, prog = self.run("GHZ", 3, r=0.0)
@@ -448,8 +473,7 @@ class TestEntangled:
         assert np.abs(np.sort(np.abs(eig)) - 0.5).max() < 1e-8
 
     def test_gate_check_rejects_a_wrong_gate_list(self):
-        u = loop._passive_to_unitary(
-            loop._factor_pure_state(loop._cluster_target(4, R15))[1])
+        u = loop._path_eigenmodes(4, R15)[1]
         gates = loop._unitary_to_gates(u)
         loop._assert_gates_match(gates, u)
         # the strongest splitter with its sign flipped (arms swapped),
@@ -500,8 +524,11 @@ def random_schedule(rng, lossy):
             kw["vps_theta"] = float(rng.uniform(-3, 3))
         kind = rng.choice(["swap", "bs", "none"])
         if kind == "swap":
+            # a T = 0 splitter when both ports are occupied; otherwise a
+            # capture or a release
             kw["vbs_T"] = 0.0
-            outer[s], inner = inner, outer[s]
+            if inner is None or outer[s] is None:
+                outer[s], inner = inner, outer[s]
         elif kind == "bs" and inner is not None and outer[s] is not None:
             kw["vbs_T"] = float(rng.uniform(0.05, 0.95))
         if outer[s] is not None:
@@ -627,3 +654,86 @@ class TestSlotWalkOracle:
         assert log.outer_passes == {0: last // 3, 1: 0, 2: (last - 2) // 3}
         scale = math.sqrt(cfg.eta_outer ** log.outer_passes[0])
         assert abs(out.mean[0] - (scale + 0.5)) < 1e-12
+
+
+class TestCrossEngine:
+    """The loop against tdm and the circuit language on the same optics:
+    a tdm network unrolled into one loop gate list, and gate lists
+    written as schedule and as circuit text."""
+
+    @staticmethod
+    def _emitted(cov, emitted):
+        """The block of cov on the emitted pulses, slot-major then arm,
+        as tdm.emitted_covariance orders them."""
+        rows = [q for key in sorted(emitted)
+                for q in (2 * emitted[key], 2 * emitted[key] + 1)]
+        return np.asarray(cov)[np.ix_(rows, rows)]
+
+    def _loop_emitted(self, spec, n_slots):
+        state, gates, emitted = oracles.unroll_network(spec, n_slots)
+        cfg = LoopConfig(n_data=state.n_modes)
+        out, _ = loop.simulate(cfg, loop.compile_gates(cfg, gates), state)
+        return self._emitted(out.cov, emitted)
+
+    @pytest.mark.parametrize("make, n_slots", [
+        (lambda: tdm.network_1d(R15), 8),
+        (lambda: tdm.network_1d(R15), 32),
+        (lambda: tdm.network_2d(R15, 2), 12),
+        (lambda: tdm.network_2d(R15, 3), 12),
+    ], ids=["1d-8", "1d-32", "2d_w2-12", "2d_w3-12"])
+    def test_loop_equals_tdm(self, make, n_slots):
+        spec = make()
+        cov, _ = tdm.emitted_covariance(spec, n_slots)
+        _assert_close(self._loop_emitted(spec, n_slots), cov, "cov")
+
+    def test_loop_equals_tdm_on_random_networks(self):
+        rng = np.random.default_rng(1111)
+        with_zero = 0
+        for case in range(30):
+            spec = oracles.random_network(rng)
+            with_zero += any(s[0] == "bs" and s[3] == 0.0 for s in spec.stages)
+            cov, _ = tdm.emitted_covariance(spec, 6)
+            _assert_close(self._loop_emitted(spec, 6), cov, f"case {case}")
+        assert with_zero >= 5
+
+    @pytest.mark.parametrize("t", [0.0, 1e-300, 1.0])
+    def test_circuit_runner_equals_loop(self, t):
+        # the same gates as a schedule (run by the loop) and as a
+        # circuit (run by the Gaussian backend); a T = 0 splitter is
+        # beamsplitter_matrix(0) on both, not an exchange of ports
+        gates = [("disp", 0, 1.0, 0.5), ("disp", 1, 0.0, 2.0),
+                 ("bs", 0, 1, t), ("ps", 1, 0.7), ("disp", 2, -0.3, 0.2),
+                 ("bs", 2, 0, t), ("bs", 1, 2, 0.3)]
+
+        def as_text(names):
+            return " ".join(
+                f"disp {names[a[0]]} dx={a[1]!r} dp={a[2]!r};" if k == "disp"
+                else f"ps {names[a[0]]} {a[1]!r};" if k == "ps"
+                else f"bs {names[a[0]]} {names[a[1]]} t={a[2]!r};"
+                for k, *a in gates)
+
+        sched = "schedule { data 3; " + as_text("012") + " }"
+        circuit = "mode a b c; " + as_text("abc") + " report cov;"
+        on_loop = dsl.run(dsl.parse(sched), "gaussian", 1).reports[0]
+        on_circuit = dsl.run(dsl.parse(circuit), "gaussian", 1).reports[0]
+        _assert_close(on_loop["mean"], on_circuit["mean"], "mean")
+        _assert_close(on_loop["cov"], on_circuit["cov"], "cov")
+
+    @pytest.mark.parametrize("t", [0.0, 1e-300, 1.0])
+    def test_network_at_splitter_endpoints(self, t):
+        # tdm, the loop and the circuit language on one network whose
+        # splitters sit at an end of their range
+        spec = tdm.NetworkSpec(
+            squeezers=(("x", R15), ("p", 0.4)),
+            stages=(("bs", 0, 1, t), ("delay", 0, 1), ("bs", 1, 0, t)))
+        cov, _ = tdm.emitted_covariance(spec, 4)
+        _assert_close(self._loop_emitted(spec, 4), cov, "loop")
+        state, gates, emitted = oracles.unroll_network(spec, 4)
+        lines = [f"mode {' '.join(f'q{p}' for p in range(state.n_modes))};"]
+        for slot in range(4):
+            for arm, (orient, r) in enumerate(spec.squeezers):
+                lines.append(f"sq q{2 * slot + arm} {r!r}r {orient};")
+        lines += [f"bs q{i} q{j} t={x!r};" for _, i, j, x in gates]
+        lines.append("report cov;")
+        rep = dsl.run(dsl.parse("\n".join(lines)), "gaussian", 1).reports[0]
+        _assert_close(self._emitted(rep["cov"], emitted), cov, "dsl")

@@ -10,7 +10,7 @@ import pytest
 from cvqsim import gaussian as g
 from cvqsim import squeezing_db_to_r, tdm
 
-from oracles import csv_reference, dense_network_run, embed
+from oracles import csv_reference, dense_network_run, embed, random_network
 
 R15 = squeezing_db_to_r(15.0)
 
@@ -99,7 +99,7 @@ class TestSlotMap:
         rng = np.random.default_rng(7)
         checked = 0
         for _ in range(200):
-            spec = _random_network(rng)
+            spec = random_network(rng)
             try:
                 forms = tdm.derive_squeezed_forms(spec)
             except RuntimeError:
@@ -204,8 +204,7 @@ class TestStream1D:
         records = []
         tdm.stream_1d(6, R15, sink=records.append)
         forms = list(tdm.derive_squeezed_forms(spec))
-        dense, imap = dense_network_run(
-            list(spec.stages), 2, 6, list(spec.squeezers))
+        dense, imap = dense_network_run(spec, 6)
         assert records                  # includes boundary slots
         for rec in _per_slot(records):
             for form in forms:
@@ -242,8 +241,7 @@ class TestStream2D:
         records = []
         tdm.stream_2d(4, 2, R15, sink=records.append)
         forms = list(tdm.derive_squeezed_forms(spec))
-        dense, imap = dense_network_run(
-            list(spec.stages), 4, 4, list(spec.squeezers))
+        dense, imap = dense_network_run(spec, 4)
         checked = 0
         for rec in _per_slot(records):
             for form in forms:
@@ -290,8 +288,7 @@ class TestStreamingEqualsDense:
     def test_joint_covariance(self, make, n_arms, n_slots):
         spec = make()
         cov, imap = tdm.emitted_covariance(spec, n_slots)
-        dense, dmap = dense_network_run(
-            list(spec.stages), n_arms, n_slots, list(spec.squeezers))
+        dense, dmap = dense_network_run(spec, n_slots)
         order = [dmap[(k, a)] for k in range(n_slots) for a in range(n_arms)]
         sel = np.array([[2 * i, 2 * i + 1] for i in order]).ravel()
         assert np.abs(cov - dense.cov[np.ix_(sel, sel)]).max() < 1e-9
@@ -540,22 +537,6 @@ class TestSinkRuns:
         assert records == []
 
 
-def _random_network(rng):
-    n_arms = int(rng.choice([2, 4]))
-    squeezers = tuple((str(rng.choice(["x", "p"])), float(rng.uniform(0, 4)))
-                      for _ in range(n_arms))
-    stages = []
-    for _ in range(int(rng.integers(1, 8))):
-        if rng.random() < 0.5:
-            i, j = (int(a) for a in rng.choice(n_arms, 2, replace=False))
-            t = rng.choice([0.0, 0.5, 1.0, float(rng.uniform())])
-            stages.append(("bs", i, j, float(t)))
-        else:
-            stages.append(("delay", int(rng.integers(n_arms)),
-                           int(rng.integers(1, 5))))
-    return tdm.NetworkSpec(squeezers=squeezers, stages=tuple(stages))
-
-
 class TestFormVarianceIsSlotInvariant:
     """_stream reports each form's expected_var, e^{-2r}/2, through the
     loss map; every slot must agree with the form's variance on the
@@ -595,7 +576,7 @@ class TestFormVarianceIsSlotInvariant:
         rng = np.random.default_rng(2011)
         checked = rejected = 0
         for _ in range(600):
-            spec = _random_network(rng)
+            spec = random_network(rng)
             try:
                 tdm.derive_squeezed_forms(spec)
             except RuntimeError as err:
