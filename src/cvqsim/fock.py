@@ -9,16 +9,18 @@ Non-Gaussian gates (cubic phase, controlled phase) live here.  Gaussian
 gates are also provided so that circuits can be cross-checked against
 the symplectic backend via `covariance_of`.
 
-Truncation policy: every unitary is a spectral function of a truncated
-Hermitian generator (x for displacements and phase gates,
-i(a^2 - a^dag^2)/2 for squeezing, one block per photon number for the
-beam splitter), eigendecomposed once per cutoff and cached; a gate is
-then a diagonal of phases between two cached eigenvector matrices.  The
-result is an exact unitary of the truncated space, so norms are
-preserved to machine precision and truncation error shows up as state
-distortion, tracked by `leakage`.  No gate checks it: `dsl.run` compares
-`leakage` with LEAKAGE_BUDGET after every instruction and raises
-LeakageError over it.
+Truncation policy: a prepared state holds its exact amplitudes below the
+cutoff, not renormalized (coherent_fock and gkp's peaks, both from
+gaussian_recurrence).  Gates stay spectral: every unitary is a spectral
+function of a truncated Hermitian generator (x for displacements and
+phase gates, i(a^2 - a^dag^2)/2 for squeezing, one block per photon
+number for the beam splitter), eigendecomposed once per cutoff and
+cached; a gate is then a diagonal of phases between two cached
+eigenvector matrices.  The result is an exact unitary of the truncated
+space, so norms are preserved to machine precision and truncation error
+shows up as state distortion, tracked by `leakage`.  No gate checks it:
+`dsl.run` compares `leakage` with LEAKAGE_BUDGET after every instruction
+and raises LeakageError over it.
 
 Memory: the beam splitter and the homodyne each hold one state-sized
 scratch array; the homodyne adds O(cutoff x grid) for its density.
@@ -111,13 +113,13 @@ def vacuum_fock(n_modes: int, cutoff: int = DEFAULT_CUTOFF) -> FockState:
 
 
 def coherent_fock(alpha: complex, cutoff: int = DEFAULT_CUTOFF) -> FockState:
-    """Single-mode coherent state, built by displacing the vacuum.
-
-    alpha = (dx + i dp)/sqrt(2) gives mean quadratures (dx, dp).
-    """
-    dx = np.sqrt(2.0) * np.real(alpha)
-    dp = np.sqrt(2.0) * np.imag(alpha)
-    return displace_fock(vacuum_fock(1, cutoff), 0, dx, dp)
+    """Coherent state, alpha = (dx + i dp)/sqrt(2) for mean quadratures
+    (dx, dp): its exact amplitudes e^(-|alpha|^2/2) alpha^n / sqrt(n!) below
+    the cutoff (gaussian_recurrence at s = 1, t = 0), not renormalized, so
+    an overlap with a state below the cutoff is exact."""
+    alpha = complex(alpha)
+    return FockState(gaussian_recurrence(
+        np.array([alpha]), 1.0, 0.0, 1.0, [-abs(alpha) ** 2 / 2.0], cutoff)[:, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -318,32 +320,40 @@ def controlled_phase(state: FockState, mode_i: int, mode_j: int) -> FockState:
 # Quadrature wavefunctions and homodyne
 
 
-def hermite_functions(xs: np.ndarray, cutoff: int) -> np.ndarray:
-    """Matrix psi[n, k] = <x_k | n> of normalized Hermite functions.
-
-    Runs the normalized recurrence with the envelope exp(-x^2/2) kept as
-    a per-point log scale.  A point whose value passes 2^300 is scaled by
-    2^-300 (exactly) and its log scale gains 300 ln 2, so values stay
-    finite at any cutoff; a point never rescaled gets exactly the
-    recurrence times exp(-x^2/2).
+def gaussian_recurrence(x: np.ndarray, s: float, t: float, start: float,
+                        log_env: np.ndarray, cutoff: int) -> np.ndarray:
+    """Rows n < cutoff of u_n exp(log_env), per point of the 1-d arrays
+    x and log_env, for u_n = x sqrt(s/n) u_(n-1) - t sqrt((n-1)/n) u_(n-2)
+    from u_0 = start: the Fock amplitudes of a one-mode Gaussian state
+    (Miatto & Quesada, Quantum 4, 366 (2020), at one mode).  A point whose
+    value passes 2^300 is scaled by 2^-300 (exactly) and its log envelope
+    gains 300 ln 2, so values stay finite at any cutoff; a point never
+    rescaled gets exactly the recurrence times exp(log_env).
     """
-    xs = np.asarray(xs, dtype=float)
-    h = np.empty((cutoff, xs.size))
-    log_env = -xs ** 2 / 2.0
+    log_env = np.array(log_env, dtype=float)
+    out = np.empty((cutoff, x.size), dtype=np.result_type(x, float))
     env = np.exp(log_env)
-    prev, cur = np.zeros(xs.size), np.full(xs.size, np.pi ** -0.25)
+    prev, cur = np.zeros(x.size, out.dtype), np.full(x.size, start, out.dtype)
     for n in range(cutoff):
         if n:
-            prev, cur = cur, (xs * np.sqrt(2.0 / n) * cur
-                              - np.sqrt((n - 1) / n) * prev)
+            prev, cur = cur, (x * np.sqrt(s / n) * cur
+                              - t * np.sqrt((n - 1) / n) * prev)
         big = np.abs(cur) > 2.0 ** 300
         if big.any():
             cur[big] *= 2.0 ** -300
             prev[big] *= 2.0 ** -300
             log_env[big] += 300.0 * np.log(2.0)
             env = np.exp(log_env)
-        h[n] = cur * env
-    return h
+        out[n] = cur * env
+    return out
+
+
+def hermite_functions(xs: np.ndarray, cutoff: int) -> np.ndarray:
+    """Matrix psi[n, k] = <x_k | n> of normalized Hermite functions: the
+    recurrence at s = 2, t = 1 from pi^(-1/4), with envelope exp(-x^2/2)."""
+    xs = np.asarray(xs, dtype=float)
+    return gaussian_recurrence(xs, 2.0, 1.0, np.pi ** -0.25, -xs ** 2 / 2.0,
+                               cutoff)
 
 
 def _quadrature_pdf(rho: np.ndarray, psi: np.ndarray) -> np.ndarray:

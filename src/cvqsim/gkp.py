@@ -60,29 +60,18 @@ class Logical(NamedTuple):
 def _peak(mu: float, delta: float, cutoff: int) -> np.ndarray:
     """Fock amplitudes, below the cutoff, of the unit peak at mu.
 
-    They obey ((1 + delta^2) a + (1 - delta^2) a^dag) c = sqrt(2) mu c,
-    run over 1 + delta^2 = 2 / (1 + t) with t = tanh(-ln delta), so no
-    power of delta overflows.  The recurrence starts at 1 and carries
-    log c_0 = ln sech(ln delta) / 2 - mu^2 (1 + t) / 4 as a log scale,
-    rescaled by 2^-300 past 2^300 as in fock.hermite_functions, so a far
-    peak does not underflow to 0.  The peak at -mu is (-1)^n times this.
+    They obey ((1 + delta^2) a + (1 - delta^2) a^dag) c = sqrt(2) mu c:
+    fock.gaussian_recurrence at s = 2, t = tanh(-ln delta) and x =
+    mu / (1 + delta^2) = mu (1 + t) / 2 (no power of delta overflows), with
+    log envelope ln c_0 = ln sech(ln delta) / 2 - mu^2 (1 + t) / 4, so a
+    far peak does not underflow to 0.  The peak at -mu is (-1)^n times it.
     """
     r = -math.log(delta)
     t = math.tanh(r)
-    log_scale = ((math.log(2.0) - abs(r) - math.log1p(math.exp(-2.0 * abs(r)))) / 2.0
-                 - mu ** 2 * (1.0 + t) / 4.0)
-    scale = math.exp(log_scale)
-    drive = math.sqrt(0.5) * mu * (1.0 + t)
-    amps = np.empty(cutoff)
-    prev, cur = 0.0, 1.0
-    for n in range(cutoff):
-        if abs(cur) > 2.0 ** 300:
-            prev, cur = prev * 2.0 ** -300, cur * 2.0 ** -300
-            log_scale += 300.0 * math.log(2.0)
-            scale = math.exp(log_scale)
-        amps[n] = cur * scale
-        prev, cur = cur, (drive * cur - t * math.sqrt(n) * prev) / math.sqrt(n + 1.0)
-    return amps
+    log_c0 = ((math.log(2.0) - abs(r) - math.log1p(math.exp(-2.0 * abs(r)))) / 2.0
+              - mu ** 2 * (1.0 + t) / 4.0)
+    return fock.gaussian_recurrence(np.array([mu * (1.0 + t) / 2.0]), 2.0, t,
+                                    1.0, [log_c0], cutoff)[:, 0]
 
 
 def _synthesis(delta: float, cutoff: int):

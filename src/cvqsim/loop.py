@@ -500,7 +500,7 @@ def _check_slot(i: int, length: int):
 # Programmable entangled-state generation
 
 
-def _unitary_to_gates(u: np.ndarray, tol: float = 1e-11) -> list:
+def _unitary_to_gates(u: np.ndarray) -> list:
     """Decompose a unitary into phase and beam-splitter gates.
 
     Nulls the lower triangle with phased Givens rotations; the result is
@@ -513,7 +513,7 @@ def _unitary_to_gates(u: np.ndarray, tol: float = 1e-11) -> list:
         row_c = work[c, c:]           # columns left of c are zero already
         for j in range(c + 1, n):
             row_j = work[j, c:]
-            if abs(row_j[0]) < tol:
+            if row_j[0] == 0:
                 continue
             alpha = cmath.phase(row_c[0]) - cmath.phase(row_j[0])
             theta = math.atan2(abs(row_j[0]), abs(row_c[0]))
@@ -527,11 +527,11 @@ def _unitary_to_gates(u: np.ndarray, tol: float = 1e-11) -> list:
     gates = []
     for i in range(n):
         beta = cmath.phase(work[i, i])
-        if abs(beta) > tol:
+        if beta != 0:
             gates.append(("phase", i, beta))
     for c, j, theta, alpha in reversed(rots):
         gates.append(("bs", j, c, math.cos(theta) ** 2))
-        if abs(alpha) > tol:
+        if alpha != 0:
             gates.append(("phase", j, -alpha))
     _assert_gates_match(gates, u)
     return gates

@@ -442,6 +442,13 @@ class TestRun:
         assert [r["type"] for r in reports] == ["fidelity", "cov"]
         assert len(calls) == 1           # the cov report's alone
 
+    def test_fock_coherent_fidelity_is_exact_far_from_the_state(self):
+        # the target's cut amplitudes are exact: vacuum against |alpha>,
+        # |alpha|^2 = 32, gives e^-32 at a cutoff far below 32 photons
+        p = parse_ok("mode a; report fidelity coherent dx=8.0 dp=0.0;")
+        value = dsl.run(p, "fock", 0, cutoff=20).reports[0]["value"]
+        assert abs(value - math.exp(-32.0)) < 1e-12 * math.exp(-32.0)
+
     def test_fock_fidelity_report_refuses_a_non_finite_value(self,
                                                              monkeypatch):
         p = parse_ok("mode a; sq a 3dB x; report fidelity vacuum;")

@@ -32,6 +32,16 @@ class TestConstructors:
         np.testing.assert_allclose(mean, [1.0, 0.5], atol=1e-9)
         np.testing.assert_allclose(cov, np.eye(2) * 0.5, atol=1e-9)
 
+    @pytest.mark.parametrize("alpha", [math.sqrt(4.5), 1.5 + 0.5j],
+                             ids=["real", "complex"])
+    def test_coherent_amplitudes_are_cut_not_reflected(self, alpha):
+        # D(alpha) on the vacuum, untruncated, cut at 12 levels where a
+        # displacement of the truncated space reflects mass off the top
+        st = fk.coherent_fock(alpha, cutoff=12)
+        want = np.array([oracles.displacement_element(n, 0, alpha)
+                         for n in range(12)])
+        assert np.abs(st.amps - want).max() < 1e-14 * np.abs(want).max()
+
     def test_squeezed_vacuum_even_levels(self):
         st = fk.squeeze_fock(fk.vacuum_fock(1, 50), 0, 0.8)
         probs = np.abs(st.amps) ** 2

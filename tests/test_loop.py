@@ -440,6 +440,13 @@ class TestEntangled:
         assert np.abs(out.mean).max() == 0.0
         assert np.abs(out.cov - target).max() < 1e-10 * np.abs(target).max()
 
+    def test_cluster_error_is_rounding_at_64_modes(self):
+        # the decomposer skips no rotation or phase that is not exactly
+        # zero, so the 64-mode cluster is within rounding of its target
+        out, _ = self.run("CLUSTER_LINEAR", 64, R15)
+        target = oracles.cluster_target(64, R15)
+        assert np.abs(out.cov - target).max() < 1e-13 * np.abs(target).max()
+
     @staticmethod
     def _input_db(prog):
         """Each input pulse's squeezing in dB, from its variances."""
