@@ -22,9 +22,9 @@ Each `cvq` call is a fresh process whose start-up is mostly imports, so
 the top of this module imports the standard library and the package's
 numpy-free root only, and each subcommand imports what it runs and reads
 its defaults when it runs: `run` loads dsl, gaussian and fock (a
-`network` block adds tdm, a `schedule` loop), `loop` what a schedule
-run loads, `gkp` gaussian, fock and gkp, and `stream` tdm alone and
-`budget` budget alone, both without numpy.
+`schedule` adds loop), `loop` what a schedule run loads, `gkp`
+gaussian, fock and gkp, and `stream` tdm alone and `budget` budget
+alone, both without numpy.
 """
 
 from __future__ import annotations

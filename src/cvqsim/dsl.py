@@ -1,9 +1,9 @@
 """Line-oriented circuit language: parse, print, validate, run.
 
 Programs are sequences of `;`-terminated statements with `#` comments.
-Besides plain gate lists over named modes there are two block forms,
-`network { ... }` for streaming cluster generation and `schedule { ... }`
-for the loop processor; a block must be the whole program.
+Besides plain gate lists over named modes there is one block form,
+`schedule { ... }` for the loop processor (Gaussian backend only); it
+must be the whole program.  Cluster streaming is `cvq stream` alone.
 
 parse() is total: malformed input comes back as a ParseError value with
 a 1-based line/column, never as a raised exception.  Squeezing amounts
@@ -13,8 +13,7 @@ radians, always.
 The op table `_OPS` is the one place an op is defined: its argument
 grammar, the backends it runs on, its range checks and its Gaussian and
 Fock actions.  parse, pretty_print, validate and run all read it, and
-the `network` and `schedule` entries carry the tables of their block
-entries.
+the `schedule` entry carries the table of its block entries.
 
 run returns a RunReport of plain data (to_dict); cli renders it as text.
 """
@@ -34,7 +33,7 @@ from . import fock as fk
 from . import gaussian as g
 from . import squeezing_db_to_r
 
-# ancilla / input squeezing for blocks that do not set `squeeze ...;`
+# ancilla squeezing for schedules that do not set `squeeze ...;`
 DEFAULT_BLOCK_SQUEEZE_DB = 15.0
 
 
@@ -452,28 +451,13 @@ def _check_declared(a, backend, modes):
         yield f"fock backend is limited to {fk.MAX_MODES} modes"
 
 
-def _settings(entries, args) -> dict:
-    """A block's settings, the entries that are not gates, by name."""
-    return {e[0]: e[1] for e in args if entries[e[0]].loop is None}
-
-
-def _check_network(args, *_):
-    s = _settings(_NETWORK, args)
-    dim = s.get("dim")
-    if dim not in (1, 2):
-        yield "network needs dim 1 or dim 2"
-    if "pulses" not in s:
-        yield "network needs pulses"
-    elif s["pulses"] < 2:
-        yield "network needs at least 2 pulses"
-    if dim == 2 and s.get("width", 0) < 2:
-        yield "dim 2 network needs width >= 2"
-    if dim == 1 and "width" in s:
-        yield "width only applies to dim 2"
+def _settings(args) -> dict:
+    """A schedule's settings, the entries that are not gates, by name."""
+    return {e[0]: e[1] for e in args if _SCHEDULE[e[0]].loop is None}
 
 
 def _check_schedule(args, *rest):
-    s = _settings(_SCHEDULE, args)
+    s = _settings(args)
     n_data = s.get("data", 0)
     if n_data < 1:
         yield "schedule needs data >= 1"
@@ -512,7 +496,6 @@ class _Run:
         self.seed = seed
         self.outcomes, self.reports = [], []
         self.measured = {}      # outcome id -> (mode, theta, value); fock: value
-        self.wall = None        # a block's own time, when it keeps one
 
     @cached_property
     def rng(self):
@@ -627,23 +610,9 @@ def _report(r, a, backend):
     return r.state
 
 
-def _run_network(r, args):
-    from . import tdm
-    s = _settings(_NETWORK, args)
-    sq = s.get("squeeze", squeezing_db_to_r(DEFAULT_BLOCK_SQUEEZE_DB))
-    if s["dim"] == 1:
-        stats = tdm.stream_1d(s["pulses"], sq)
-    else:
-        stats = tdm.stream_2d(s["pulses"], s["width"], sq)
-    payload = stats.to_dict()
-    r.wall = payload.pop("timings")["stream_s"]
-    payload["type"] = "stream"
-    r.reports.append(payload)
-
-
 def _run_schedule(r, args):
     from . import loop as lp
-    s = _settings(_SCHEDULE, args)
+    s = _settings(args)
     sq = s.get("squeeze", squeezing_db_to_r(DEFAULT_BLOCK_SQUEEZE_DB))
     config = lp.LoopConfig(n_data=s["data"], m_anc=s.get("anc", 0))
     gates = [_SCHEDULE[e[0]].loop(e[1:], sq) for e in args
@@ -682,9 +651,6 @@ class _Op:
     loop: object = None
     ancilla: bool = False
 
-
-_NETWORK = {"dim": _Op((_COUNT,)), "width": _Op((_COUNT,)),
-            "pulses": _Op((_COUNT,)), "squeeze": _Op((_SQUEEZE,))}
 
 _SCHEDULE = {
     "data": _Op((_COUNT,)), "anc": _Op((_COUNT,)), "squeeze": _Op((_SQUEEZE,)),
@@ -733,10 +699,10 @@ _OPS = {
                   unsupported=_NON_GAUSSIAN),
     "report": _Op((_REPORT,), lambda r, a: _report(r, a, "gaussian"),
                   lambda r, a: _report(r, a, "fock")),
-    "network": _Op(gaussian=_run_network, fock=_run_network,
-                   check=_check_network, entries=_NETWORK),
-    "schedule": _Op(gaussian=_run_schedule, fock=_run_schedule,
-                    check=_check_schedule, entries=_SCHEDULE),
+    "schedule": _Op(gaussian=_run_schedule, check=_check_schedule,
+                    unsupported="schedule not supported on fock backend; "
+                    "run it with cvq loop",
+                    entries=_SCHEDULE),
 }
 
 
@@ -801,13 +767,13 @@ def run(program: CircuitProgram, backend: str, seed: int,
         cutoff: int = fk.DEFAULT_CUTOFF) -> RunReport:
     """Validate and execute; raises ValueError on an invalid program.
 
-    On the Fock backend every instruction but a block is followed by the
-    one check of the state's `leakage` against `fock.LEAKAGE_BUDGET`;
-    over it, run raises `fock.LeakageError`.  A report's entry carries
-    the leakage that check computed.  A ValueError or
-    LeakageError raised while an instruction runs carries the
-    instruction's position in its `line` and `column` attributes; the
-    ValueError of an invalid program carries its first error's.
+    On the Fock backend every instruction is followed by the one check
+    of the state's `leakage` against `fock.LEAKAGE_BUDGET`; over it, run
+    raises `fock.LeakageError`.  A report's entry carries the leakage
+    that check computed.  A ValueError or LeakageError raised while an
+    instruction runs carries the instruction's position in its `line`
+    and `column` attributes; the ValueError of an invalid program
+    carries its first error's.
     """
     errors = validate(program, backend)
     if errors:
@@ -821,7 +787,7 @@ def run(program: CircuitProgram, backend: str, seed: int,
         op = _OPS[ins.op]
         try:
             r.state = getattr(op, backend)(r, ins.args)
-            if backend == "fock" and op.entries is None:
+            if backend == "fock":
                 leak = r.state.leakage()
                 if ins.op == "report":
                     r.reports[-1]["leakage"] = leak
@@ -832,6 +798,6 @@ def run(program: CircuitProgram, backend: str, seed: int,
         except (ValueError, fk.LeakageError) as exc:
             exc.line, exc.column = ins.line, ins.column
             raise
-    elapsed = time.perf_counter() - start if r.wall is None else r.wall
     return RunReport(backend=backend, seed=int(seed), outcomes=r.outcomes,
-                     reports=r.reports, timings={"run_s": elapsed})
+                     reports=r.reports,
+                     timings={"run_s": time.perf_counter() - start})

@@ -291,8 +291,8 @@ def purity(state: GaussianState) -> float:
     return float(1.0 / (2.0 ** n * np.sqrt(det)))
 
 
-def is_pure(state: GaussianState, tol: float = 1e-9) -> bool:
-    return bool(abs(purity(state) - 1.0) < tol)
+def is_pure(state: GaussianState) -> bool:
+    return bool(abs(purity(state) - 1.0) < 1e-9)
 
 
 def fidelity(a: GaussianState, b: GaussianState) -> float:

@@ -194,7 +194,7 @@ def threshold_margin(delta: float) -> float:
     return squeezing_db_of(delta) - THRESHOLD_DB
 
 
-def error_curve_csv(sigmas, samples: int = 100000, rng_seed=0) -> str:
+def error_curve_csv(sigmas, samples: int, rng_seed) -> str:
     out = io.StringIO()
     out.write("sigma,p_closed_form,p_monte_carlo,stderr\n")
     for i, sigma in enumerate(sigmas):

@@ -114,17 +114,6 @@ def gaussian_pair_text(rng, n_ops=6) -> str:
     return "\n".join(stmts) + "\n"
 
 
-def network_text(rng) -> str:
-    if rng.uniform() < 0.5:
-        body = [f"dim 1;", f"pulses {int(rng.integers(5, 60))};"]
-    else:
-        body = ["dim 2;", f"width {int(rng.integers(2, 5))};",
-                f"pulses {int(rng.integers(5, 40))};"]
-    if rng.uniform() < 0.7:
-        body.append(f"squeeze {_sq_literal(rng)};")
-    return "network {\n  " + "\n  ".join(body) + "\n}\n"
-
-
 def schedule_text(rng, min_data=2) -> str:
     """A schedule block of min_data to 4 data pulses and 0 to 2 ancillas."""
     data = int(rng.integers(min_data, 5))
@@ -207,10 +196,7 @@ def _scramble(stmts, rng) -> str:
 
 
 def random_program_text(rng) -> str:
-    roll = rng.uniform()
-    if roll < 0.1:
-        return network_text(rng)
-    if roll < 0.2:
+    if rng.uniform() < 0.2:
         return schedule_text(rng)
     return gates_text(rng)
 

@@ -521,13 +521,21 @@ class TestDeterminism:
             ("run", str(epr), "--seed", "5", "--backend", "fock",
              "--cutoff", "60"),
             ("loop", str(sched), "--seed", "5"),
+            ("gkp", "--curve", "0.2,0.4", "--samples", "2000", "--seed", "5"),
+            ("run", str(epr), "--seed", "5", "--shots", "3"),
+            ("run", str(epr), "--seed", "5", "--shots", "3", "--backend",
+             "fock", "--cutoff", "60"),
+            ("budget", "--loss-db-km", "0.2", "--length-m", "100",
+             "--pulse-ns", "50", "--format", "csv"),
         ]
         for argv in commands:
             outs = []
             for _ in range(2):
                 code, out, _ = run_cli(capsys, *argv)
                 assert code == 0, argv
-                outs.append(json.dumps(strip_timings(out), sort_keys=True))
+                # CSV output has no timings to strip
+                outs.append(out if not out.startswith("{") else
+                            json.dumps(strip_timings(out), sort_keys=True))
             assert outs[0] == outs[1], argv
 
 

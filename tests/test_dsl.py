@@ -70,6 +70,13 @@ class TestParse:
         assert e.message == "unknown op 'twist'"
         assert e.token == "twist"
 
+    def test_network_block_is_a_parse_error(self):
+        # streaming has no block: it is `cvq stream`'s alone
+        e = parse_err("# stream\nnetwork { dim 1; pulses 10; }")
+        assert e.message == "unknown op 'network'"
+        assert e.token == "network"
+        assert (e.line, e.column) == (2, 1)
+
     def test_arity_and_type_errors(self):
         assert "expected" in parse_err("mode q0; ps q0;").message
         assert "expected" in parse_err("mode q0 q1; bs q0 q1;").message
@@ -92,7 +99,7 @@ class TestParse:
         assert parse_err("ps q0 1e999;").message == "number out of range"
 
     def test_unterminated_constructs(self):
-        assert "expected '}'" in parse_err("network { dim 1;").message
+        assert "expected '}'" in parse_err("schedule { data 1;").message
         assert "expected ';'" in parse_err("mode q0").message
         assert "expected" in parse_err("report form c=[1.0, ;").message
 
@@ -105,21 +112,21 @@ class TestParse:
         assert p.instructions == () and p.modes == ()
 
     def test_blocks_parse(self):
-        p = parse_ok("network { dim 2; width 3; pulses 9; squeeze 10dB; }")
+        p = parse_ok("schedule { data 2; anc 3; squeeze 10dB; }")
         entries = dict((e[0], e[1]) for e in p.instructions[0].args)
-        assert entries["dim"] == 2 and entries["width"] == 3
+        assert entries["data"] == 2 and entries["anc"] == 3
         assert entries["squeeze"] == pytest.approx(
             squeezing_db_to_r(10.0), abs=1e-15)
         p = parse_ok("schedule { data 3; anc 1; bs 0 2 t=0.5; sqz 1 0.7; }")
         assert ("bs", 0, 2, 0.5) in p.instructions[0].args
 
     def test_block_entry_errors(self):
-        assert "duplicate network entry" in parse_err(
-            "network { dim 1; dim 2; }").message
-        assert "unknown network entry" in parse_err(
-            "network { dim 1; sqz 0 0.5; }").message
-        assert "expected dim value" in parse_err(
-            "network { dim 1.5; }").message
+        assert "duplicate schedule entry" in parse_err(
+            "schedule { data 1; data 2; }").message
+        assert "unknown schedule entry" in parse_err(
+            "schedule { data 1; dim 2; }").message
+        assert "expected data value" in parse_err(
+            "schedule { data 1.5; }").message
 
     def test_error_str_carries_position(self):
         e = parse_err("mode q0; ps q1 0.5;")
@@ -170,8 +177,6 @@ TABLE_CASES = [
     ("report-fidelity-coherent", [
         "mode a;", "disp a dx=0.5 dp=-0.25;",
         "report fidelity coherent dx=0.5 dp=-0.25;"]),
-    ("network", ["network {", "  dim 2;", "  width 3;", "  pulses 4;",
-                 "  squeeze 0.5r;", "}"]),
     ("schedule", ["schedule {", "  data 2;", "  anc 1;", "  squeeze 0.5r;",
                   "  ps 0 0.25;", "  bs 0 1 t=0.5;", "  sqz 1 0.75;",
                   "  disp 0 dx=0.5 dp=-0.25;", "}"]),
@@ -181,6 +186,8 @@ UNSUPPORTED = {
     ("loss", "fock"): "loss channel not supported on fock backend",
     ("cubic", "gaussian"): "non-Gaussian op on Gaussian backend",
     ("cphase", "gaussian"): "non-Gaussian op on Gaussian backend",
+    ("schedule", "fock"): "schedule not supported on fock backend; "
+                          "run it with cvq loop",
 }
 
 
@@ -268,16 +275,6 @@ class TestValidate:
         assert any("transmission" in e.message for e in dsl.validate(
             parse_ok("mode a; loss a 1.2;"), "gaussian"))
 
-    def test_network_block_checks(self):
-        assert any("pulses" in e.message for e in dsl.validate(
-            parse_ok("network { dim 1; }"), "gaussian"))
-        assert any("dim" in e.message for e in dsl.validate(
-            parse_ok("network { pulses 10; }"), "gaussian"))
-        assert any("width" in e.message for e in dsl.validate(
-            parse_ok("network { dim 2; pulses 10; }"), "gaussian"))
-        assert dsl.validate(
-            parse_ok("network { dim 1; pulses 10; }"), "gaussian") == []
-
     def test_schedule_block_checks(self):
         assert any("slot 5 out of range" in e.message for e in dsl.validate(
             parse_ok("schedule { data 2; ps 5 0.1; }"), "gaussian"))
@@ -285,7 +282,7 @@ class TestValidate:
             parse_ok("schedule { data 2; sqz 0 0.7; }"), "gaussian"))
 
     def test_block_must_stand_alone(self):
-        p = parse_ok("mode q0; network { dim 1; pulses 10; }")
+        p = parse_ok("mode q0; schedule { data 1; ps 0 0.1; }")
         assert any("whole program" in e.message
                    for e in dsl.validate(p, "gaussian"))
 
@@ -477,30 +474,12 @@ class TestRun:
         with pytest.raises(fk.LeakageError):
             dsl.run(p, "fock", 1, cutoff=cutoff)
 
-    @pytest.mark.parametrize("text", [
-        "network { dim 1; pulses 10; }",
-        "schedule { data 2; anc 1; ps 0 0.3; sqz 1 0.8; }"])
-    def test_blocks_run_on_fock_backend(self, text):
-        # a block keeps no Fock state, so it has no leakage to check
-        rep = dsl.run(parse_ok(text), "fock", 0)
-        assert rep.reports[0]["type"] in ("stream", "loop")
-
-    def test_network_program_runs_stream(self):
-        p = parse_ok(f"network {{ dim 1; pulses 400; squeeze {R15}r; }}")
-        rep = dsl.run(p, "gaussian", 0)
-        payload = rep.reports[0]
-        assert payload["type"] == "stream"
-        assert "wall_time_s" not in payload
-        for form in payload["forms"].values():
-            assert form["count"] == 398
-            ratio = form["mean_var"] / form["vacuum_var"]
-            assert ratio == pytest.approx(10 ** -1.5, abs=1e-9)
-
-    def test_network_squeezing_beyond_float_range_is_rejected(self):
-        # e^(2r) overflows a float above r = 354.9
-        p = parse_ok("network { dim 1; pulses 10; squeeze 400r; }")
-        with pytest.raises(ValueError, match="must be a finite float"):
-            dsl.run(p, "gaussian", 0)
+    def test_fock_backend_rejects_schedule(self):
+        # the loop is Gaussian code, which no Fock cutoff holds
+        p = parse_ok("\n  schedule { data 2; anc 1; ps 0 0.3; sqz 1 0.8; }")
+        with pytest.raises(ValueError, match="run it with cvq loop") as exc:
+            dsl.run(p, "fock", 0, cutoff=3)
+        assert (exc.value.line, exc.value.column) == (2, 3)
 
     def test_schedule_program_matches_direct_gates(self):
         p = parse_ok("schedule { data 2; ps 0 0.4; bs 0 1 t=0.6; }")

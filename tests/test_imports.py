@@ -252,6 +252,8 @@ FOOTPRINTS = {
             ["dsl", "fock", "gaussian"], True),
     "loop": (["loop", "{dir}/loop.cvq", "--seed", "1"],
              ["dsl", "fock", "gaussian", "loop"], True),
+    "run_schedule": (["run", "{dir}/loop.cvq", "--seed", "1"],
+                     ["dsl", "fock", "gaussian", "loop"], True),
 }
 
 

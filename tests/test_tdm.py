@@ -52,6 +52,9 @@ class TestNetworkSpec:
                             stages=(("delay", 0, 0),))
         with pytest.raises(ValueError):
             tdm.network_2d(1.0, 1)
+        # e^(2r) overflows a float above r = 354.9
+        with pytest.raises(ValueError, match="must be a finite float"):
+            tdm.network_1d(400.0)
 
 
 def _custom_two_slot_delay():
