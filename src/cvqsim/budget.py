@@ -8,7 +8,7 @@ pulses of width tau, and a pulse circulating through it keeps a fraction
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 SPEED_OF_LIGHT = 299792458.0
 GROUP_VELOCITY_SILICA = SPEED_OF_LIGHT / 1.5    # ~2e8 m/s in fiber
@@ -18,33 +18,32 @@ GROUP_VELOCITY_SILICA = SPEED_OF_LIGHT / 1.5    # ~2e8 m/s in fiber
 _CAPACITY_EPS = 1e-9
 
 
-@dataclass(frozen=True)
-class BudgetInput:
-    fiber_loss_db_per_km: float
-    length_m: float
-    pulse_width_s: float
-    group_velocity: float = GROUP_VELOCITY_SILICA
+# named tuples, not dataclasses, whose import loads inspect: `cvq budget`
+# loads this module alone
 
-    def __post_init__(self):
+
+class BudgetInput(namedtuple("BudgetInput", "fiber_loss_db_per_km length_m "
+                             "pulse_width_s group_velocity")):
+    __slots__ = ()
+
+    def __new__(cls, fiber_loss_db_per_km, length_m, pulse_width_s,
+                group_velocity=GROUP_VELOCITY_SILICA):
+        self = super().__new__(cls, fiber_loss_db_per_km, length_m,
+                               pulse_width_s, group_velocity)
         if not 0 <= self.fiber_loss_db_per_km < math.inf:
             raise ValueError("fiber loss must be finite and >= 0 dB/km")
         for name in ("length_m", "pulse_width_s", "group_velocity"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and positive")
+        return self
 
 
-@dataclass(frozen=True)
-class BudgetReport:
-    transmission: float
-    capacity: int
-    circulation_time_s: float
-    loss_per_circulation_db: float
+class BudgetReport(namedtuple("BudgetReport", "transmission capacity "
+                              "circulation_time_s loss_per_circulation_db")):
+    __slots__ = ()
 
     def to_dict(self) -> dict:
-        return {"transmission": self.transmission,
-                "capacity": self.capacity,
-                "circulation_time_s": self.circulation_time_s,
-                "loss_per_circulation_db": self.loss_per_circulation_db}
+        return self._asdict()
 
     def to_csv(self) -> str:
         d = self.to_dict()

@@ -7,7 +7,10 @@ states and error curves), budget (fiber arithmetic).
 Each subcommand returns a dict, or CSV text for `budget --format csv`
 and `gkp --curve`; `main` writes a dict as one line of key-sorted compact
 JSON, the same bytes to stdout or to --out, and a NaN or infinity in it
-is a runtime error.
+is a runtime error.  The line is written in pieces, a covariance one row
+at a time, so the whole document is never one string in memory; every
+float is checked before the first piece, so a command that fails, in
+its run or in that check, writes nothing to stdout or --out.
 
 Exit codes: 0 success, 1 usage error, 2 runtime or physics error.  The
 latter writes a structured JSON diagnostic to stderr so harnesses can
@@ -30,7 +33,9 @@ alone, both without numpy.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
+import math
 import os
 import sys
 import warnings
@@ -132,15 +137,85 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _render(payload) -> tuple:
-    # compact: an indented dump takes json's pure-Python encoder; the
-    # newline is a part of its own, as appending it would copy the text
+# the C encoder of json.dumps(..., sort_keys=True, allow_nan=False); an
+# indented dump would take json's pure-Python encoder
+_ENCODER = json.JSONEncoder(sort_keys=True, allow_nan=False)
+_CONTAINERS = (dict, list, tuple)
+
+
+def _render(payload):
+    """The output text of a command's result, as an iterable of pieces.
+
+    CSV text is one piece.  A dict becomes exactly
+    json.dumps(payload, sort_keys=True, allow_nan=False) + "\n", but in
+    pieces (_pieces), so the whole text is never one string in memory.
+    Every float is checked before the first piece is made: a NaN or an
+    infinity raises ValueError here, before anything is written.
+    """
     if isinstance(payload, str):
         return (payload,)
-    return json.dumps(payload, sort_keys=True, allow_nan=False), "\n"
+    if not _finite(payload):
+        raise ValueError("Out of range float values are not JSON compliant")
+    return itertools.chain(_pieces(payload), "\n")
 
 
-def _emit(parts: tuple, out_path) -> None:
+def _finite(obj) -> bool:
+    """False if a float anywhere in obj, dict keys included, is NaN or
+    infinite."""
+    if isinstance(obj, float):
+        return math.isfinite(obj)
+    if isinstance(obj, dict):
+        return _finite(list(obj)) and _finite(list(obj.values()))
+    if isinstance(obj, (list, tuple)):
+        try:
+            # a NaN or an infinity makes the sum one; an overflow of
+            # finite items falls through to the item-by-item check
+            if math.isfinite(sum(obj)):
+                return True
+        except (TypeError, OverflowError):  # not all numbers, or a huge int
+            pass
+        return all(map(_finite, obj))
+    return True
+
+
+def _pieces(obj):
+    """json's text of obj: a dict that holds a container, or a list whose
+    first item is one, piece by piece, in json's order and with its
+    separators; anything else in one piece from the C encoder.  Where it
+    splits changes only the pieces, never their text; the first item
+    alone decides for a list, so a row of floats is not scanned twice."""
+    if isinstance(obj, dict) and any(isinstance(v, _CONTAINERS)
+                                     for v in obj.values()):
+        sep = "{"
+        for key, value in sorted(obj.items()):
+            yield sep + _key(key) + ": "
+            yield from _pieces(value)
+            sep = ", "
+        yield "}"
+    elif isinstance(obj, (list, tuple)) and obj and isinstance(
+            obj[0], _CONTAINERS):
+        sep = "["
+        for value in obj:
+            yield sep
+            yield from _pieces(value)
+            sep = ", "
+        yield "]"
+    else:
+        yield _ENCODER.encode(obj)
+
+
+def _key(key) -> str:
+    """A dict key as json writes it: a string, or the text of a float,
+    int, bool or None key, quoted."""
+    if not isinstance(key, str):
+        if not isinstance(key, (int, float, type(None))):
+            raise TypeError("keys must be str, int, float, bool or None, "
+                            f"not {type(key).__name__}")
+        key = _ENCODER.encode(key)
+    return _ENCODER.encode(key)
+
+
+def _emit(parts, out_path) -> None:
     if out_path is None:
         sys.stdout.writelines(parts)
         sys.stdout.flush()          # a closed reader raises here, not at exit

@@ -486,6 +486,8 @@ class _Run:
     """One execution: backend state, mode indices, outcomes and reports.
 
     run[name] is a mode's index in the state; measured modes leave live().
+    A Gaussian run owns the state it builds, and its gates rewrite that
+    state in place (_update); a report copies what it reads out of it.
     """
 
     def __init__(self, program, backend, seed, cutoff):
@@ -522,6 +524,18 @@ def _keep(r, a):
     return r.state
 
 
+def _update(r, modes, block, noise=None):
+    """A Gaussian gate or channel on the run's own state, in place."""
+    g.update_local(r.state, modes, block, noise)
+    return r.state
+
+
+def _loss_gaussian(r, a):
+    scale, noise = g.loss_channel(a[1])
+    return _update(r, (r[a[0]],), np.diag([scale, scale]),
+                   np.diag([noise, noise]))
+
+
 def _signed(a) -> float:
     return a[1] if a[2] == "x" else -a[1]
 
@@ -531,7 +545,7 @@ def _hom_gaussian(r, a):
 
     A homodyne freezes the measured quadrature inside the joint state
     instead of collapsing it; a later ff is the exact row operation
-    x_t += gx * q, p_t += gp * q, applied with gaussian.apply_local.
+    x_t += gx * q, p_t += gp * q, applied with gaussian.update_local.
     Reported moments are therefore the channel output, independent of
     the sampled outcomes (which are logged for reproducibility only).
     Each outcome is drawn conditioned on the earlier ones, whose frozen
@@ -549,7 +563,7 @@ def _hom_gaussian(r, a):
 def _ff_gaussian(r, a):
     k, theta, _ = r.measured[a[0]]
     ff = g.feedforward_matrix(2, 1, 0, theta, a[2], a[3])
-    return g.apply_local(r.state, (k, r[a[1]]), ff)
+    return _update(r, (k, r[a[1]]), ff)
 
 
 def _hom_fock(r, a):
@@ -670,13 +684,15 @@ _NON_GAUSSIAN = "non-Gaussian op on Gaussian backend"
 _OPS = {
     "mode": _Op((_DECLARED,), _keep, _keep, check=_check_declared),
     "sq": _Op((_MODE, _SQUEEZE, _QUADRATURE),
-              lambda r, a: g.squeeze(r.state, r[a[0]], _signed(a)),
+              lambda r, a: _update(r, (r[a[0]],),
+                                   g.squeeze_matrix(_signed(a))),
               lambda r, a: fk.squeeze_fock(r.state, r[a[0]], _signed(a))),
     "ps": _Op((_MODE, _num("angle")),
-              lambda r, a: g.phase_shift(r.state, r[a[0]], a[1]),
+              lambda r, a: _update(r, (r[a[0]],), g.rotation_matrix(a[1])),
               lambda r, a: fk.phase_fock(r.state, r[a[0]], a[1])),
     "bs": _Op((_MODE, _other_mode("beam splitter"), _key("t")),
-              lambda r, a: g.beam_splitter(r.state, r[a[0]], r[a[1]], a[2]),
+              lambda r, a: _update(r, (r[a[0]], r[a[1]]),
+                                   g.beamsplitter_matrix(a[2])),
               lambda r, a: fk.beam_splitter_fock(r.state, r[a[0]], r[a[1]],
                                                  a[2]),
               check=_unit(2, "transmissivity")),
@@ -684,7 +700,7 @@ _OPS = {
                 lambda r, a: g.displace(r.state, r[a[0]], a[1], a[2]),
                 lambda r, a: fk.displace_fock(r.state, r[a[0]], a[1], a[2])),
     "loss": _Op((_MODE, _num("transmission")),
-                lambda r, a: g.loss(r.state, r[a[0]], a[1]),
+                _loss_gaussian,
                 check=_unit(1, "transmission"),
                 unsupported="loss channel not supported on fock backend"),
     "hom": _Op((_MODE, _key("theta"), _MEASURED), _hom_gaussian, _hom_fock),

@@ -15,14 +15,18 @@ Conventions used throughout the package:
 * A phase shift by theta maps x -> cos(theta) x - sin(theta) p,
   p -> sin(theta) x + cos(theta) p.
 
-All operations are pure functions: they return a new GaussianState and
-never mutate their argument.  Every linear update of the moments, for
-gates, loss, feedforward and the loop's composed channels alike, goes
-through apply_local, with feedforward blocks built by
-feedforward_matrix; a channel's added noise, such as the vacuum noise of
-loss (loss_channel), is apply_local's `noise` term.  apply_local
-rewrites only the touched rows and columns and symmetrizes only the
-touched block, so covariances are symmetric by construction.  Every
+All operations but update_local are pure functions: they return a new
+GaussianState and never mutate their argument.  Every linear update of
+the moments, for gates, loss, feedforward and the loop's composed
+channels alike, is update_local's arithmetic, with feedforward blocks
+built by feedforward_matrix; a channel's added noise, such as the
+vacuum noise of loss (loss_channel), is its `noise` term.  It rewrites
+only the touched rows and columns and symmetrizes only the touched
+block, so covariances are symmetric by construction.  apply_local is
+the pure form, a copy of the state followed by update_local;
+update_local itself writes into the state it is given, for the owner of
+a state that no one else reads, such as the circuit language's run,
+where it spares a copy of the covariance per gate.  Every
 homodyne outcome, in the loop, the DSL and the tests, is drawn by
 sample_quadrature, conditioned on the run's earlier outcomes, and
 leaves the state as it is; it rejects a zero-variance or non-finite
@@ -164,7 +168,15 @@ def feedforward_matrix(n_local: int, target: int, source: int, theta: float,
 
 def apply_local(state: GaussianState, modes, block: np.ndarray,
                 noise: np.ndarray | None = None) -> GaussianState:
-    """Apply a 2k x 2k linear map to the quadratures of `modes`.
+    """update_local on a copy of the state; the argument is unchanged."""
+    out = GaussianState(state.mean.copy(), state.cov.copy())
+    update_local(out, modes, block, noise)
+    return out
+
+
+def update_local(state: GaussianState, modes, block: np.ndarray,
+                 noise: np.ndarray | None = None) -> None:
+    """Apply a 2k x 2k linear map to the quadratures of `modes`, in place.
 
     `block` acts on (x_m0, p_m0, x_m1, p_m1, ...) in the order of `modes`
     and need not be symplectic (feedforward blocks are not).  With
@@ -172,24 +184,23 @@ def apply_local(state: GaussianState, modes, block: np.ndarray,
     only the 2k x 2k block idx x idx is symmetrized, so the covariance
     stays symmetric by construction.  `noise`, a 2k x 2k matrix, is added
     to that block before it is symmetrized: the map V -> B V B^T + N of
-    a Gaussian channel such as loss.  The arithmetic is O(k n); the rest
-    of the cost is one copy of the covariance.
+    a Gaussian channel such as loss.  state.mean and state.cov are
+    rewritten where they are, in O(k n) work, so the caller must own
+    them: no other state or report may share their arrays.
     """
     for m in modes:
         _check_mode(state, m)
     idx = [q for m in modes for q in (2 * m, 2 * m + 1)]
     block = np.asarray(block, dtype=float)
-    mean = state.mean.copy()
+    mean, cov = state.mean, state.cov
     mean[idx] = block @ mean[idx]
-    rows = block @ state.cov[idx, :]
-    cov = state.cov.copy()
+    rows = block @ cov[idx, :]
     cov[idx, :] = rows
     cov[:, idx] = rows.T
     inner = rows[:, idx] @ block.T
     if noise is not None:
         inner += noise
     cov[np.ix_(idx, idx)] = 0.5 * (inner + inner.T)
-    return GaussianState(mean, cov)
 
 
 def squeeze(state: GaussianState, mode: int, r: float) -> GaussianState:

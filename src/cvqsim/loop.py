@@ -156,7 +156,7 @@ def simulate(config: LoopConfig, program: LoopProgram,
         if step.ff is not None and step.ff[0] not in declared:
             raise ValueError(f"feedforward references unknown id {step.ff[0]!r}")
 
-    rng = as_rng(rng_seed)
+    rng = None                        # built at the first homodyne draw
     run = _Pulses(config, input_state)
     outer = list(range(length))       # pulse id per outer slot, None if gone
     inner = None
@@ -228,6 +228,8 @@ def simulate(config: LoopConfig, program: LoopProgram,
                         f"slot {t}: homodyne addresses a consumed slot")
                 run.touch(pulse, s, t)
                 theta = step.homodyne
+                if rng is None:
+                    rng = as_rng(rng_seed)
                 value = g.sample_quadrature(run.marginal(read + [pulse]),
                                             len(read), theta, rng, given)
                 measured[step.outcome_id] = (pulse, theta)

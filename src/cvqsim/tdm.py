@@ -39,7 +39,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 
 BS_DEFAULT_T = 0.5
 # largest squeezing r whose anti-squeezed variance e^{2r}/2 is a float
@@ -48,8 +48,13 @@ _MAX_SQUEEZE_R = math.log(sys.float_info.max) / 2
 _CSV_CHUNK_ROWS = 1024
 
 
-@dataclass(frozen=True)
-class NetworkSpec:
+# The records below are named tuples, not dataclasses: importing
+# dataclasses loads inspect, which takes longer than all the rest of
+# this module's import, and `cvq stream` loads no other module of the
+# package.
+
+
+class NetworkSpec(namedtuple("NetworkSpec", "squeezers stages")):
     """Per-slot optical pipeline.
 
     squeezers: one (orientation, r) pair per arm, orientation "x" or "p".
@@ -57,10 +62,10 @@ class NetworkSpec:
         ("delay", arm, length) entries, applied top to bottom each slot.
     """
 
-    squeezers: tuple
-    stages: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, squeezers, stages):
+        self = super().__new__(cls, squeezers, stages)
         if len(self.squeezers) not in (2, 4):
             raise ValueError("expected 2 or 4 squeezers")
         for orient, r in self.squeezers:
@@ -86,6 +91,7 @@ class NetworkSpec:
                     raise ValueError("delay length must be a positive integer")
             else:
                 raise ValueError(f"unknown stage kind {s[0]!r}")
+        return self
 
     @property
     def n_arms(self) -> int:
@@ -129,8 +135,8 @@ def network_2d(r: float, width: int) -> NetworkSpec:
     )
 
 
-@dataclass(frozen=True)
-class NullifierForm:
+class NullifierForm(namedtuple("NullifierForm",
+                               "name terms expected_var vacuum_var")):
     """Linear combination of emitted quadratures with known variance.
 
     terms: tuple of (slot_offset, arm, quad, coef) with quad 0 for x and
@@ -139,10 +145,7 @@ class NullifierForm:
     vacuum_var the value the same form takes on unsqueezed inputs.
     """
 
-    name: str
-    terms: tuple
-    expected_var: float
-    vacuum_var: float
+    __slots__ = ()
 
     @property
     def support(self) -> int:
@@ -246,8 +249,9 @@ def derive_squeezed_forms(spec: NetworkSpec) -> tuple:
     return tuple(forms)
 
 
-@dataclass
-class StreamStats:
+class StreamStats(namedtuple("StreamStats",
+                             "variances count vacuum_vars expected_vars n_slots "
+                             "boundary_slots peak_active_modes wall_time_s")):
     """Result of a streaming run; variances are exact, not sampled.
 
     variances holds each form's variance, the same in every slot: its
@@ -258,14 +262,7 @@ class StreamStats:
     and max_var None.
     """
 
-    variances: dict
-    count: int
-    vacuum_vars: dict
-    expected_vars: dict
-    n_slots: int
-    boundary_slots: int
-    peak_active_modes: int
-    wall_time_s: float
+    __slots__ = ()
 
     def ratios(self) -> dict:
         """Variance normalized by the vacuum value per form; empty when

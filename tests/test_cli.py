@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cvqsim import cli, gkp, squeezing_db_to_r
 
@@ -477,6 +478,20 @@ def _canonical(text: str) -> str:
     return json.dumps(json.loads(text), sort_keys=True) + "\n"
 
 
+_LEAVES = (st.none() | st.booleans() | st.integers() | st.floats()
+           | st.text(max_size=8))
+_NUMBER_KEYS = (st.integers() | st.floats() | st.booleans())
+# json sorts a dict's keys, so the keys of one dict are all strings, all
+# numbers or the one None
+_PAYLOADS = st.recursive(
+    _LEAVES,
+    lambda inner: (st.lists(inner, max_size=5)
+                   | st.dictionaries(st.text(max_size=8), inner, max_size=5)
+                   | st.dictionaries(_NUMBER_KEYS, inner, max_size=5)
+                   | st.dictionaries(st.none(), inner, max_size=1)),
+    max_leaves=40).filter(lambda p: isinstance(p, (dict, list)))
+
+
 class TestRendering:
     """Every JSON output is one line of key-sorted compact JSON, and
     --out gets the bytes stdout gets."""
@@ -498,6 +513,27 @@ class TestRendering:
         path = tmp_path / "out.json"
         assert cli.main(argv + ["--out", str(path)]) == 0
         assert path.read_bytes() == out.encode()
+
+    @settings(max_examples=300, deadline=None)
+    @given(_PAYLOADS)
+    def test_pieces_join_to_json_dumps(self, payload):
+        # floats may be NaN or infinite: then json.dumps raises, and
+        # _render must raise too, before it yields a piece
+        try:
+            want = json.dumps(payload, sort_keys=True, allow_nan=False)
+        except ValueError:
+            with pytest.raises(ValueError):
+                cli._render(payload)
+            return
+        assert "".join(cli._render(payload)) == want + "\n"
+
+    @pytest.mark.parametrize("payload", [{(1, 2): [[1]]}, {"a": [[1]], 2: 1}])
+    def test_keys_json_cannot_write_are_type_errors(self, payload):
+        # a tuple key, and keys json cannot sort
+        with pytest.raises(TypeError):
+            json.dumps(payload, sort_keys=True)
+        with pytest.raises(TypeError):
+            "".join(cli._render(payload))
 
     def test_diagnostic_is_one_sorted_line(self, capsys):
         code, out, err = run_cli(capsys, "budget", "--loss-db-km", "-0.2",
@@ -678,6 +714,20 @@ class TestTopLevel:
         assert code == 2 and out == ""
         assert len(err.splitlines()) == 1
         assert json.loads(err)["error"]["type"] == "ValueError"
+
+    def test_non_finite_payload_leaves_no_out_file(self, tmp_path, capsys,
+                                                   monkeypatch):
+        # the NaN sits behind a covariance row that a writer would
+        # already have written, were the check made as the pieces go
+        monkeypatch.setitem(cli._COMMANDS, "budget", lambda args: {
+            "cov": [[1.0, 0.0], [0.0, float("nan")]], "mean": [0.0, 0.0]})
+        path = tmp_path / "out.json"
+        code, out, err = run_cli(capsys, "budget", "--loss-db-km", "0.2",
+                                 "--length-m", "100", "--pulse-ns", "50",
+                                 "--out", str(path))
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["type"] == "ValueError"
+        assert not path.exists()
 
     def test_help_exits_zero(self, capsys):
         assert cli.main(["--help"]) == 0

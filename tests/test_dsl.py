@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -333,6 +334,50 @@ class TestRun:
                         np.testing.assert_allclose(mine[key], ref[key],
                                                    rtol=1e-9, atol=1e-9)
             checked += 1
+
+    def test_in_place_runner_equals_pure_wrappers(self, monkeypatch):
+        # the runner rewrites its own state per gate; the pure single-gate
+        # API, a copy per gate, must give the same bytes
+        rng = np.random.default_rng(5300)
+        programs = [parse_ok(dslgen.gates_text(
+            rng, n_ops=16, allow_nongaussian=False,
+            n_modes=int(rng.integers(2, 6))) + "report cov;\n")
+            for _ in range(40)]
+        ops = {ins.op for p in programs for ins in p.instructions}
+        assert {"sq", "ps", "bs", "loss", "disp", "hom", "ff"} <= ops
+        in_place = [dsl.run(p, "gaussian", seed).to_dict()
+                    for seed, p in enumerate(programs)]
+
+        def ff(r, a):
+            k, theta, _ = r.measured[a[0]]
+            return g.apply_local(r.state, (k, r[a[1]]), g.feedforward_matrix(
+                2, 1, 0, theta, a[2], a[3]))
+
+        pure = {"sq": lambda r, a: g.squeeze(r.state, r[a[0]],
+                                             dsl._signed(a)),
+                "ps": lambda r, a: g.phase_shift(r.state, r[a[0]], a[1]),
+                "bs": lambda r, a: g.beam_splitter(r.state, r[a[0]],
+                                                   r[a[1]], a[2]),
+                "loss": lambda r, a: g.loss(r.state, r[a[0]], a[1]),
+                "ff": ff}
+        for name, action in pure.items():
+            monkeypatch.setitem(dsl._OPS, name, dataclasses.replace(
+                dsl._OPS[name], gaussian=action))
+        for seed, (p, want) in enumerate(zip(programs, in_place)):
+            got = dsl.run(p, "gaussian", seed).to_dict()
+            got.pop("timings"), want.pop("timings")
+            assert got == want      # exact: the same arithmetic, in order
+
+    def test_report_is_unchanged_by_later_gates(self):
+        p = parse_ok("mode a b; sq a 1r x; sq b 1r p; report cov;"
+                     " bs a b t=0.5; loss a 0.5; ps b 0.3;"
+                     " hom a theta=0 -> m; ff m b gx=1.0 gp=0.5;"
+                     " disp b dx=1.0 dp=0.0; sq b 0.4r x; report cov;")
+        first, last = dsl.run(p, "gaussian", 0).reports
+        squeezed = g.squeeze(g.squeeze(g.vacuum(2), 0, 1.0), 1, -1.0)
+        assert first["mean"] == squeezed.mean.tolist()
+        assert first["cov"] == squeezed.cov.tolist()
+        assert last["modes"] == ["b"] and last["cov"] != first["cov"][2:]
 
     def test_epr_outcomes_follow_joint_distribution(self):
         # x of both arms of an EPR pair: the second reading must be drawn

@@ -352,3 +352,17 @@ class TestApplyLocal:
         mean, cov = st.mean.copy(), st.cov.copy()
         g.apply_local(st, (0, 2), g.beamsplitter_matrix(0.4))
         assert np.array_equal(st.mean, mean) and np.array_equal(st.cov, cov)
+
+    def test_update_local_writes_apply_local_into_the_state(self):
+        st = oracles.random_mixed_state(4, np.random.default_rng(49))
+        mean, cov = st.mean, st.cov
+        scale, noise = g.loss_channel(0.7)
+        for modes, blk, nse in (
+                ((3, 1), g.beamsplitter_matrix(0.3), None),
+                ((2,), scale * np.eye(2), noise * np.eye(2)),
+                ((0, 2), g.feedforward_matrix(2, 1, 0, 0.4, 0.8, -0.3), None)):
+            want = g.apply_local(st, modes, blk, nse)
+            assert g.update_local(st, modes, blk, nse) is None
+            assert st.mean is mean and st.cov is cov     # the same arrays
+            assert np.array_equal(st.mean, want.mean)
+            assert np.array_equal(st.cov, want.cov)

@@ -53,6 +53,12 @@ def test_guard_flags_an_unused_import():
 # reason it stays.  Anything else without a caller is dead API.
 UNCALLED_API = {
     "dsl.pretty_print": "the DSL's canonical text form, parse(pretty_print(p)) == p",
+    "gaussian.beam_splitter": "pure single-gate API; the reference the "
+                              "in-place runner is tested against",
+    "gaussian.loss": "pure single-gate API; the reference the in-place "
+                     "runner is tested against",
+    "gaussian.phase_shift": "pure single-gate API; the reference the "
+                            "in-place runner is tested against",
     "loop.certificate_variances": "evaluates generate_entangled's certificates",
     "loop.generate_entangled": "perfbench entry point (loop job)",
     "tdm.csv_sink": "perfbench entry point (recorded stream job)",
@@ -189,11 +195,11 @@ JSON_WRITERS = {
 
 def _json_writers(sources: dict) -> set:
     """The modules of `sources` (module name -> text) that use
-    `json.dump` or `json.dumps`."""
+    `json.dump`, `json.dumps` or `json.JSONEncoder`."""
     return {mod for mod, text in sources.items()
             for node in ast.walk(ast.parse(text))
             if isinstance(node, ast.Attribute)
-            and node.attr in ("dump", "dumps")
+            and node.attr in ("dump", "dumps", "JSONEncoder")
             and isinstance(node.value, ast.Name) and node.value.id == "json"}
 
 
@@ -205,8 +211,9 @@ def test_only_cli_writes_json():
 def test_guard_flags_a_json_writer():
     sources = {"a": "import json\nx = json.dumps({}, indent=2)\n",
                "b": "import json\ndef f(fh):\n    json.dump({}, fh)\n",
-               "c": "import json\ny = json.loads('{}')\n"}
-    assert _json_writers(sources) == {"a", "b"}
+               "c": "import json\ny = json.loads('{}')\n",
+               "d": "import json\nENC = json.JSONEncoder(sort_keys=True)\n"}
+    assert _json_writers(sources) == {"a", "b", "d"}
 
 
 def test_package_does_not_import_scipy():
@@ -234,7 +241,8 @@ code = cli.main(argv) if argv else 0
 print(json.dumps([code,
                   sorted(m.partition(".")[2] for m in sys.modules
                          if m.startswith("cvqsim.")),
-                  "numpy" in sys.modules, "numpy.random" in sys.modules]))
+                  "numpy" in sys.modules, "numpy.random" in sys.modules,
+                  [m for m in ("dataclasses", "inspect") if m in sys.modules]]))
 """
 
 GAUSSIAN_RUN = "mode a; sq a 3dB x; report cov;\n"
@@ -258,8 +266,9 @@ FOOTPRINTS = {
 
 
 def _footprint(argv, tmp_path) -> tuple:
-    """(exit code, cvqsim modules, numpy loaded, numpy.random loaded)
-    after `cli.main(argv)` in a fresh interpreter."""
+    """(exit code, cvqsim modules, numpy loaded, numpy.random loaded,
+    which of dataclasses and inspect are loaded) after `cli.main(argv)`
+    in a fresh interpreter."""
     (tmp_path / "run.cvq").write_text(GAUSSIAN_RUN)
     (tmp_path / "hom.cvq").write_text(HOMODYNE_RUN)
     (tmp_path / "loop.cvq").write_text(SCHEDULE)
@@ -275,10 +284,12 @@ def _footprint(argv, tmp_path) -> tuple:
 @pytest.mark.parametrize("command", FOOTPRINTS)
 def test_each_command_loads_only_its_modules(command, tmp_path):
     argv, modules, numpy = FOOTPRINTS[command]
-    code, loaded, has_numpy, _ = _footprint(argv, tmp_path)
+    code, loaded, has_numpy, _, stdlib = _footprint(argv, tmp_path)
     assert code == 0
     assert loaded == sorted(["cli"] + modules)
     assert has_numpy is numpy
+    if not numpy:       # nor the slowest stdlib imports of the numpy side
+        assert stdlib == []
 
 
 def test_run_without_hom_never_loads_numpy_random(tmp_path):
@@ -288,6 +299,8 @@ def test_run_without_hom_never_loads_numpy_random(tmp_path):
     if proc.stdout.strip() == "True":
         pytest.skip("this numpy imports numpy.random with numpy itself")
     assert _footprint(FOOTPRINTS["run"][0], tmp_path)[3] is False
+    # SCHEDULE has no homodyne, so the loop draws nothing
+    assert _footprint(FOOTPRINTS["loop"][0], tmp_path)[3] is False
     hom = ["run", "{dir}/hom.cvq", "--seed", "1"]
     assert _footprint(hom, tmp_path)[3] is True
 
