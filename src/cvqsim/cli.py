@@ -27,7 +27,8 @@ numpy-free root only, and each subcommand imports what it runs and reads
 its defaults when it runs: `run` loads dsl, gaussian and fock (a
 `schedule` adds loop), `loop` what a schedule run loads, `gkp`
 gaussian, fock and gkp, and `stream` tdm alone and `budget` budget
-alone, both without numpy.
+alone, both without numpy.  A `dsl.ParseError` is the error `run` and
+`loop` report, and `dsl.run` picks the Fock cutoff when --cutoff is unset.
 """
 
 from __future__ import annotations
@@ -99,7 +100,7 @@ def _build_parser() -> _Parser:
                        default="gaussian")
     p_run.add_argument("--seed", type=_seed, required=True)
     p_run.add_argument("--shots", type=int, default=1)
-    p_run.add_argument("--cutoff", type=int)    # fock.DEFAULT_CUTOFF
+    p_run.add_argument("--cutoff", type=int)    # None: dsl.run's default
     p_run.add_argument("--out")
 
     p_loop = sub.add_parser("loop", help="run a schedule program")
@@ -233,14 +234,8 @@ def _load_program(path: str):
         text = fh.read()
     program = dsl.parse(text)
     if isinstance(program, dsl.ParseError):
-        raise _ProgramError(program)
+        raise program
     return program
-
-
-class _ProgramError(Exception):
-    def __init__(self, err):        # a dsl.ParseError
-        super().__init__(err.message)
-        self.err = err
 
 
 def _shot_seed(seed: int, shot: int) -> int:
@@ -250,19 +245,18 @@ def _shot_seed(seed: int, shot: int) -> int:
 
 
 def _cmd_run(args) -> dict:
-    from . import dsl, fock
+    from . import dsl
     program = _load_program(args.program)
     if args.shots <= 0:
         raise _UsageError("--shots must be >= 1")
-    cutoff = fock.DEFAULT_CUTOFF if args.cutoff is None else args.cutoff
     if args.shots == 1:
         return dsl.run(program, args.backend, args.seed,
-                       cutoff=cutoff).to_dict()
+                       cutoff=args.cutoff).to_dict()
     shots = []
     total = 0.0
     for i in range(args.shots):
         rep = dsl.run(program, args.backend, _shot_seed(args.seed, i),
-                      cutoff=cutoff)
+                      cutoff=args.cutoff)
         total += rep.timings["run_s"]
         shots.append({"shot": i, "seed": rep.seed,
                       "outcomes": rep.outcomes, "reports": rep.reports})
@@ -331,13 +325,10 @@ _COMMANDS = {"run": _cmd_run, "loop": _cmd_loop, "stream": _cmd_stream,
 
 
 def _diagnostic(exc, caught) -> dict:
+    # a dsl.ParseError has all four fields; dsl.run positions its errors
     entry = {"type": type(exc).__name__, "message": str(exc)}
-    if hasattr(exc, "line"):        # positioned by dsl.run
-        entry.update({"line": exc.line, "column": exc.column})
-    if isinstance(exc, _ProgramError):
-        entry.update({"type": "ParseError", "message": exc.err.message,
-                      "line": exc.err.line, "column": exc.err.column,
-                      "token": exc.err.token})
+    entry.update({k: getattr(exc, k) for k in ("message", "line", "column",
+                                               "token") if hasattr(exc, k)})
     payload = {"error": entry}
     if caught:
         payload["warnings"] = [
@@ -364,7 +355,7 @@ def main(argv=None) -> int:
             usage = str(exc)
         except FileNotFoundError as exc:
             usage = f"cvq: {exc}"
-        except (ValueError, RuntimeError, _ProgramError) as exc:
+        except (ValueError, RuntimeError) as exc:
             sys.stderr.writelines(_render(_diagnostic(exc, caught)))
             return EXIT_RUNTIME
     for w in caught:

@@ -5,10 +5,11 @@ Besides plain gate lists over named modes there is one block form,
 `schedule { ... }` for the loop processor (Gaussian backend only); it
 must be the whole program.  Cluster streaming is `cvq stream` alone.
 
-parse() is total: malformed input comes back as a ParseError value with
-a 1-based line/column, never as a raised exception.  Squeezing amounts
-accept a dB or r suffix and are converted to r at parse time; angles are
-radians, always.
+parse() is total: malformed input comes back as a ParseError with a
+1-based line/column, returned, never raised.  ParseError is a ValueError,
+so a caller that wants to fail on it raises the returned value.
+Squeezing amounts accept a dB or r suffix and are converted to r at
+parse time; angles are radians, always.
 
 The op table `_OPS` is the one place an op is defined: its argument
 grammar, the backends it runs on, its range checks and its Gaussian and
@@ -37,9 +38,10 @@ from . import squeezing_db_to_r
 DEFAULT_BLOCK_SQUEEZE_DB = 15.0
 
 
-@dataclass(frozen=True)
-class ParseError:
-    """Positioned syntax or reference error; line/column are 1-based."""
+@dataclass(eq=False)       # an exception compares and hashes by identity
+class ParseError(ValueError):
+    """Positioned syntax or reference error; line/column are 1-based.
+    The parser raises it, parse() returns it."""
 
     line: int
     column: int
@@ -109,16 +111,6 @@ class _Token(NamedTuple):
     suffix: str = ""
 
 
-class _Bail(Exception):
-    def __init__(self, err: ParseError):
-        super().__init__(str(err))
-        self.err = err
-
-
-def _fail(line, column, message, token="") -> None:
-    raise _Bail(ParseError(line, column, message, token))
-
-
 def _tokenize(text: str) -> list:
     toks = []
     line, col = 1, 1
@@ -148,19 +140,18 @@ def _tokenize(text: str) -> list:
             i += 1
             col += 1
             continue
-        if ch.isdigit() or ch == "." or ch in "+-":
-            m = _NUM_RE.match(text, i)
-            if m is None:
-                _fail(line, col, f"unexpected character {ch!r}", ch)
+        m = _NUM_RE.match(text, i)
+        if m is not None:
             lit = m.group(0)
             sm = _SUFFIX_RE.match(text, m.end())
             suffix = sm.group(0)
             if suffix not in ("", "r", "dB"):
-                _fail(line, col, f"unknown number suffix {suffix!r}",
-                      lit + suffix)
+                raise ParseError(line, col,
+                                 f"unknown number suffix {suffix!r}",
+                                 lit + suffix)
             value = float(lit)
             if not math.isfinite(value):
-                _fail(line, col, "number out of range", lit)
+                raise ParseError(line, col, "number out of range", lit)
             toks.append(_Token("num", lit + suffix, line, col,
                                value=value, suffix=suffix))
             adv = (m.end() - i) + len(suffix)
@@ -173,7 +164,7 @@ def _tokenize(text: str) -> list:
             col += m.end() - i
             i = m.end()
             continue
-        _fail(line, col, f"unexpected character {ch!r}", ch)
+        raise ParseError(line, col, f"unexpected character {ch!r}", ch)
     toks.append(_Token("eof", "", line, max(col, 1)))
     return toks
 
@@ -199,7 +190,7 @@ class _Parser:
         return t
 
     def fail(self, tok: _Token, message: str) -> None:
-        _fail(tok.line, tok.column, message, tok.text)
+        raise ParseError(tok.line, tok.column, message, tok.text)
 
     def expect_punct(self, p: str) -> _Token:
         t = self.advance()
@@ -632,14 +623,9 @@ def _run_schedule(r, args):
     gates = [_SCHEDULE[e[0]].loop(e[1:], sq) for e in args
              if _SCHEDULE[e[0]].loop is not None]
     prog = lp.compile_gates(config, gates)
-    state = g.vacuum(config.length)
-    for slot, orientation in prog.ancilla_prep:
-        state = g.squeeze(state, slot, sq if orientation == "x" else -sq)
-    final, log = lp.simulate(config, prog, state, rng_seed=r.seed)
+    final, log = lp.simulate(config, prog, prog.input_state, rng_seed=r.seed)
     _check_finite(final)
-    r.outcomes += [{"id": e["id"], "value": e["outcome"], "slot": e["slot"],
-                    "pulse": e["pulse"], "basis": e["basis"]}
-                   for e in log.outcomes]
+    r.outcomes += log.outcomes
     r.reports.append({"type": "loop", "survivors": log.survivors,
                       **final.to_dict()})
 
@@ -731,8 +717,8 @@ def parse(text: str):
         return ParseError(1, 1, "input must be text")
     try:
         return _Parser(_tokenize(text)).program()
-    except _Bail as bail:
-        return bail.err
+    except ParseError as err:
+        return err.with_traceback(None)     # it keeps no parser frames
     except RecursionError:
         return ParseError(1, 1, "input too deeply nested")
 
@@ -780,8 +766,9 @@ def validate(program: CircuitProgram, backend: str) -> list:
 
 
 def run(program: CircuitProgram, backend: str, seed: int,
-        cutoff: int = fk.DEFAULT_CUTOFF) -> RunReport:
+        cutoff: int | None = None) -> RunReport:
     """Validate and execute; raises ValueError on an invalid program.
+    A Fock run's cutoff is `cutoff`, or fock.DEFAULT_CUTOFF if None.
 
     On the Fock backend every instruction is followed by the one check
     of the state's `leakage` against `fock.LEAKAGE_BUDGET`; over it, run
@@ -798,7 +785,8 @@ def run(program: CircuitProgram, backend: str, seed: int,
         exc.line, exc.column = errors[0].line, errors[0].column
         raise exc
     start = time.perf_counter()
-    r = _Run(program, backend, seed, cutoff)
+    r = _Run(program, backend, seed,
+             fk.DEFAULT_CUTOFF if cutoff is None else cutoff)
     for ins in program.instructions:
         op = _OPS[ins.op]
         try:

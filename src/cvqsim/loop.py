@@ -32,23 +32,25 @@ the engine freezes the measured quadrature as a classical record,
 applies feedforward as an exact row operation
 (gaussian.feedforward_matrix), and traces the measured pulse out at the
 end.  Outcomes are still sampled for the log, each conditioned on the
-earlier ones (gaussian.sample_quadrature), so a run's outcomes follow
-their joint distribution.  The squeeze_tele gate is the
-measurement-induced squeezer of Filip, Marek & Andersen (PRA 71,
+earlier ones (gaussian.sample_quadrature), and logged in the circuit
+language's record, the reading under "value".  The squeeze_tele gate is
+the measurement-induced squeezer of Filip, Marek & Andersen (PRA 71,
 042308, 2005), with its settings from squeeze_gadget.
 
 compile_gates writes phase, beam-splitter and squeeze_tele gates as one
-circulation each.  generate_entangled takes a linear cluster's squeezers
-and passive network in closed form from the path graph's eigenmodes,
-and decomposes the network by a triangular Givens sweep (Reck et al.,
-PRL 73, 58, 1994), checked by applying each gate to the rows it touches.
+circulation each; its program carries the pulses it runs on, the
+vacuum with each squeeze_tele ancilla squeezed.  generate_entangled
+takes a linear cluster's squeezers and passive network in closed form
+from the path graph's eigenmodes, and decomposes the network by a
+triangular Givens sweep (Reck et al., PRL 73, 58, 1994), checked by
+applying each gate to the rows it touches.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -99,16 +101,17 @@ class ScheduleStep(NamedTuple):
 
 @dataclass(frozen=True)
 class LoopProgram:
+    """A schedule and input_state, the pulses to load before it runs."""
+
     steps: tuple
     outcome_ids: tuple = ()
-    input_state: object = None        # prepared injection pattern, if any
+    input_state: object = None        # the loaded pulses, ancillas prepared
     certificates: tuple = ()          # (name, terms, expected_var)
-    ancilla_prep: tuple = ()          # (slot, orientation) requirements
 
 
 @dataclass
 class LoopRunLog:
-    outcomes: list
+    outcomes: list                    # {id, slot, pulse, basis, value}
     outer_passes: dict
     inner_slots: dict
     survivors: list
@@ -163,7 +166,6 @@ def simulate(config: LoopConfig, program: LoopProgram,
     measured = {}                     # outcome id -> (pulse, basis)
     read = []                         # measured pulses, in order
     given = []                        # (index in read, basis, value)
-    consumed = [False] * length
     waiting = {}                      # target slot -> [(src, gx, gp)]
     outcomes = []
 
@@ -235,10 +237,9 @@ def simulate(config: LoopConfig, program: LoopProgram,
                 measured[step.outcome_id] = (pulse, theta)
                 given.append((len(read), theta, value))
                 read.append(pulse)
-                consumed[pulse] = True
                 outcomes.append({"id": step.outcome_id, "slot": t,
                                  "pulse": pulse, "basis": theta,
-                                 "outcome": value})
+                                 "value": value})
                 outer[s] = None
                 pulse = None
             if step.ff is not None:
@@ -268,11 +269,8 @@ def simulate(config: LoopConfig, program: LoopProgram,
     for pulse in range(length):
         run.lose(pulse)
     run.flush()
-    st = run.state
-    drop = [p for p in range(length) if consumed[p]]
-    if drop:
-        st = g.remove_modes(st, drop)
-    survivors = [p for p in range(length) if not consumed[p]]
+    st = g.remove_modes(run.state, read) if read else run.state
+    survivors = sorted(set(range(length)).difference(read))
     return st, LoopRunLog(outcomes=outcomes, outer_passes=run.outer_passes,
                           inner_slots=run.inner_slots, survivors=survivors)
 
@@ -417,12 +415,14 @@ def compile_gates(config: LoopConfig, gates) -> LoopProgram:
     ("displace", i, dx, dp), ("squeeze_tele", i, y, r_anc).  Gates run
     one after another; each capture/hold/release pattern spans one full
     circulation of the touched pulse, and squeeze_tele additionally
-    consumes one ancilla slot (listed in the returned ancilla_prep).
+    consumes one ancilla slot.  The program's input_state is the vacuum
+    with each such ancilla squeezed by its gate's r_anc, in x or in p as
+    squeeze_gadget says.
     """
     length = config.length
     steps = {}
     outcome_ids = []
-    ancilla_prep = []
+    ancillas = []                     # (slot, signed squeezing r)
     next_anc = config.n_data
     cursor = 0
 
@@ -478,7 +478,7 @@ def compile_gates(config: LoopConfig, gates) -> LoopProgram:
                 raise LoopScheduleError("out of ancilla slots")
             anc = next_anc
             next_anc += 1
-            ancilla_prep.append((anc, orientation))
+            ancillas.append((anc, r_anc if orientation == "x" else -r_anc))
             oid = f"m{len(outcome_ids)}"
             outcome_ids.append(oid)
             t_h = circulate(i, (anc - i) % length, vbs_T=t_bs) + length
@@ -488,9 +488,11 @@ def compile_gates(config: LoopConfig, gates) -> LoopProgram:
         else:
             raise ValueError(f"unknown gate kind {kind!r}")
 
-    ordered = tuple(steps[k] for k in sorted(steps))
-    return LoopProgram(steps=ordered, outcome_ids=tuple(outcome_ids),
-                       ancilla_prep=tuple(ancilla_prep))
+    state = g.vacuum(length)
+    for anc, r in ancillas:
+        state = g.squeeze(state, anc, r)
+    return LoopProgram(steps=tuple(steps[k] for k in sorted(steps)),
+                       outcome_ids=tuple(outcome_ids), input_state=state)
 
 
 def _check_slot(i: int, length: int):
@@ -642,10 +644,8 @@ def generate_entangled(kind: str, n: int, r: float) -> LoopProgram:
         certs = tuple(certs)
     else:
         raise ValueError(f"unknown kind {kind!r}")
-    program = compile_gates(LoopConfig(n_data=n), gates)
-    return LoopProgram(steps=program.steps, outcome_ids=program.outcome_ids,
-                       input_state=state, certificates=certs,
-                       ancilla_prep=program.ancilla_prep)
+    return replace(compile_gates(LoopConfig(n_data=n), gates),
+                   input_state=state, certificates=certs)
 
 
 def certificate_variances(state: g.GaussianState, certificates) -> dict:

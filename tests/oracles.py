@@ -465,7 +465,7 @@ def loop_slot_walk(config, program, input_state: g.GaussianState, rng_seed=0):
                 consumed[pulse] = True
                 outcomes.append({"id": step.outcome_id, "slot": t,
                                  "pulse": pulse, "basis": theta,
-                                 "outcome": value})
+                                 "value": value})
                 outer[s] = None
                 pulse = None
             if step.ff is not None:

@@ -664,9 +664,9 @@ HELP = Path(__file__).with_name("cli_help.txt")
 
 
 class TestDefaultsAndHelp:
-    """cli resolves --cutoff and --velocity defaults when the command
-    runs, from the module that defines each; the result and the help
-    text are what a parser default would give."""
+    """The --cutoff and --velocity defaults are resolved when the command
+    runs (--cutoff by dsl.run, --velocity by cli from budget); the result
+    and the help text are what a parser default would give."""
 
     def test_run_cutoff_defaults_to_fock_default(self, tmp_path, capsys):
         from cvqsim import fock

@@ -136,6 +136,16 @@ class TestParse:
     def test_parse_rejects_non_text(self):
         assert isinstance(dsl.parse(b"mode q0;"), dsl.ParseError)
 
+    def test_parse_error_is_a_value_error_returned_not_raised(self):
+        e = parse_err("mode q0;\nsq q0 3 x;")
+        assert isinstance(e, ValueError)
+        assert (e.line, e.column, e.token) == (2, 7, "3")
+        assert e.message == "squeeze value needs a dB or r suffix"
+        assert e.__traceback__ is None      # it holds no parser frames
+        with pytest.raises(dsl.ParseError) as info:
+            raise e
+        assert info.value is e and str(e) == "2:7: " + e.message
+
 
 class TestRoundTrip:
 
@@ -502,6 +512,21 @@ class TestRun:
         p = parse_ok("mode a b; cphase a b; cubic a gamma=0.05; report cov;")
         rep = dsl.run(p, "fock", 0, cutoff=30)
         assert rep.reports[0]["type"] == "cov"
+
+    def test_fock_cutoff_defaults_to_fock_default(self, monkeypatch):
+        cutoffs = []
+        vacuum_fock = fk.vacuum_fock
+
+        def spy(n, cutoff):
+            cutoffs.append(cutoff)
+            return vacuum_fock(n, cutoff)
+
+        monkeypatch.setattr(fk, "vacuum_fock", spy)
+        p = parse_ok("mode a; sq a 0.4r x; disp a dx=0.5 dp=0.0; report cov;")
+        reps = [dsl.run(p, "fock", 3), dsl.run(p, "fock", 3, cutoff=None),
+                dsl.run(p, "fock", 3, cutoff=fk.DEFAULT_CUTOFF)]
+        assert cutoffs == [fk.DEFAULT_CUTOFF] * 3
+        assert reps[0].reports == reps[1].reports == reps[2].reports
 
     def test_fock_leakage_over_budget_raises_at_the_instruction(self):
         p = parse_ok("mode q0; sq q0 15dB x; report cov;")

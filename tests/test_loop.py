@@ -179,6 +179,24 @@ class TestValidation:
         with pytest.raises(ValueError, match="positive"):
             loop.compile_gates(cfg, [("squeeze_tele", 0, -1.0, 1.0)])
 
+    def test_input_state_squeezes_each_ancilla_by_its_r_anc(self):
+        # y < 1 takes an x-squeezed ancilla, y > 1 a p-squeezed one; the
+        # data pulses are vacuum, and so is every pulse of a program
+        # without squeeze_tele
+        cfg = LoopConfig(n_data=2, m_anc=3)
+        prog = loop.compile_gates(cfg, [("squeeze_tele", 0, 0.6, 0.7),
+                                        ("phase", 1, 0.3),
+                                        ("squeeze_tele", 1, 1.8, 1.1)])
+        lo, hi = math.exp(-1.4) / 2, math.exp(2.2) / 2
+        want = [0.5, 0.5, 0.5, 0.5, lo, 1 / (4 * lo), hi, 1 / (4 * hi),
+                0.5, 0.5]
+        np.testing.assert_allclose(prog.input_state.cov, np.diag(want),
+                                   rtol=1e-15, atol=0)
+        assert not prog.input_state.mean.any()
+        plain = loop.compile_gates(cfg, [("phase", 1, 0.3)]).input_state
+        assert np.array_equal(plain.cov, g.vacuum(5).cov)
+        assert not plain.mean.any()
+
     def test_compile_runs_out_of_ancillas(self):
         cfg = LoopConfig(n_data=1, m_anc=1)
         gates = [("squeeze_tele", 0, 0.5, 1.0), ("squeeze_tele", 0, 0.5, 1.0)]
@@ -277,8 +295,8 @@ class TestEngine:
         out_b, log_b = self._squeeze_tele_run(data, 2)
         assert np.array_equal(out_a.cov, out_b.cov)
         assert np.array_equal(out_a.mean, out_b.mean)
-        values_a = [e["outcome"] for e in log_a.outcomes]
-        values_b = [e["outcome"] for e in log_b.outcomes]
+        values_a = [e["value"] for e in log_a.outcomes]
+        values_b = [e["value"] for e in log_b.outcomes]
         assert values_a != values_b
 
     def test_determinism(self):
@@ -303,7 +321,7 @@ class TestEngine:
         for seed in range(1000):
             _, log = loop.simulate(cfg, prog, state, rng_seed=seed)
             assert [e["pulse"] for e in log.outcomes] == [1, 0]
-            values.append([e["outcome"] for e in log.outcomes])
+            values.append([e["value"] for e in log.outcomes])
         exact = 0.5 * np.array([[math.cosh(2 * r), math.sinh(2 * r)],
                                 [math.sinh(2 * r), math.cosh(2 * r)]])
         assert np.abs(np.cov(np.array(values).T) - exact).max() < 0.1
@@ -312,9 +330,9 @@ class TestEngine:
     def test_squeeze_tele_matches_channel(self, y):
         cfg = LoopConfig(n_data=1, m_anc=1)
         prog = loop.compile_gates(cfg, [("squeeze_tele", 0, y, R15)])
-        assert prog.ancilla_prep == ((1, "x" if y < 1 else "p"),)
-        data = g.squeeze(g.coherent(0.3, 0.9), 0, -0.2)
         anc = g.squeeze(g.vacuum(1), 0, R15 if y < 1 else -R15)
+        assert np.array_equal(prog.input_state.cov[2:, 2:], anc.cov)
+        data = g.squeeze(g.coherent(0.3, 0.9), 0, -0.2)
         out, log = loop.simulate(cfg, prog, oracles.tensor(data, anc),
                                  rng_seed=3)
         ref = oracles.tele_squeeze(data, y, R15)
@@ -625,8 +643,8 @@ class TestSlotWalkOracle:
                      for e in log.outcomes]
                     == [(e["id"], e["slot"], e["pulse"], e["basis"])
                         for e in ref_log.outcomes]), what
-            _assert_close([e["outcome"] for e in log.outcomes],
-                          [e["outcome"] for e in ref_log.outcomes], what)
+            _assert_close([e["value"] for e in log.outcomes],
+                          [e["value"] for e in ref_log.outcomes], what)
             _assert_close(out.mean, ref.mean, what)
             _assert_close(out.cov, ref.cov, what)
         assert ran >= 100

@@ -120,8 +120,7 @@ def loop_squeeze(state, y, r, seed=0):
     (program, output over the surviving pulses, run log)."""
     cfg = LoopConfig(n_data=1, m_anc=1)
     prog = loop.compile_gates(cfg, [("squeeze_tele", 0, y, r)])
-    (_, orientation), = prog.ancilla_prep
-    anc = g.squeeze(g.vacuum(1), 0, r if orientation == "x" else -r)
+    anc = g.remove_modes(prog.input_state, [0])     # the prepared ancilla
     out, log = loop.simulate(cfg, prog, oracles.tensor(state, anc),
                              rng_seed=seed)
     return prog, out, log
